@@ -20,9 +20,9 @@ import sys
 from run import ROOT
 
 # Workload -> the layer that should dominate its traced total.
-SHARES = {"solve-n5r1": "omega.matrix_s",
-          "solve-n3r4": "factor.solve_s",
-          "thm55-n3r3": "greencheck.inner_product_s"}
+SHARES = {"solve-n4r1": "omega.matrix_s",
+          "solve-n2r5": "factor.solve_s",
+          "thm55-n3r2": "greencheck.inner_product_s"}
 
 
 def bench(workload, seed, seconds, trace) -> tuple:

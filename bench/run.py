@@ -3,7 +3,7 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/run.py --workload solve-n3r4 --seed 1 --seconds 36 --trace 0
+    python3 bench/run.py --workload solve-n2r5 --seed 1 --seconds 36 --trace 0
 
 Every sample starts a fresh interpreter on `python3 -m wkostka.cli ...` with
 ./src on PYTHONPATH, and checks the sha256 of its stdout against the digest
@@ -12,7 +12,9 @@ recorded below.  Samples repeat until the next one would overrun --seconds
 
 --trace 0 reports the end-to-end metrics of BENCHMARK.json: medians of the
 samples' wall time, CPU time and peak RSS, and the median time a fresh
-interpreter takes to import wkostka.cli.  --trace 1 alternates untraced
+interpreter takes to import wkostka.cli.  Each time is taken relative to a
+fixed reference loop timed just before it (see end_to_end); the run record
+keeps the plain medians as well.  --trace 1 alternates untraced
 samples with traced ones (bench/traced.py) and reports the per-layer
 metrics.  stdout ends with two JSON lines: the run record, then the result.
 The seed sets PYTHONHASHSEED of every child; the inputs themselves are fixed,
@@ -38,18 +40,34 @@ TRACED = Path(__file__).resolve().parent / "traced.py"
 
 # Workload -> (wkostka arguments, sha256 of its stdout at the seed commit).
 WORKLOADS = {
-    "solve-n5r1": (("solve", "--n", "5", "--r", "1"),
-                   "ba65bc81419f6f88f610aea862d54d11e73f66e6609cec83b427db1d94045c54"),
-    "solve-n3r4": (("solve", "--n", "3", "--r", "4"),
-                   "1e557de073bf93931f1696e6667c2d98d7c4ab2dcdd42c3c3ed06eff9a72a332"),
-    "thm55-n3r3": (("verify", "thm55", "--n", "3", "--r", "3"),
-                   "9ad996e642c099b075b9363e37697a11d1e5a5d60544aae24a61cef3df1449fa"),
+    "solve-n4r1": (("solve", "--n", "4", "--r", "1"),
+                   "741bb4beb646c9280245d345cd06d5b9f44bbf6c4a535b3b8eb5e10fbdb0fa36"),
+    "solve-n2r5": (("solve", "--n", "2", "--r", "5"),
+                   "0a4100743a4abdf11a32003735ac387d918235f14f7084b91f24522fc12cdd16"),
+    "thm55-n3r2": (("verify", "thm55", "--n", "3", "--r", "2"),
+                   "7ef53aed39c1e105697587fc96e09f94faf7ca32276c773fcde97b867c79db74"),
     # Seconds-long harness check; not a benchmark workload.
     "smoke-n1r3": (("solve", "--n", "1", "--r", "3"),
                    "d403a744a4d08b3244db57cc81e9e6cedbc503e0516371a84a07ff59816f97fc"),
 }
 
+# A fixed pure-Python loop that does not touch wkostka: exact fractions in a
+# dict, the kind of work the program does.  Its median time over a run says
+# how fast the machine was during that run.
+REFERENCE_CODE = """from fractions import Fraction
+d = {}
+for i in range(30000):
+    k = (i * 7919) % 1009
+    d[k] = d.get(k, Fraction(0)) + Fraction(i, k + 1)
+"""
+# About the reference child's median wall time on the machine the benchmark
+# was defined on (2-vCPU VM, Python 3.11.7), where it ranged from 0.13 to
+# 0.24 s as the host got busier.  Reported times are scaled to it; see
+# end_to_end().
+REFERENCE_S = 0.2
+
 SETUP_PER_SAMPLE = 3
+REFERENCE_PER_SAMPLE = 3
 CHILD_TIMEOUT_S = 170
 
 
@@ -116,7 +134,7 @@ def digest_ok(sample: Sample, want: str) -> bool:
         hashlib.sha256(sample.stdout).hexdigest() == want
 
 
-def run_record(args, load_before) -> dict:
+def run_record(args, load_before, measured) -> dict:
     head = None
     git = ROOT / ".git"
     if (git / "HEAD").is_file():
@@ -138,32 +156,63 @@ def run_record(args, load_before) -> dict:
             "git_revision": head,
             "src_sha256": src.hexdigest(),
             "loadavg_before": list(load_before),
-            "loadavg_after": list(os.getloadavg())}
+            "loadavg_after": list(os.getloadavg()),
+            "measured": measured}
 
 
 def end_to_end(argv, want, env, seconds):
-    """Untraced samples plus set-up timing; returns (values, samples,
-    failed samples).
+    """Untraced samples, set-up timing and reference timing; returns (values,
+    samples, failed samples).
 
-    The set-up samples are spread over the run, a few before each command
-    sample and a few after the last, so that their median does not hang on
-    how busy the machine was in one moment."""
+    Before each command sample run a few set-up samples, then a few
+    reference samples (REFERENCE_CODE); one more such batch follows the last
+    command sample.  The host changes the speed of the CPU for seconds to
+    minutes at a time, by up to 1.5x, and every child slows alike.  So each
+    sample's time is divided by the median reference time of the batch just
+    before it, and a time metric is the median of these ratios over the run
+    times REFERENCE_S: seconds at the speed at which the reference takes
+    REFERENCE_S.  values["measured"] holds the plain medians, unscaled."""
     setup_cmd = [sys.executable, "-c", "import wkostka.cli"]
+    reference_cmd = [sys.executable, "-c", REFERENCE_CODE]
     cli_cmd = [sys.executable, "-m", "wkostka.cli", *argv]
     run_child(setup_cmd, env)  # writes the bytecode caches once
-    setup = []
+    batches = []  # (set-up samples, reference samples), one per between()
+
+    def between():
+        batches.append(
+            ([run_child(setup_cmd, env) for _ in range(SETUP_PER_SAMPLE)],
+             [run_child(reference_cmd, env)
+              for _ in range(REFERENCE_PER_SAMPLE)]))
 
     def take():
-        setup.extend(run_child(setup_cmd, env) for _ in range(SETUP_PER_SAMPLE))
+        between()
         return [run_child(cli_cmd, env)]
 
     samples = sample_until(seconds, take)
-    setup.extend(run_child(setup_cmd, env) for _ in range(SETUP_PER_SAMPLE))
-    good = [s for s in samples if digest_ok(s, want)] or samples
-    values = {"wall_s": statistics.median(s.wall for s in good),
-              "cpu_s": statistics.median(s.cpu for s in good),
-              "peak_rss_mib": statistics.median(s.rss_mib for s in good),
-              "setup_s": statistics.median(s.wall for s in setup)}
+    between()
+    paired = [(s, ref) for s, (_, ref) in zip(samples, batches)]
+    good = [(s, ref) for s, ref in paired if digest_ok(s, want)] or paired
+
+    def wall(runs):
+        return statistics.median(s.wall for s in runs)
+
+    def cpu(runs):
+        return statistics.median(s.cpu for s in runs)
+
+    def scaled(ratios):
+        return REFERENCE_S * statistics.median(ratios)
+
+    values = {
+        "wall_s": scaled(s.wall / wall(ref) for s, ref in good),
+        "cpu_s": scaled(s.cpu / cpu(ref) for s, ref in good),
+        "setup_s": scaled(wall(setup) / wall(ref) for setup, ref in batches),
+        "peak_rss_mib": statistics.median(s.rss_mib for s, _ in good),
+        "measured": {
+            "wall_s": wall(s for s, _ in good),
+            "cpu_s": cpu(s for s, _ in good),
+            "setup_s": wall(s for setup, _ in batches for s in setup),
+            "reference_wall_s": wall(s for _, ref in batches for s in ref),
+            "reference_cpu_s": cpu(s for _, ref in batches for s in ref)}}
     return values, samples, [s for s in samples if not digest_ok(s, want)]
 
 
@@ -224,6 +273,11 @@ def main(argv=None) -> int:
     wanted = spec["per_layer" if args.trace else "end_to_end"]
 
     load_before = os.getloadavg()
+    # One CPU for this process and every child: the CPUs of a shared host
+    # change speed each on their own, and a reference timed on one CPU says
+    # nothing about a sample that ran on another.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     cli_argv, want = WORKLOADS[args.workload]
     env = child_env(args.seed)
     if args.trace:
@@ -240,7 +294,8 @@ def main(argv=None) -> int:
         print("error: no traced sample succeeded", file=sys.stderr)
         return 1
 
-    print(json.dumps({"run": run_record(args, load_before)}))
+    measured = values.pop("measured", None)
+    print(json.dumps({"run": run_record(args, load_before, measured)}))
     print(json.dumps({
         "correct": correct and not failed,
         "attempted": len(samples),

@@ -39,8 +39,11 @@ def test_reports_every_metric_with_its_unit(trace, section, seconds, least):
         {m["name"]: m["unit"] for m in SPEC[section]}
     record = json.loads(record_line)["run"]
     for key in ("python", "nproc", "git_revision", "src_sha256",
-                "loadavg_before", "loadavg_after"):
+                "loadavg_before", "loadavg_after", "measured"):
         assert key in record
+    if trace == "0":
+        assert set(record["measured"]) == {
+            "wall_s", "cpu_s", "setup_s", "reference_wall_s", "reference_cpu_s"}
 
 
 def test_traced_counts_describe_the_cli_computation():
@@ -71,7 +74,7 @@ def test_refuses_to_run_without_sources(tmp_path):
     shutil.copy(run.ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(run.ROOT / "bench", tmp_path / "bench",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    out = bench("--workload", "solve-n3r4", "--seed", "1", "--seconds", "36",
+    out = bench("--workload", "solve-n2r5", "--seed", "1", "--seconds", "36",
                 "--trace", "0", cwd=tmp_path)
     assert out.returncode != 0
     assert out.stdout == ""
