@@ -35,11 +35,24 @@ def _resolve_order(spec: str, n: int, r: int) -> OrderedIndex:
         return fx.order
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            items = [RPartition.parse(line.strip()) for line in fh
-                     if line.strip()]
+        try:
+            with open(path) as fh:
+                items = [RPartition.parse(line.strip()) for line in fh
+                         if line.strip()]
+        except OSError as exc:
+            raise UsageError(f"cannot read order file {path!r}: "
+                             f"{exc.strerror}") from exc
         return OrderedIndex(tuple(items))
     raise UsageError(f"bad order spec {spec!r}")
+
+
+def _size(value, default: int, least: int, flag: str) -> int:
+    """A size flag: default when it is absent, and at least least."""
+    if value is None:
+        return default
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}")
+    return value
 
 
 def _emit(payload: str, out_path: str | None):
@@ -302,8 +315,8 @@ def _suite_oracle(args) -> greencheck.VerifyReport:
 
 
 def _suite_symmetry(args) -> greencheck.VerifyReport:
-    n_max = args.n or 3
-    r_max = args.r or 3
+    n_max = _size(args.n, 3, 0, "--n")
+    r_max = _size(args.r, 3, 1, "--r")
     report = greencheck.VerifyReport("symmetry", {"n_max": n_max, "r_max": r_max})
     for r in range(1, r_max + 1):
         for n in range(0, n_max + 1):
@@ -337,7 +350,7 @@ def _suite_symmetry(args) -> greencheck.VerifyReport:
 
 
 def _suite_classical(args) -> greencheck.VerifyReport:
-    n_max = args.n or 4
+    n_max = _size(args.n, 4, 1, "--n")
     report = greencheck.VerifyReport("classical-r1", {"n_max": n_max})
     for n in range(1, n_max + 1):
         order = rpart.default_total_order(n, 1)
@@ -356,8 +369,8 @@ def _suite_classical(args) -> greencheck.VerifyReport:
 
 
 def _suite_orders(args) -> greencheck.VerifyReport:
-    n = args.n if args.n is not None else 3
-    r = args.r if args.r is not None else 1
+    n = _size(args.n, 3, 0, "--n")
+    r = _size(args.r, 1, 1, "--r")
     orders = rpart.sample_linear_extensions(n, r, args.samples, args.seed)
     seen, unique_orders = set(), []
     for o in orders:
@@ -383,8 +396,8 @@ def cmd_verify(args) -> int:
     if suite == "fixtures":
         report = _suite_fixtures(args)
     elif suite == "lemma59":
-        n_max = args.n or 4
-        r_max = args.r or 4
+        n_max = _size(args.n, 4, 0, "--n")
+        r_max = _size(args.r, 4, 1, "--r")
         report = greencheck.VerifyReport("lemma59", {"n_max": n_max, "r_max": r_max})
         for n in range(0, n_max + 1):
             for r in range(1, r_max + 1):
@@ -394,7 +407,8 @@ def cmd_verify(args) -> int:
                     report.violations.extend(sub.violations)
     elif suite == "thm55":
         mode = "numeric" if args.q else "symbolic"
-        report = greencheck.thm55_check(args.n or 2, args.r or 3, mode,
+        report = greencheck.thm55_check(_size(args.n, 2, 0, "--n"),
+                                        _size(args.r, 3, 1, "--r"), mode,
                                         args.q or (2, 3, 4))
     elif suite == "oracle":
         report = _suite_oracle(args)
@@ -411,8 +425,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_orders(args) -> int:
-    n = args.n if args.n is not None else 2
-    r = args.r if args.r is not None else 3
+    n = _size(args.n, 2, 0, "--n")
+    r = _size(args.r, 3, 1, "--r")
     orders = rpart.sample_linear_extensions(n, r, args.samples, args.seed)
     seen, unique_orders = set(), []
     for o in orders:

@@ -1,9 +1,10 @@
 """Combinatorial inner products of Green functions and exponent identities.
 
 Everything here is a verifier: the inner-product formula is evaluated purely
-from double-coset combinatorics (no finite-field group elements are ever
-constructed), and the exponent bookkeeping behind the bridge identity is
-checked as exact integer arithmetic.
+from double-coset combinatorics, as a contraction of omega.coset_table (no
+finite-field group element or permutation is ever constructed), and the
+exponent bookkeeping behind the bridge identity is checked as exact integer
+arithmetic.
 """
 from __future__ import annotations
 
@@ -11,15 +12,16 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .exact import LaurentPoly, RationalFunction
-from .omega import a_O, b_O, bracket, omega_entry_cosets
+from .omega import (a_O, b_O, bracket, coset_table, omega_entry_cosets,
+                    torus_quotient)
 from .rpart import (Composition, ContingencyMatrix, RPartition,
                     enumerate_contingency, enumerate_rpartitions, n_star)
-from .symgrp import (block_cycle_types, compose, cycle_type, double_cosets,
-                     intersection_elements, inverse, mn_character,
-                     torus_order)
+from .symgrp import block_character, torus_order
+# Not called here: bench/traced.py wraps these two names in this module.
+from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
 MINUS = "-"
 PLUS = "+"
@@ -61,14 +63,6 @@ class InnerProductValue:
     symbolic: bool
 
 
-def _gl_order_symbolic(n: int, power: int) -> LaurentPoly:
-    """|GL_n| over the field of order t^power."""
-    out = LaurentPoly.t_power(power * comb(n, 2))
-    for k in range(1, n + 1):
-        out = out * (LaurentPoly.t_power(power * k) - 1)
-    return out
-
-
 def _gl_order_numeric(n: int, q: Fraction) -> Fraction:
     out = q ** comb(n, 2)
     for k in range(1, n + 1):
@@ -89,63 +83,35 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
     n = lam.n
     m = lam.weight()
     mp = mu.weight()
-    symbolic = q is None
-    if symbolic:
-        one = RationalFunction.one()
-        base_pow = lambda e: RationalFunction.t_power(power * e)
-        gl = RationalFunction(_gl_order_symbolic(n, power))
-        torus_inv = lambda rho: one / RationalFunction(
-            _torus_symbolic(rho, power))
-    else:
-        q = Fraction(q)
-        base_pow = lambda e: q ** e
-        gl = _gl_order_numeric(n, q)
-        torus_inv = lambda rho: 1 / torus_order(rho, q)
     sign_map = {MINUS: m.p_minus(), PLUS: m.p_plus()}
     sign_map_p = {MINUS: mp.p_minus(), PLUS: mp.p_plus()}
     p_eps = sign_map[pair[0]]
     p_eps_prime = sign_map_p[pair[1]]
     sign = (-1) ** (p_eps + p_eps_prime)
 
-    total = RationalFunction.zero() if symbolic else Fraction(0)
-    for dc in double_cosets(n, m, mp):
-        inner = RationalFunction.zero() if symbolic else Fraction(0)
-        # chi^lam(w) chi^mu(x^-1 w x) / |T_w|, summed over the whole coset
-        for x in dc.members:
-            xinv = inverse(x)
-            for w in intersection_elements(m, mp, x):
-                c = 1
-                for comp, rho in zip(lam.parts, block_cycle_types(w, m)):
-                    c *= mn_character(comp, rho)
-                if c == 0:
-                    continue
-                z = compose(xinv, compose(w, x))
-                for comp, rho in zip(mu.parts, block_cycle_types(z, mp)):
-                    c *= mn_character(comp, rho)
-                if c == 0:
-                    continue
-                inner = inner + c * torus_inv(cycle_type(w))
-        if symbolic:
-            if inner.is_zero:
-                continue
-        elif inner == 0:
-            continue
-        total = total + base_pow(a_exponent(pair, dc.label)) * inner
-    order_m = 1
-    for size in m.parts:
-        order_m *= factorial(size)
-    order_mp = 1
-    for size in mp.parts:
-        order_mp *= factorial(size)
-    value = total * gl * Fraction(sign, order_m * order_mp)
-    return InnerProductValue(value, p_eps, p_eps_prime, symbolic)
-
-
-def _torus_symbolic(rho: tuple, power: int) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for length in rho:
-        out = out * (LaurentPoly.t_power(power * length) - 1)
-    return out
+    # chi^lam(w) chi^mu(x^-1 w x) over each coset, by q-exponent and type of w
+    coefs: dict = {}
+    for h, terms in coset_table(m, mp):
+        a = a_exponent(pair, h)
+        for cols, rows, rho, weight in terms:
+            c = weight * block_character(lam, cols) * block_character(mu, rows)
+            if c:
+                coefs[a, rho] = coefs.get((a, rho), 0) + c
+    # times |GL_n| / |T_w|
+    if q is None:
+        total = LaurentPoly.zero()
+        for (a, rho), c in coefs.items():
+            total = total + torus_quotient(rho, n, power).shift(
+                power * (a + comb(n, 2))) * c
+        value = RationalFunction(total * sign)
+    else:
+        q = Fraction(q)
+        gl = _gl_order_numeric(n, q)
+        value = Fraction(0)
+        for (a, rho), c in coefs.items():
+            value += q ** a * c * gl / torus_order(rho, q)
+        value *= sign
+    return InnerProductValue(value, p_eps, p_eps_prime, q is None)
 
 
 # -- verification reports -------------------------------------------------------

@@ -3,7 +3,9 @@
 Two independent routes compute each entry:
 
 * the production route sums characters of symmetric-group Young subgroups
-  over double cosets, with everything staying inside Q(t);
+  over double cosets, with everything staying inside Q[t, t^-1].  A coset
+  enters only through its contingency label and the cycle types of the
+  label's cells (the Mackey formula), so no permutation is enumerated;
 * the oracle route works inside the wreath product itself, inducing
   characters by brute force and evaluating the defining fake-degree sum
   over Q(zeta_r)(t).
@@ -18,13 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact import (Cyclotomic, ExactError, LaurentPoly, PolyMatrix,
-                    RationalFunction, ZetaPoly)
+from .exact import Cyclotomic, LaurentPoly, PolyMatrix, ZetaPoly, exact_div
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
-                    n_star)
-from .symgrp import (all_perms, block_cycle_types, char_perm_det_from_type,
-                     compose, cycle_type, cycles, double_cosets, inverse,
-                     intersection_elements, mn_character, sign)
+                    enumerate_contingency, n_star, partitions)
+from .symgrp import (all_perms, block_character, block_cycle_types,
+                     centralizer_order, char_perm_det_from_type, compose,
+                     cycles, in_young, inverse, sign)
+# Not called here: bench/traced.py wraps these two names in this module.
+from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
 COSET_N_BOUND = 6
 WREATH_ORACLE_BOUND = 20000
@@ -149,24 +152,15 @@ def _tilde_character(blam: RPartition, w: WreathElement) -> Cyclotomic:
     """chi~^lambda on the block subgroup: Young character twisted by the
     block-graded powers of delta."""
     m = blam.weight()
-    types = block_cycle_types(w.sigma, m)
-    value = 1
-    for comp, rho in zip(blam.parts, types):
-        value *= mn_character(comp, rho)
-        if value == 0:
-            return Cyclotomic.from_rational(w.r, 0)
+    value = block_character(blam, block_cycle_types(w.sigma, m))
+    if value == 0:
+        return Cyclotomic.from_rational(w.r, 0)
     exp = 0
     pos = 0
     for i, size in enumerate(m.parts):
         exp += i * sum(w.colors[pos:pos + size])
         pos += size
     return Cyclotomic.zeta(w.r, exp) * value
-
-
-def _stabilizes_blocks(sigma: tuple, m: Composition) -> bool:
-    from .symgrp import block_of
-    blocks = block_of(m)
-    return all(blocks[sigma[p]] == blocks[p] for p in range(len(sigma)))
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +181,7 @@ def _rho_on_class(blam: RPartition, class_key: tuple, n: int, r: int) -> Cycloto
     total = Cyclotomic.from_rational(r, 0)
     for g in group:
         conj = g.inv() * w0 * g
-        if _stabilizes_blocks(conj.sigma, m):
+        if in_young(conj.sigma, m):
             total = total + _tilde_character(blam, conj)
     return total * Fraction(1, order_m)
 
@@ -305,78 +299,95 @@ def b_O(lam: RPartition, mu: RPartition, h: ContingencyMatrix) -> int:
 # -- the double-coset route ----------------------------------------------------
 
 
+def _joined(parts) -> tuple:
+    return tuple(tuple(sorted(p, reverse=True)) for p in parts)
+
+
 @lru_cache(maxsize=None)
-def _young_char_cache(blam: RPartition):
-    m = blam.weight()
+def coset_table(m: Composition, m_prime: Composition) -> tuple:
+    """The double cosets S_m x S_m' as (h, terms), one per contingency label h.
 
-    def value(types: tuple) -> int:
-        v = 1
-        for comp, rho in zip(blam.parts, types):
-            v *= mn_character(comp, rho)
-            if v == 0:
-                return 0
-        return v
+    On the coset labelled h, S_m meets x S_m' x^-1 in prod_(i,j) S_(h_ij),
+    one factor per cell, and a summand over the coset's members x and the
+    elements y of that intersection depends on y only through the cycle
+    types rho_ij of its cell components (Mackey).  Each term is
+    (column types, row types, rho, weight): column j joins the rho_ij down
+    column j (the type of y on the m-block j), row i joins them along row i
+    (the type of x^-1 y x on the m'-block i), rho joins them all (the type
+    of y), and weight sums prod 1/z_(rho_ij) over the cell types giving the
+    triple.  So (1/|S_m||S_m'|) sum_x sum_y f = sum over terms of weight * f.
+    """
+    r = m.r
+    classes = {k: [(rho, centralizer_order(rho)) for rho in partitions(k)]
+               for k in range(m.n + 1)}
+    out = []
+    for h in enumerate_contingency(m, m_prime):
+        cells = [(i, j) for i in range(r) for j in range(r) if h.rows[i][j]]
+        terms: dict = {}
+        for choice in itertools.product(*(classes[h.rows[i][j]]
+                                          for i, j in cells)):
+            cols = [[] for _ in range(r)]
+            rows = [[] for _ in range(r)]
+            z = 1
+            for (i, j), (rho, z_rho) in zip(cells, choice):
+                cols[j].extend(rho)
+                rows[i].extend(rho)
+                z *= z_rho
+            key = (_joined(cols), _joined(rows),
+                   tuple(sorted(itertools.chain(*cols), reverse=True)))
+            terms[key] = terms.get(key, 0) + Fraction(1, z)
+        out.append((h, tuple(key + (w,) for key, w in terms.items())))
+    return tuple(out)
 
-    return m, value
+
+@lru_cache(maxsize=None)
+def torus_quotient(rho: tuple, n: int, r: int) -> LaurentPoly:
+    """prod_(k<=n) (t^(kr) - 1) / prod_i (t^(r rho_i) - 1) for rho |- n.
+
+    A polynomial: |GL_n(q)|_(p') / |T_rho| at q = t^r."""
+    return exact_div(char_perm_det_from_type(tuple(range(n, 0, -1)), r),
+                     char_perm_det_from_type(rho, r))
+
+
+@lru_cache(maxsize=None)
+def _omega_block(m: Composition, m_prime: Composition, r: int) -> tuple:
+    """(column types, row types, polynomial): coset_table contracted with
+    t^(r sum_(i<r) h_(i,<=i)) * torus_quotient, summed over the labels h."""
+    acc: dict = {}
+    for h, terms in coset_table(m, m_prime):
+        tpow = r * sum(h.row_prefix(i, i) for i in range(1, r))
+        for cols, rows, rho, weight in terms:
+            coeffs = acc.setdefault((cols, rows), {})
+            for e, v in torus_quotient(rho, m.n, r).items():
+                coeffs[e + tpow] = coeffs.get(e + tpow, 0) + weight * v
+    return tuple((cols, rows, LaurentPoly(coeffs))
+                 for (cols, rows), coeffs in acc.items())
 
 
 @lru_cache(maxsize=None)
 def omega_entry_cosets(lam: RPartition, mu: RPartition, r: int,
-                       n_bound: int = COSET_N_BOUND,
-                       coset_representatives_only: bool = False) -> LaurentPoly:
-    """omega_(lam,mu) through the double-coset expansion of the fake degree.
+                       n_bound: int = COSET_N_BOUND) -> LaurentPoly:
+    """omega_(lam,mu) through the double-coset expansion of the fake degree:
 
-    With coset_representatives_only the inner sum over a coset is replaced
-    by coset-size scaling of one representative (the summand is constant on
-    each coset); the literal double sum is the default.
+        t^(a(lam) + a(tau mu)) sum_h t^(r b_O(lam,mu,h)) sum_(x,y)
+            chi^lam(y) chi^mu(x^-1 y x) prod_k (t^(kr) - 1)
+            / (|S_m| |S_m'| det_V(t^r - y)),
+
+    with the sum over each coset's members x and y in S_m meet x S_m' x^-1,
+    here read off coset_table.
     """
     if lam.n != mu.n or lam.r != r or mu.r != r:
         raise OmegaError("index mismatch")
     n = lam.n
     if n > n_bound:
         raise OmegaError(f"coset route limited to n <= {n_bound}")
-    m, chi_lam = _young_char_cache(lam)
-    mp, chi_mu = _young_char_cache(mu)
-    total = RationalFunction.zero()
-    for dc in double_cosets(n, m, mp):
-        tpow = r * b_O(lam, mu, dc.label)
-        coefs: dict = {}
-        xs = (dc.rep,) if coset_representatives_only else dc.members
-        for x in xs:
-            xinv = inverse(x)
-            for y in intersection_elements(m, mp, x):
-                c = chi_lam(block_cycle_types(y, m))
-                if c == 0:
-                    continue
-                z = compose(xinv, compose(y, x))
-                c *= chi_mu(block_cycle_types(z, mp))
-                if c == 0:
-                    continue
-                rho = cycle_type(y)
-                coefs[rho] = coefs.get(rho, 0) + c
-        scale = dc.size if coset_representatives_only else 1
-        for rho, c in coefs.items():
-            if c:
-                total = total + RationalFunction(
-                    LaurentPoly.t_power(tpow, c * scale),
-                    char_perm_det_from_type(rho, r))
-    top = LaurentPoly.one()
-    for k in range(1, n + 1):
-        top = top * (LaurentPoly.t_power(k * r) - 1)
-    order_m = 1
-    for size in m.parts:
-        order_m *= factorial(size)
-    order_mp = 1
-    for size in mp.parts:
-        order_mp *= factorial(size)
-    total = total * RationalFunction(top, order_m * order_mp)
-    shift = lam.a_value() + mu.tau().a_value()
-    total = total * RationalFunction.t_power(shift)
-    try:
-        value = total.try_to_laurent()
-    except ExactError as exc:
-        raise OmegaError(
-            f"coset entry ({lam}, {mu}) did not reduce to a polynomial: {exc}")
+    total = LaurentPoly.zero()
+    for cols, rows, poly in _omega_block(lam.weight(), mu.weight(), r):
+        c = block_character(lam, cols) * block_character(mu, rows)
+        if c:
+            total = total + poly * c
+    value = total.shift(r * (comb(n, 2) - lam.n_value() - mu.n_value())
+                        + lam.a_value() + mu.tau().a_value())
     if not value.has_nonneg_int_coeffs():
         raise OmegaError(
             f"coset entry ({lam}, {mu}) is not in Z>=0[t]: {value}")

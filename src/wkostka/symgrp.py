@@ -2,8 +2,10 @@
 
 Permutations are tuples over {0..n-1} in one-line notation (serialized
 1-based).  Irreducible character values come from the Murnaghan-Nakayama
-recursion on beta-sets; double cosets of Young subgroups are enumerated by
-brute force and labelled by contingency matrices.
+recursion on beta-sets.  Double cosets of Young subgroups are enumerated by
+brute force and labelled by contingency matrices; the library computes with
+their labels alone (omega.coset_table), and these permutations serve the
+tests as its oracle.
 """
 from __future__ import annotations
 
@@ -181,9 +183,9 @@ def in_young(w: tuple, m: Composition) -> bool:
 
 def block_cycle_types(w: tuple, m: Composition) -> tuple:
     """Per-block cycle types of a block-stabilizing permutation."""
-    blocks = block_of(m)
-    if not all(blocks[w[p]] == blocks[p] for p in range(len(w))):
+    if not in_young(w, m):
         raise SymGrpError(f"{w} does not stabilize the blocks of {m}")
+    blocks = block_of(m)
     out = [[] for _ in range(m.r)]
     seen = [False] * len(w)
     for start in range(len(w)):
@@ -199,17 +201,22 @@ def block_cycle_types(w: tuple, m: Composition) -> tuple:
     return tuple(tuple(sorted(c, reverse=True)) for c in out)
 
 
-def young_character(blam: RPartition, w: tuple, m: Composition) -> int:
-    """Value of the outer product character chi^(lambda^(1)) x ... at w."""
-    if blam.weight() != m:
-        raise SymGrpError("r-partition does not lie in P(m)")
-    types = block_cycle_types(w, m)
+def block_character(blam: RPartition, types: tuple) -> int:
+    """The outer product character chi^(lambda^(1)) x ... at an element of
+    its Young subgroup whose per-block cycle types are types."""
     value = 1
     for comp, rho in zip(blam.parts, types):
         value *= mn_character(comp, rho)
         if value == 0:
             return 0
     return value
+
+
+def young_character(blam: RPartition, w: tuple, m: Composition) -> int:
+    """Value of the outer product character chi^(lambda^(1)) x ... at w."""
+    if blam.weight() != m:
+        raise SymGrpError("r-partition does not lie in P(m)")
+    return block_character(blam, block_cycle_types(w, m))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
 """Command-line surface: formats, exit codes, JSON round trips."""
 import json
 
+import pytest
+
 from wkostka.cli import main, omega_from_json, omega_to_json
 from wkostka.exact import LaurentPoly, RationalFunction
 from wkostka.omega import omega_matrix
@@ -154,6 +156,35 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    def test_thm55_n0_is_not_replaced_by_the_default(self, capsys):
+        code, out, _ = run(capsys, "verify", "thm55", "--n", "0", "--r", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["params"]["n"] == 0 and data["checked"] == 1
+
+    def test_thm55_r0_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "thm55", "--n", "1",
+                             "--r", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_symmetry_bounds_are_not_replaced_by_defaults(self, capsys):
+        code, out, _ = run(capsys, "verify", "symmetry", "--n", "0",
+                           "--r", "1")
+        assert code == 0
+        assert json.loads(out)["params"] == {"n_max": 0, "r_max": 1}
+
+    @pytest.mark.parametrize("argv", [
+        ("symmetry", "--n", "1", "--r", "0"),
+        ("symmetry", "--n", "-1", "--r", "1"),
+        ("lemma59", "--n", "1", "--r", "0"),
+        ("classical-r1", "--n", "0"),
+    ])
+    def test_bad_suite_bounds_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bound_violation_is_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "oracle", "--n", "2", "--r", "3",
                            "--wreath-bound", "1")
@@ -175,6 +206,13 @@ class TestOrderSources:
         code, _, err = run(capsys, "omega", "--n", "1", "--r", "3",
                            "--order", f"file:{path}")
         assert code == 2
+
+    def test_missing_order_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "omega", "--n", "1", "--r", "3",
+                             "--order", f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_fixture_mismatch(self, capsys):
         code, _, err = run(capsys, "omega", "--n", "1", "--r", "3",

@@ -1,4 +1,5 @@
 """Green-function inner products and the exponent/bridge identities."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from wkostka.greencheck import (MINUS, PLUS, GreenCheckError, a_exponent,
                                 green_inner_product, identity_5113_check,
                                 lemma59_check, thm55_check)
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
-                           enumerate_contingency)
+                           enumerate_contingency, enumerate_rpartitions)
+
+from literal_cosets import green_by_literal_cosets
 
 
 def RP(s):
@@ -78,6 +81,18 @@ class TestInnerProduct:
                 num = green_inner_product(lam, mu, (MINUS, PLUS),
                                           q=Fraction(5)).value
                 assert sym.eval_at(5) == num
+
+    @pytest.mark.parametrize("n,r", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
+                                     (3, 1), (3, 2), (3, 3)])
+    def test_kernel_matches_literal_cosets(self, n, r):
+        items = enumerate_rpartitions(n, r)
+        for lam, mu in itertools.product(items, repeat=2):
+            for pair in itertools.product((MINUS, PLUS), repeat=2):
+                for kw in ({}, {"power": r}, {"q": Fraction(4)}):
+                    got = green_inner_product(lam, mu, pair, **kw)
+                    assert got.value == \
+                        green_by_literal_cosets(lam, mu, pair, **kw)
+                    assert got.symbolic == ("q" not in kw)
 
     def test_power_raises_base(self):
         lam = RP("(-;1;-)")

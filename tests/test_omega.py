@@ -4,17 +4,21 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wkostka.exact import Cyclotomic, LaurentPoly
+from wkostka.exact import Cyclotomic, ExactError, LaurentPoly
 from wkostka.omega import (OmegaError, WreathElement, a_O, b_O, bracket,
-                           delta_value, detV_value, epsilon_value,
-                           fake_degree, omega_entry_bruteforce,
+                           coset_table, delta_value, detV_value,
+                           epsilon_value, fake_degree, omega_entry_bruteforce,
                            omega_entry_cosets, omega_matrix, rho_character,
-                           wreath_charpoly, wreath_classes, wreath_elements,
-                           wreath_order)
-from wkostka.rpart import (ContingencyMatrix, RPartition,
+                           torus_quotient, wreath_charpoly, wreath_classes,
+                           wreath_elements, wreath_order)
+from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            default_total_order, enumerate_rpartitions, n_star)
-from wkostka.symgrp import char_perm_det_from_type
+from wkostka.symgrp import char_perm_det_from_type, double_cosets
+
+from literal_cosets import omega_by_literal_cosets
 
 
 def P(s):
@@ -211,12 +215,27 @@ class TestOmegaEntries:
                 assert omega_entry_cosets(lam, mu, r) == \
                     omega_entry_bruteforce(lam, mu, r)
 
-    @pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 3)])
-    def test_coset_representative_shortcut(self, n, r):
+    @pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2),
+                                     (3, 3), (4, 1), (4, 2)])
+    def test_kernel_matches_literal_cosets(self, n, r):
         for lam in enumerate_rpartitions(n, r):
             for mu in enumerate_rpartitions(n, r):
-                assert omega_entry_cosets(lam, mu, r) == omega_entry_cosets(
-                    lam, mu, r, coset_representatives_only=True)
+                assert omega_entry_cosets(lam, mu, r) == \
+                    omega_by_literal_cosets(lam, mu, r)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_random_entries(self, data):
+        """Random entries up to (n, r) = (4, 3): the kernel against the
+        literal double-coset sum, and the transpose symmetry."""
+        n = data.draw(st.integers(0, 4), label="n")
+        r = data.draw(st.integers(1, 3), label="r")
+        items = enumerate_rpartitions(n, r)
+        lam = data.draw(st.sampled_from(items), label="lam")
+        mu = data.draw(st.sampled_from(items), label="mu")
+        value = omega_entry_cosets(lam, mu, r)
+        assert value == omega_by_literal_cosets(lam, mu, r)
+        assert value == omega_entry_cosets(lam.transpose(), mu.transpose(), r)
 
     @pytest.mark.parametrize("n,r", [(1, 2), (2, 2), (1, 3), (2, 3)])
     def test_via_a_O_exponent(self, n, r):
@@ -285,3 +304,30 @@ class TestOmegaEntries:
         order = default_total_order(0, 3)
         om = omega_matrix(0, 3, order)
         assert om.entries.rows[0][0] == P("1")
+
+
+class TestCosetTable:
+    @pytest.mark.parametrize("mt,mpt", [((2, 1, 0), (1, 1, 1)),
+                                        ((3, 1), (2, 2)), ((4,), (4,)),
+                                        ((1, 2, 1), (2, 0, 2))])
+    def test_labels_and_margins(self, mt, mpt):
+        """The labels are those of the brute-force double cosets; each
+        label's weights sum to 1 (the class equation sum 1/z_rho = 1, once
+        per cell); the joined types have the label's margins."""
+        m, mp = Composition(mt), Composition(mpt)
+        table = coset_table(m, mp)
+        assert {h.rows for h, _ in table} == \
+            {dc.label.rows for dc in double_cosets(m.n, m, mp)}
+        for h, terms in table:
+            assert sum(w for *_, w in terms) == 1
+            for cols, rows, rho, _ in terms:
+                assert tuple(sum(c) for c in cols) == h.col_sums()
+                assert tuple(sum(c) for c in rows) == h.row_sums()
+                assert sorted(rho) == sorted(x for c in cols for x in c)
+
+    def test_torus_quotient(self):
+        assert torus_quotient((2,), 2, 1) == P("t - 1")
+        assert torus_quotient((1, 1), 2, 3) == P("t^3 + 1")
+        assert torus_quotient((), 0, 3) == P("1")
+        with pytest.raises(ExactError):
+            torus_quotient((3,), 2, 1)
