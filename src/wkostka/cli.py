@@ -368,21 +368,22 @@ def _suite_classical(args) -> greencheck.VerifyReport:
     return report
 
 
+def _order_sensitivity(n: int, r: int, args) -> factor.OrderSensitivityReport:
+    """Order sensitivity over the sampled linear extensions, each taken once
+    in order of first draw."""
+    orders = rpart.sample_linear_extensions(n, r, args.samples, args.seed)
+    return factor.order_sensitivity(
+        n, r, {tuple(o.items): o for o in orders}.values())
+
+
 def _suite_orders(args) -> greencheck.VerifyReport:
     n = _size(args.n, 3, 0, "--n")
     r = _size(args.r, 1, 1, "--r")
-    orders = rpart.sample_linear_extensions(n, r, args.samples, args.seed)
-    seen, unique_orders = set(), []
-    for o in orders:
-        key = tuple(o.items)
-        if key not in seen:
-            seen.add(key)
-            unique_orders.append(o)
-    rep = factor.order_sensitivity(n, r, unique_orders)
+    rep = _order_sensitivity(n, r, args)
     report = greencheck.VerifyReport(
         "orders", {"n": n, "r": r, "samples": args.samples,
-                   "distinct_orders": len(unique_orders), "seed": args.seed})
-    report.checked = len(unique_orders)
+                   "distinct_orders": rep.orders_used, "seed": args.seed})
+    report.checked = rep.orders_used
     if r <= 2 and not rep.fully_stable:
         for v in rep.comparable_mismatches + rep.incomparable_mismatches:
             report.violations.append(dict(v))
@@ -427,14 +428,7 @@ def cmd_verify(args) -> int:
 def cmd_orders(args) -> int:
     n = _size(args.n, 2, 0, "--n")
     r = _size(args.r, 3, 1, "--r")
-    orders = rpart.sample_linear_extensions(n, r, args.samples, args.seed)
-    seen, unique_orders = set(), []
-    for o in orders:
-        key = tuple(o.items)
-        if key not in seen:
-            seen.add(key)
-            unique_orders.append(o)
-    rep = factor.order_sensitivity(n, r, unique_orders)
+    rep = _order_sensitivity(n, r, args)
     payload = json.dumps({
         "n": n, "r": r, "samples": args.samples, "seed": args.seed,
         "distinct_orders": rep.orders_used,

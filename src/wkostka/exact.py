@@ -1,9 +1,12 @@
 """Exact scalar and polynomial arithmetic.
 
-Everything in this module is exact: big rationals, Laurent polynomials in a
-single variable t over the rationals, the fraction field Q(t), and elements
-of the cyclotomic field Q(zeta_r).  Values are immutable; all operations
-return new objects and are safe to share between threads.
+Everything in this module is exact: Laurent polynomials in a single
+variable t over the rationals (fractions.Fraction), the fraction field Q(t),
+and elements of the cyclotomic field Q(zeta_r).  The production path computes
+in the Laurent ring; Q(t) only holds the Lambda and Lambda' diagonals of a
+solved factorization, the transcribed fixtures and the test oracles.  Values
+are immutable; all operations return new objects and are safe to share
+between threads.
 """
 from __future__ import annotations
 
@@ -11,11 +14,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-# Arbitrary-precision rationals.  fractions.Fraction already maintains the
-# invariants we need (positive denominator, reduced form).
-BigRational = Fraction
-
 
 class ExactError(ValueError):
     """Raised on impossible exact conversions (e.g. a true rational function
@@ -572,10 +570,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_laurent(self) -> bool:
-        return self.den.is_one
-
     def try_to_laurent(self) -> LaurentPoly:
         if not self.den.is_one:
             raise ExactError(
@@ -672,33 +666,6 @@ def _coerce_rf(x):
     if isinstance(x, (int, Fraction, LaurentPoly)):
         return RationalFunction(x)
     return NotImplemented
-
-
-# module-level views of the method surface
-
-
-def substitute_tr(p: LaurentPoly, r: int) -> LaurentPoly:
-    return p.substitute_tr(r)
-
-
-def shift(p: LaurentPoly, k: int) -> LaurentPoly:
-    return p.shift(k)
-
-
-def eval_at(p: LaurentPoly, q) -> Fraction:
-    return p.eval_at(q)
-
-
-def is_poly_in_tr(p: LaurentPoly, r: int) -> bool:
-    return p.is_poly_in_tr(r)
-
-
-def try_to_laurent(f: RationalFunction) -> LaurentPoly:
-    return f.try_to_laurent()
-
-
-def as_rational(c: Cyclotomic) -> Fraction:
-    return c.as_rational()
 
 
 # ---------------------------------------------------------------------------
@@ -1086,32 +1053,11 @@ class PolyMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.index, tuple(zip(*self.rows)))
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        k = self.size
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = None
-                for l in range(k):
-                    term = self.rows[i][l] * other.rows[l][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(self.index, rows)
-
     def scale_diag_right(self, diag) -> "PolyMatrix":
         """Multiply on the right by Diag(diag) (column scaling)."""
         return PolyMatrix(self.index, tuple(
             tuple(entry * diag[j] for j, entry in enumerate(row))
             for row in self.rows))
-
-    def map(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.index, tuple(tuple(fn(e) for e in row)
-                                            for row in self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import (ExactError, LaurentPoly, PolyMatrix, RationalFunction)
+from .exact import (ExactError, LaurentPoly, PolyMatrix, RationalFunction,
+                    exact_div)
 from .omega import OmegaMatrix
 from .rpart import OrderedIndex, RPartition, dominance_leq
 
@@ -41,7 +42,7 @@ class FactorizationResult:
     omega: OmegaMatrix
     p_minus: PolyMatrix
     p_plus: PolyMatrix
-    lam: tuple                  # diagonal of Lambda, rational functions
+    lam: tuple                  # diagonal of Lambda, as RationalFunction
     a_values: tuple
     theta: tuple                # diagonal of Theta, Laurent monomials
     lambda_prime: tuple
@@ -51,77 +52,69 @@ class FactorizationResult:
 
 
 def solve_factorization(om: OmegaMatrix, verify: bool = True) -> FactorizationResult:
-    """Forward elimination in the total order.
+    """Forward elimination in the total order, in the Laurent ring.
 
     Writing M = Lambda * transpose(P+) (upper triangular), row k of M and
     column k of P- follow from rows/columns before k; the pivot divisions
     are by the unit t^(a_k) first and then by the diagonal xi_k, which the
-    uniqueness theorem guarantees to be nonzero.
+    uniqueness theorem guarantees to be nonzero.  When every P+- entry is
+    a Laurent polynomial, so is every row of M and every xi_k, so each
+    division is exact; an inexact one names the entry that leaves the ring.
     """
     order = om.order
     items = order.items
     k_total = len(items)
     a = [lam.a_value() for lam in items]
-    omega_rf = [[RationalFunction(om.entries.rows[i][j]) for j in range(k_total)]
-                for i in range(k_total)]
-    zero = RationalFunction.zero()
+    omega = om.entries.rows
+    zero = LaurentPoly.zero()
     m_upper = [[zero] * k_total for _ in range(k_total)]
     p_minus = [[zero] * k_total for _ in range(k_total)]
     p_plus = [[zero] * k_total for _ in range(k_total)]
     xi = []
+
+    def divide(num, den, name, i, j):
+        try:
+            return exact_div(num, den)
+        except ExactError as exc:
+            raise FactorizationError(
+                f"{name} entry ({items[i]}, {items[j]}) is not a "
+                f"Laurent polynomial: {exc}")
+
     for k in range(k_total):
-        tk_inv = RationalFunction.t_power(-a[k])
         for b in range(k, k_total):
-            acc = omega_rf[k][b]
+            acc = omega[k][b]
             for g in range(k):
                 acc = acc - p_minus[k][g] * m_upper[g][b]
-            m_upper[k][b] = acc * tk_inv
+            m_upper[k][b] = acc.shift(-a[k])
         pivot = m_upper[k][k]
-        xi_k = pivot * tk_inv
+        xi_k = pivot.shift(-a[k])
         if xi_k.is_zero:
             raise FactorizationError(
                 f"vanishing pivot at index {k} ({items[k]}); "
                 "the factorization theorem promises this cannot happen for a "
                 "genuine fake-degree matrix")
         xi.append(xi_k)
-        p_minus[k][k] = RationalFunction.t_power(a[k])
-        p_plus[k][k] = RationalFunction.t_power(a[k])
+        p_minus[k][k] = p_plus[k][k] = LaurentPoly.t_power(a[k])
         for b in range(k + 1, k_total):
-            p_plus[b][k] = m_upper[k][b] / xi_k
+            p_plus[b][k] = divide(m_upper[k][b], xi_k, "P+", b, k)
         for al in range(k + 1, k_total):
-            acc = omega_rf[al][k]
+            acc = omega[al][k]
             for g in range(k):
                 acc = acc - p_minus[al][g] * m_upper[g][k]
-            p_minus[al][k] = acc / pivot
+            p_minus[al][k] = divide(acc, pivot, "P-", al, k)
 
-    def to_laurent(mat, name):
-        rows = []
-        for i in range(k_total):
-            row = []
-            for j in range(k_total):
-                try:
-                    row.append(mat[i][j].try_to_laurent())
-                except ExactError as exc:
-                    raise FactorizationError(
-                        f"{name} entry ({items[i]}, {items[j]}) is not a "
-                        f"Laurent polynomial: {exc}")
-            rows.append(row)
-        return PolyMatrix(order, rows)
-
-    pm = to_laurent(p_minus, "P-")
-    pp = to_laurent(p_plus, "P+")
+    pm = PolyMatrix(order, p_minus)
+    pp = PolyMatrix(order, p_plus)
     if verify:
         _verify_reconstruction(order, pm, tuple(xi), pp, om)
+    lam = tuple(RationalFunction(x) for x in xi)
     theta = theta_diag(order)
-    lam_prime = lambda_prime(tuple(xi), theta)
-    ppmod = modified_pplus(pp, theta)
-    result = FactorizationResult(
-        order=order, omega=om, p_minus=pm, p_plus=pp, lam=tuple(xi),
-        a_values=tuple(a), theta=theta, lambda_prime=lam_prime,
-        p_plus_modified=ppmod,
+    return FactorizationResult(
+        order=order, omega=om, p_minus=pm, p_plus=pp, lam=lam,
+        a_values=tuple(a), theta=theta, lambda_prime=lambda_prime(lam, theta),
+        p_plus_modified=modified_pplus(pp, theta),
         ic_minus=ic_minus_matrix(order, pm, om.r),
         ic_plus=ic_plus_candidate(order, pp, om.r))
-    return result
 
 
 def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
@@ -129,10 +122,10 @@ def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
     k = len(order.items)
     for i in range(k):
         for j in range(k):
-            acc = RationalFunction.zero()
+            acc = LaurentPoly.zero()
             for l in range(min(i, j) + 1):
-                acc = acc + RationalFunction(pm.rows[i][l]) * xi[l] * pp.rows[j][l]
-            if acc != RationalFunction(om.entries.rows[i][j]):
+                acc = acc + pm.rows[i][l] * xi[l] * pp.rows[j][l]
+            if acc != om.entries.rows[i][j]:
                 raise FactorizationError(
                     f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
 

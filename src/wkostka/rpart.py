@@ -136,7 +136,7 @@ class RPartition:
     >>> lam.n, lam.r
     (4, 3)
     >>> str(lam.transpose())
-    '(11;-;1)'
+    '(21;-;1)'
     """
 
     parts: tuple
@@ -242,52 +242,11 @@ def _parse_partition(chunk: str) -> tuple:
     return tuple(parts)
 
 
-# -- module-level views of the statistics (mirroring the operation names) --
-
-
-def n_value(lam: RPartition) -> int:
-    return lam.n_value()
-
-
-def a_value(lam: RPartition, r: int | None = None) -> int:
-    if r is not None and r != lam.r:
-        raise RPartitionError(f"r mismatch: {r} vs {lam.r}")
-    return lam.a_value()
-
-
 def n_star(n: int, r: int) -> int:
     """The number of reflections of S_n x (Z/rZ)^n: C(n,2)*r + (r-1)*n."""
     if n < 0 or r < 1:
         raise RPartitionError("need n >= 0 and r >= 1")
     return comb(n, 2) * r + (r - 1) * n
-
-
-def tau(lam: RPartition) -> RPartition:
-    return lam.tau()
-
-
-def transpose(lam: RPartition) -> RPartition:
-    return lam.transpose()
-
-
-def weight_composition(lam: RPartition) -> Composition:
-    return lam.weight()
-
-
-def p_values(m: Composition) -> tuple:
-    return m.p_values()
-
-
-def p_minus(m: Composition) -> int:
-    return m.p_minus()
-
-
-def p_plus(m: Composition) -> int:
-    return m.p_plus()
-
-
-def c_sequence(lam: RPartition, width: int | None = None) -> tuple:
-    return lam.c_sequence(width)
 
 
 def dominance_leq(lam: RPartition, mu: RPartition) -> bool:
@@ -498,8 +457,3 @@ def dim_xm_unip(m: Composition) -> int:
     n = m.n
     extra = sum((m.r - i) * mi for i, mi in enumerate(m.parts, start=1))
     return n * n - n + extra
-
-
-def d_value(lam: RPartition) -> int:
-    """Half the codimension gap: d_lambda = n(lambda)."""
-    return lam.n_value()

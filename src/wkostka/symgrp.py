@@ -27,10 +27,6 @@ class SymGrpError(ValueError):
 # -- permutations ------------------------------------------------------------
 
 
-def identity_perm(n: int) -> tuple:
-    return tuple(range(n))
-
-
 @lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple:
     """All of S_n in lexicographic one-line order."""
@@ -76,18 +72,6 @@ def cycle_type(p: tuple) -> tuple:
 
 def sign(p: tuple) -> int:
     return -1 if (len(p) - len(cycles(p))) % 2 else 1
-
-
-def perm_to_oneline(p: tuple) -> list:
-    """1-based one-line serialization."""
-    return [v + 1 for v in p]
-
-
-def perm_from_oneline(xs) -> tuple:
-    p = tuple(int(x) - 1 for x in xs)
-    if sorted(p) != list(range(len(p))):
-        raise SymGrpError(f"{xs} is not a permutation in one-line form")
-    return p
 
 
 # -- irreducible characters of S_n -------------------------------------------
@@ -280,10 +264,6 @@ def double_cosets(n: int, m: Composition, m_prime: Composition) -> tuple:
         raise SymGrpError(
             f"brute-force double cosets limited to n <= {BRUTE_FORCE_N_BOUND}")
     return _double_cosets_cached(n, m.parts, m_prime.parts)
-
-
-def coset_members(dc: DoubleCoset):
-    return iter(dc.members)
 
 
 def intersection_elements(m: Composition, m_prime: Composition, x: tuple) -> list:

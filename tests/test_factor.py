@@ -1,4 +1,6 @@
 """Triangular factorization, IC transforms, order sensitivity, charge oracle."""
+import re
+
 import pytest
 
 from wkostka.exact import LaurentPoly, RationalFunction
@@ -228,4 +230,16 @@ class TestSolverErrors:
         bad = OmegaMatrix(order, PolyMatrix(
             order, [[zero, zero], [zero, zero]]), 1, 2, "test")
         with pytest.raises(FactorizationError):
+            solve_factorization(bad)
+
+    def test_non_laurent_entry_rejected(self):
+        # Omega_(2,1) / pivot = 1 / (t + 1) leaves the Laurent ring
+        from wkostka.exact import PolyMatrix
+        order = default_total_order(1, 2)
+        one = LaurentPoly.one()
+        corner = P("t + 1").shift(order.items[0].a_value())
+        bad = OmegaMatrix(order, PolyMatrix(
+            order, [[corner, LaurentPoly.zero()], [one, one]]), 1, 2, "test")
+        entry = f"P- entry ({order.items[1]}, {order.items[0]})"
+        with pytest.raises(FactorizationError, match=re.escape(entry)):
             solve_factorization(bad)
