@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Subcommands: enumerate, omega, solve, verify, orders.  Exit codes: 0 on
-success, 1 on verification failure, 2 on usage or input errors.
+Subcommands: enumerate, omega, solve, verify, orders; each accepts only the
+flags it reads.  Exit codes: 0 on success, 1 on verification failure, solver
+error or a tripped guard bound, 2 on usage or input errors.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import sys
 
 from . import factor, fixtures, greencheck, omega as omega_mod, rpart
-from .exact import LaurentPoly
+from .exact import LaurentPoly, PolyMatrix
 from .rpart import OrderedIndex, RPartition
 
 EXIT_OK = 0
@@ -24,7 +25,11 @@ class UsageError(ValueError):
     pass
 
 
-def _resolve_order(spec: str, n: int, r: int) -> OrderedIndex:
+def _resolve_order(args) -> OrderedIndex:
+    """The total order on P_{n,r} that --n, --r and --order name."""
+    n, r, spec = args.n, args.r, args.order
+    if n is None or r is None:
+        raise UsageError(f"{args.command} needs --n and --r")
     if spec == "default":
         return rpart.default_total_order(n, r)
     if spec.startswith("fixture:"):
@@ -69,31 +74,41 @@ def _matrix_strings(rows) -> list:
     return [[str(e) for e in row] for row in rows]
 
 
-def _csv_matrix(order, rows) -> str:
+def _csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([""] + [str(mu) for mu in order.items])
-    for lam, row in zip(order.items, rows):
-        writer.writerow([str(lam)] + [str(e) for e in row])
+    csv.writer(buf).writerows(rows)
     return buf.getvalue()
 
 
-def _latex_matrix(order, rows, caption: str) -> str:
-    lines = [f"% {caption}", r"\begin{tabular}{c|" + "c" * len(order) + "}"]
-    lines.append(" & " + " & ".join(f"${mu}$" for mu in order.items) + r" \\ \hline")
-    for lam, row in zip(order.items, rows):
-        cells = " & ".join(f"${e.to_latex() if isinstance(e, LaurentPoly) else e}$"
-                           for e in row)
-        lines.append(f"${lam}$ & {cells} " + r"\\")
+def _latex(columns: str, head: list, rows, caption: str | None = None) -> str:
+    """A tabular: the column spec, a ruled header row, then rows of cells."""
+    lines = [f"% {caption}"] if caption else []
+    lines += [r"\begin{tabular}{" + columns + "}",
+              " & ".join(head) + r" \\ \hline"]
+    lines += [" & ".join(row) + r" \\" for row in rows]
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
+
+
+def _csv_matrix(order, rows) -> str:
+    return _csv([[""] + [str(mu) for mu in order.items]] +
+                [[str(lam)] + [str(e) for e in row]
+                 for lam, row in zip(order.items, rows)])
+
+
+def _latex_matrix(order, rows, caption: str) -> str:
+    return _latex("c|" + "c" * len(order),
+                  [""] + [f"${mu}$" for mu in order.items],
+                  [[f"${lam}$"] + [f"${e.to_latex()}$" for e in row]
+                   for lam, row in zip(order.items, rows)],
+                  caption)
 
 
 # -- enumerate ----------------------------------------------------------------
 
 
 def cmd_enumerate(args) -> int:
-    order = _resolve_order(args.order, args.n, args.r)
+    order = _resolve_order(args)
     rows = []
     for lam in order.items:
         rows.append({
@@ -110,24 +125,17 @@ def cmd_enumerate(args) -> int:
                               "n_star": rpart.n_star(args.n, args.r),
                               "rows": rows}, indent=2)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            row = dict(row)
-            row["weight"] = " ".join(str(x) for x in row["weight"])
-            writer.writerow(row)
-        payload = buf.getvalue()
+        flat = [{**row, "weight": " ".join(str(x) for x in row["weight"])}
+                for row in rows]
+        payload = _csv([list(flat[0])] + [list(row.values()) for row in flat])
     else:
-        lines = [r"\begin{tabular}{c|ccccc}",
-                 r"$\lambda$ & weight & $n(\lambda)$ & $a(\lambda)$ & "
-                 r"$\tau(\lambda)$ & $\dim X_\lambda$ \\ \hline"]
-        for row in rows:
-            lines.append(f"${row['rpartition']}$ & {row['weight']} & "
-                         f"{row['n_value']} & {row['a_value']} & "
-                         f"${row['tau']}$ & {row['dim_x']} " + r"\\")
-        lines.append(r"\end{tabular}")
-        payload = "\n".join(lines) + "\n"
+        payload = _latex(
+            "c|ccccc",
+            [r"$\lambda$", "weight", r"$n(\lambda)$", r"$a(\lambda)$",
+             r"$\tau(\lambda)$", r"$\dim X_\lambda$"],
+            [[f"${row['rpartition']}$", str(row["weight"]),
+              str(row["n_value"]), str(row["a_value"]), f"${row['tau']}$",
+              str(row["dim_x"])] for row in rows])
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -143,27 +151,24 @@ def omega_to_json(om) -> dict:
 
 def omega_from_json(data: dict):
     order = OrderedIndex(tuple(RPartition.parse(s) for s in data["order"]))
-    from .exact import PolyMatrix
     rows = [[LaurentPoly.parse(s) for s in row] for row in data["entries"]]
     return omega_mod.OmegaMatrix(order, PolyMatrix(order, rows),
                                  data["n"], data["r"], "json")
 
 
+def _omega(args, order, method: str):
+    return omega_mod.omega_matrix(args.n, args.r, order, method,
+                                  coset_n_bound=args.coset_bound,
+                                  wreath_bound=args.wreath_bound)
+
+
 def cmd_omega(args) -> int:
-    order = _resolve_order(args.order, args.n, args.r)
+    order = _resolve_order(args)
+    om = _omega(args, order, "cosets" if args.method == "both" else args.method)
     verdict = None
     if args.method == "both":
-        om = omega_mod.omega_matrix(args.n, args.r, order, "cosets",
-                                    coset_n_bound=args.coset_bound,
-                                    wreath_bound=args.wreath_bound)
-        om2 = omega_mod.omega_matrix(args.n, args.r, order, "wreath",
-                                     coset_n_bound=args.coset_bound,
-                                     wreath_bound=args.wreath_bound)
-        verdict = "equal" if om.entries == om2.entries else "DIFFER"
-    else:
-        om = omega_mod.omega_matrix(args.n, args.r, order, args.method,
-                                    coset_n_bound=args.coset_bound,
-                                    wreath_bound=args.wreath_bound)
+        same = om.entries == _omega(args, order, "wreath").entries
+        verdict = "equal" if same else "DIFFER"
     if args.format == "json":
         data = omega_to_json(om)
         if verdict:
@@ -175,16 +180,35 @@ def cmd_omega(args) -> int:
         payload = _latex_matrix(order, om.entries.rows,
                                 f"omega for n={args.n}, r={args.r}")
     _emit(payload, args.out)
-    if verdict == "DIFFER":
-        return EXIT_FAIL
-    return EXIT_OK
+    return EXIT_FAIL if verdict == "DIFFER" else EXIT_OK
 
 
 # -- solve ---------------------------------------------------------------------
 
 
-BLOCKS = ("omega", "p-minus", "p-plus", "lambda", "theta", "lambda-prime",
-          "p-plus-modified", "ic-minus", "ic-plus")
+# Block -> (its value in a FactorizationResult, and the csv and latex column
+# headings of a diagonal block).  The rest are matrices; csv and latex show
+# an IC block's raw matrix, JSON its flags too.
+_BLOCK_TABLE = {
+    "omega": (lambda res: res.omega.entries.rows, None),
+    "p-minus": (lambda res: res.p_minus.rows, None),
+    "p-plus": (lambda res: res.p_plus.rows, None),
+    "lambda": (lambda res: res.lam, ("xi", r"$\xi_{\lambda,\lambda}$")),
+    "theta": (lambda res: res.theta, ("theta", r"$\theta_\lambda$")),
+    "lambda-prime": (lambda res: res.lambda_prime,
+                     ("xi_prime", r"$\xi'_{\lambda,\lambda}$")),
+    "p-plus-modified": (lambda res: res.p_plus_modified.rows, None),
+    "ic-minus": (lambda res: res.ic_minus, None),
+    "ic-plus": (lambda res: res.ic_plus, None),
+}
+BLOCKS = tuple(_BLOCK_TABLE)
+
+
+def _selected(res, blocks):
+    """(name, value, heading) of each block in blocks, in BLOCKS order."""
+    for name, (read, heading) in _BLOCK_TABLE.items():
+        if name in blocks:
+            yield name, read(res), heading
 
 
 def _ic_block(ic) -> dict:
@@ -201,78 +225,54 @@ def solve_to_json(res, blocks) -> dict:
     data = {"n": res.omega.n, "r": res.omega.r,
             "order": [str(lam) for lam in res.order.items],
             "a_values": list(res.a_values)}
-    if "omega" in blocks:
-        data["omega"] = _matrix_strings(res.omega.entries.rows)
-    if "p-minus" in blocks:
-        data["p_minus"] = _matrix_strings(res.p_minus.rows)
-    if "p-plus" in blocks:
-        data["p_plus"] = _matrix_strings(res.p_plus.rows)
-    if "lambda" in blocks:
-        data["lambda"] = [str(x) for x in res.lam]
-    if "theta" in blocks:
-        data["theta"] = [str(x) for x in res.theta]
-    if "lambda-prime" in blocks:
-        data["lambda_prime"] = [str(x) for x in res.lambda_prime]
-    if "p-plus-modified" in blocks:
-        data["p_plus_modified"] = _matrix_strings(res.p_plus_modified.rows)
-    if "ic-minus" in blocks:
-        data["ic_minus"] = _ic_block(res.ic_minus)
-    if "ic-plus" in blocks:
-        data["ic_plus"] = _ic_block(res.ic_plus)
+    for name, value, heading in _selected(res, blocks):
+        if isinstance(value, factor.IcMatrix):
+            value = _ic_block(value)
+        elif heading:
+            value = [str(x) for x in value]
+        else:
+            value = _matrix_strings(value)
+        data[name.replace("-", "_")] = value
     return data
 
 
+def _csv_block(res, name: str, value, heading) -> str:
+    if heading is None:
+        return f"# {name}\n" + _csv_matrix(res.order, value)
+    return _csv([["rpartition", "a_value", heading[0]]] +
+                [[str(lam), a, str(x)]
+                 for lam, a, x in zip(res.order.items, res.a_values, value)])
+
+
+def _latex_block(res, name: str, value, heading) -> str:
+    if heading is None:
+        caption = f"{name} for n={res.omega.n}, r={res.omega.r}"
+        return _latex_matrix(res.order, value, caption)
+    return _latex("c|c|c", [r"$\lambda$", r"$a(\lambda)$", heading[1]],
+                  [[f"${lam}$", str(a), f"${x.to_latex()}$"]
+                   for lam, a, x in zip(res.order.items, res.a_values, value)])
+
+
 def cmd_solve(args) -> int:
-    order = _resolve_order(args.order, args.n, args.r)
-    method = args.method if args.method != "both" else "cosets"
-    om = omega_mod.omega_matrix(args.n, args.r, order, method,
-                                coset_n_bound=args.coset_bound,
-                                wreath_bound=args.wreath_bound)
-    res = factor.solve_factorization(om)
-    blocks = args.emit.split(",") if args.emit else list(BLOCKS)
+    order = _resolve_order(args)
+    blocks = args.emit.split(",") if args.emit else BLOCKS
     for b in blocks:
         if b not in BLOCKS:
             raise UsageError(f"unknown block {b!r}; choose from {', '.join(BLOCKS)}")
+    res = factor.solve_factorization(_omega(args, order, args.method))
     if args.format == "json":
         payload = json.dumps(solve_to_json(res, blocks), indent=2)
-    elif args.format == "csv":
-        chunks = []
-        if "lambda" in blocks:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["rpartition", "a_value", "xi"])
-            for lam, a, xi in zip(order.items, res.a_values, res.lam):
-                writer.writerow([str(lam), a, str(xi)])
-            chunks.append(buf.getvalue())
-        for name, rows in (("p-minus", res.p_minus.rows),
-                           ("p-plus", res.p_plus.rows)):
-            if name in blocks:
-                chunks.append(f"# {name}\n" + _csv_matrix(order, rows))
-        payload = "\n".join(chunks)
     else:
-        chunks = []
-        if "lambda" in blocks:
-            lines = [r"\begin{tabular}{c|c|c}",
-                     r"$\lambda$ & $a(\lambda)$ & $\xi_{\lambda,\lambda}$ \\ \hline"]
-            for lam, a, xi in zip(order.items, res.a_values, res.lam):
-                lines.append(f"${lam}$ & {a} & ${xi.to_latex()}$ " + r"\\")
-            lines.append(r"\end{tabular}")
-            chunks.append("\n".join(lines) + "\n")
-        for name, rows in (("p-minus", res.p_minus.rows),
-                           ("p-plus", res.p_plus.rows)):
-            if name in blocks:
-                chunks.append(_latex_matrix(order, rows,
-                                            f"{name} for n={args.n}, r={args.r}"))
-        payload = "\n".join(chunks)
+        render = _csv_block if args.format == "csv" else _latex_block
+        payload = "\n".join(
+            render(res, name, value.raw if isinstance(value, factor.IcMatrix)
+                   else value, heading)
+            for name, value, heading in _selected(res, blocks))
     _emit(payload, args.out)
     return EXIT_OK
 
 
 # -- verify ---------------------------------------------------------------------
-
-
-SUITES = ("fixtures", "lemma59", "thm55", "oracle", "symmetry",
-          "classical-r1", "orders")
 
 
 def _suite_fixtures(args) -> greencheck.VerifyReport:
@@ -289,6 +289,26 @@ def _suite_fixtures(args) -> greencheck.VerifyReport:
             v["fixture_id"] = f"{fid}" + (f"(r={r})" if r else "")
             report.violations.append(v)
     return report
+
+
+def _suite_lemma59(args) -> greencheck.VerifyReport:
+    n_max = _size(args.n, 4, 0, "--n")
+    r_max = _size(args.r, 4, 1, "--r")
+    report = greencheck.VerifyReport("lemma59", {"n_max": n_max, "r_max": r_max})
+    for n in range(0, n_max + 1):
+        for r in range(1, r_max + 1):
+            for sub in (greencheck.lemma59_check(n, r),
+                        greencheck.identity_5113_check(n, r)):
+                report.checked += sub.checked
+                report.violations.extend(sub.violations)
+    return report
+
+
+def _suite_thm55(args) -> greencheck.VerifyReport:
+    mode = "numeric" if args.q else "symbolic"
+    return greencheck.thm55_check(_size(args.n, 2, 0, "--n"),
+                                  _size(args.r, 3, 1, "--r"), mode,
+                                  args.q or (2, 3, 4))
 
 
 def _suite_oracle(args) -> greencheck.VerifyReport:
@@ -392,35 +412,19 @@ def _suite_orders(args) -> greencheck.VerifyReport:
     return report
 
 
+SUITES = {"fixtures": _suite_fixtures, "lemma59": _suite_lemma59,
+          "thm55": _suite_thm55, "oracle": _suite_oracle,
+          "symmetry": _suite_symmetry, "classical-r1": _suite_classical,
+          "orders": _suite_orders}
+
+
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "fixtures":
-        report = _suite_fixtures(args)
-    elif suite == "lemma59":
-        n_max = _size(args.n, 4, 0, "--n")
-        r_max = _size(args.r, 4, 1, "--r")
-        report = greencheck.VerifyReport("lemma59", {"n_max": n_max, "r_max": r_max})
-        for n in range(0, n_max + 1):
-            for r in range(1, r_max + 1):
-                for sub in (greencheck.lemma59_check(n, r),
-                            greencheck.identity_5113_check(n, r)):
-                    report.checked += sub.checked
-                    report.violations.extend(sub.violations)
-    elif suite == "thm55":
-        mode = "numeric" if args.q else "symbolic"
-        report = greencheck.thm55_check(_size(args.n, 2, 0, "--n"),
-                                        _size(args.r, 3, 1, "--r"), mode,
-                                        args.q or (2, 3, 4))
-    elif suite == "oracle":
-        report = _suite_oracle(args)
-    elif suite == "symmetry":
-        report = _suite_symmetry(args)
-    elif suite == "classical-r1":
-        report = _suite_classical(args)
-    elif suite == "orders":
-        report = _suite_orders(args)
-    else:
-        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if not args.suite:
+        raise UsageError("verify needs a suite name")
+    if args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; "
+                         f"choose from {', '.join(SUITES)}")
+    report = SUITES[args.suite](args)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -443,6 +447,20 @@ def cmd_orders(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+# The flags that more than one subcommand reads, each spelled once.
+_FLAGS = {
+    "--n": dict(type=int, default=None),
+    "--r": dict(type=int, default=None),
+    "--order": dict(default="default", help="default | fixture:ID | file:PATH"),
+    "--format": dict(choices=("json", "csv", "latex"), default="json"),
+    "--out": dict(default=None),
+    "--coset-bound": dict(type=int, default=omega_mod.COSET_N_BOUND),
+    "--wreath-bound": dict(type=int, default=omega_mod.WREATH_ORACLE_BOUND),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=5),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wkostka",
@@ -450,68 +468,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "groups G(r,1,n)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--order", default="default",
-                       help="default | fixture:ID | file:PATH")
-        p.add_argument("--format", choices=("json", "csv", "latex"),
-                       default="json")
-        p.add_argument("--out", default=None)
-        p.add_argument("--method", choices=("cosets", "wreath", "both"),
-                       default="cosets")
-        p.add_argument("--coset-bound", type=int, default=omega_mod.COSET_N_BOUND)
-        p.add_argument("--wreath-bound", type=int,
-                       default=omega_mod.WREATH_ORACLE_BOUND)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=5)
+    def command(name, fn, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p_enum = sub.add_parser("enumerate", help="list P_{n,r} with statistics")
-    common(p_enum)
-    p_enum.set_defaults(fn=cmd_enumerate, need_n=True)
-
-    p_omega = sub.add_parser("omega", help="build the fake-degree matrix")
-    common(p_omega)
-    p_omega.set_defaults(fn=cmd_omega, need_n=True)
-
-    p_solve = sub.add_parser("solve", help="triangular factorization")
-    common(p_solve)
+    table = ("--n", "--r", "--order", "--format", "--out")
+    bounds = ("--coset-bound", "--wreath-bound")
+    command("enumerate", cmd_enumerate, "list P_{n,r} with statistics", *table)
+    p_omega = command("omega", cmd_omega, "build the fake-degree matrix",
+                      *table, *bounds)
+    p_omega.add_argument("--method", choices=("cosets", "wreath", "both"),
+                         default="cosets")
+    p_solve = command("solve", cmd_solve, "triangular factorization",
+                      *table, *bounds)
+    p_solve.add_argument("--method", choices=("cosets", "wreath"),
+                         default="cosets")
     p_solve.add_argument("--emit", default=None,
                          help="comma list of " + ",".join(BLOCKS))
-    p_solve.set_defaults(fn=cmd_solve, need_n=True)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
-    p_verify.add_argument("suite", nargs="?", default=None)
-    p_verify.add_argument("--suite", dest="suite_flag", default=None)
+    p_verify = command("verify", cmd_verify, "run a verification suite",
+                       "--n", "--r", "--out", "--seed", "--samples",
+                       "--wreath-bound")
+    p_verify.add_argument("suite", nargs="?", default=None,
+                          help=" | ".join(SUITES))
     p_verify.add_argument("--q", type=int, nargs="+", default=None)
-    p_verify.set_defaults(fn=cmd_verify, need_n=False)
-
-    p_orders = sub.add_parser("orders", help="order-sensitivity report")
-    common(p_orders)
-    p_orders.set_defaults(fn=cmd_orders, need_n=False)
+    command("orders", cmd_orders, "order-sensitivity report",
+            "--n", "--r", "--out", "--seed", "--samples")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "verify":
-            args.suite = args.suite_flag or args.suite
-            if not args.suite:
-                raise UsageError("verify needs a suite name")
-        if getattr(args, "need_n", False):
-            if args.n is None or args.r is None:
-                raise UsageError(f"{args.command} needs --n and --r")
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (rpart.RPartitionError, fixtures.FixtureError) as exc:
+    except (UsageError, rpart.RPartitionError, fixtures.FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (omega_mod.OmegaError, factor.FactorizationError,

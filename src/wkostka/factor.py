@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .exact import (ExactError, LaurentPoly, PolyMatrix, RationalFunction,
                     exact_div)
-from .omega import OmegaMatrix
+from .omega import OmegaMatrix, omega_matrix
 from .rpart import OrderedIndex, RPartition, dominance_leq
 
 
@@ -147,22 +147,24 @@ def modified_pplus(p_plus: PolyMatrix, theta: tuple) -> PolyMatrix:
     return p_plus.scale_diag_right(inv)
 
 
+def _ic_matrix(rows, shift, r: int, column_asserted=None) -> IcMatrix:
+    """Entries t^shift(i, j) * rows[i][j]; flagged where they land in Z>=0[t^r]."""
+    raw, ok, in_s = [], [], []
+    for i, row in enumerate(rows):
+        raw_row = tuple(e.shift(shift(i, j)) for j, e in enumerate(row))
+        ok_row = tuple(e.is_poly_in_tr(r) and e.has_nonneg_int_coeffs()
+                       for e in raw_row)
+        raw.append(raw_row)
+        ok.append(ok_row)
+        in_s.append(tuple(e.descale_exponents(r) if good else None
+                          for e, good in zip(raw_row, ok_row)))
+    return IcMatrix(tuple(raw), tuple(ok), tuple(in_s), column_asserted)
+
+
 def ic_minus_matrix(order: OrderedIndex, p_minus: PolyMatrix, r: int) -> IcMatrix:
     """Entries t^(-a(lam)) K~-(lam,mu); flagged where they land in Z>=0[t^r]."""
-    raw, ok, in_s = [], [], []
-    for i, lam in enumerate(order.items):
-        shift = -lam.a_value()
-        raw_row, ok_row, s_row = [], [], []
-        for entry in p_minus.rows[i]:
-            e = entry.shift(shift)
-            good = e.is_poly_in_tr(r) and e.has_nonneg_int_coeffs()
-            raw_row.append(e)
-            ok_row.append(good)
-            s_row.append(e.descale_exponents(r) if good else None)
-        raw.append(tuple(raw_row))
-        ok.append(tuple(ok_row))
-        in_s.append(tuple(s_row))
-    return IcMatrix(tuple(raw), tuple(ok), tuple(in_s))
+    a = [lam.a_value() for lam in order.items]
+    return _ic_matrix(p_minus.rows, lambda i, j: -a[i], r)
 
 
 def ic_plus_candidate(order: OrderedIndex, p_plus: PolyMatrix, r: int) -> IcMatrix:
@@ -172,24 +174,14 @@ def ic_plus_candidate(order: OrderedIndex, p_plus: PolyMatrix, r: int) -> IcMatr
     weight vanishes in slots 1..r-2; column_asserted records that hypothesis,
     everywhere else the entry is a candidate only.
     """
-    raw, ok, in_s = [], [], []
+    a = [nu.a_value() for nu in order.items]
+    a_tau = [nu.tau().a_value() for nu in order.items]
     col_ok = []
     for nu in order.items:
         w = nu.weight().parts
         col_ok.append(all(x == 0 for x in w[:max(0, len(w) - 2)]))
-    for i, mu in enumerate(order.items):
-        raw_row, ok_row, s_row = [], [], []
-        for j, nu in enumerate(order.items):
-            shift = -mu.tau().a_value() - nu.a_value() + nu.tau().a_value()
-            e = p_plus.rows[i][j].shift(shift)
-            good = e.is_poly_in_tr(r) and e.has_nonneg_int_coeffs()
-            raw_row.append(e)
-            ok_row.append(good)
-            s_row.append(e.descale_exponents(r) if good else None)
-        raw.append(tuple(raw_row))
-        ok.append(tuple(ok_row))
-        in_s.append(tuple(s_row))
-    return IcMatrix(tuple(raw), tuple(ok), tuple(in_s), tuple(col_ok))
+    return _ic_matrix(p_plus.rows, lambda i, j: -a_tau[i] - a[j] + a_tau[j],
+                      r, tuple(col_ok))
 
 
 def unmodify_kostka(modified: LaurentPoly, a_mu: int) -> LaurentPoly:
@@ -221,22 +213,9 @@ def order_sensitivity(n: int, r: int, orders) -> OrderSensitivityReport:
     """Solve the factorization under each order and compare Kostka entries
     pairwise; dominance-comparable pairs are reported separately from
     incomparable ones (whose triangular zero pattern depends on the order)."""
-    from .omega import omega_entry_cosets
-
     orders = list(orders)
-    entry_cache = {}
-
-    def entry(lam, mu):
-        key = (lam, mu)
-        if key not in entry_cache:
-            entry_cache[key] = omega_entry_cosets(lam, mu, r)
-        return entry_cache[key]
-
-    results = []
-    for order in orders:
-        rows = [[entry(lam, mu) for mu in order.items] for lam in order.items]
-        om = OmegaMatrix(order, PolyMatrix(order, rows), n, r, "cosets")
-        results.append(solve_factorization(om, verify=False))
+    results = [solve_factorization(omega_matrix(n, r, order), verify=False)
+               for order in orders]
 
     items = list(orders[0].items)
     comparable, incomparable = [], []

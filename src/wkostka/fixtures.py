@@ -129,6 +129,10 @@ def _tri_iter(size):
             yield i, j
 
 
+def _cell(rows, at):
+    return rows[at] if isinstance(at, int) else rows[at[0]][at[1]]
+
+
 def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> VerifyReport:
     """Compare a fixture against a freshly solved factorization.
 
@@ -140,97 +144,51 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
         om = omega_matrix(fx.n, fx.r, fx.order)
         result = solve_factorization(om)
     size = len(fx.order)
-    err_a = {int(k): v for k, v in fx.errata.get("a_values", {}).items()}
-    err_xi = {int(k): v for k, v in fx.errata.get("xi", {}).items()}
+    diag = range(size)
+    square = [(i, j) for i in range(size) for j in range(size)]
+    tri = list(_tri_iter(size))
+    # Table -> {cell: (printed value, value forced by uniqueness)}.
+    errata = {
+        "a_values": {int(k): (v["printed"], v["consistent"])
+                     for k, v in fx.errata.get("a_values", {}).items()},
+        "xi": {int(k): (RationalFunction(LaurentPoly.parse(v["printed"])),
+                        RationalFunction(LaurentPoly.parse(v["consistent"])))
+               for k, v in fx.errata.get("xi", {}).items()},
+    }
 
     def mismatch(table, where, got, want):
         report.violations.append({"table": table, "at": where,
                                   "computed": str(got), "fixture": str(want)})
 
-    for i in range(size):
-        report.checked += 1
-        want = fx.a_values[i]
-        got = result.a_values[i]
-        if i in err_a:
-            if got != err_a[i]["consistent"] or want != err_a[i]["printed"]:
-                mismatch("a_values(erratum)", i, got, want)
-        elif got != want:
-            mismatch("a_values", i, got, want)
-
-    if fx.omega is not None:
-        for i in range(size):
-            for j in range(size):
-                report.checked += 1
-                if result.omega.entries.rows[i][j] != fx.omega[i][j]:
-                    mismatch("omega", (i, j),
-                             result.omega.entries.rows[i][j], fx.omega[i][j])
-
-    for name, fixture_side, computed_side in (
-            ("p_minus", fx.p_minus, result.p_minus.rows),
-            ("p_plus", fx.p_plus, result.p_plus.rows)):
+    for name, fixture_side, computed_side, cells in (
+            ("a_values", fx.a_values, result.a_values, diag),
+            ("omega", fx.omega, result.omega.entries.rows, square),
+            ("p_minus", fx.p_minus, result.p_minus.rows, tri),
+            ("p_plus", fx.p_plus, result.p_plus.rows, tri),
+            ("xi", fx.xi, result.lam, diag),
+            ("theta", fx.theta, result.theta, diag),
+            ("lambda_prime", fx.lambda_prime, result.lambda_prime, diag),
+            ("p_plus_modified", fx.p_plus_modified,
+             result.p_plus_modified.rows, tri),
+            ("p_minus_modified", fx.p_minus_modified, result.ic_minus.raw, tri),
+            ("ic_minus", fx.ic_minus_printed, result.ic_minus.raw, tri),
+            ("ic_plus_candidate", fx.ic_plus_candidate, result.ic_plus.raw,
+             tri)):
         if fixture_side is None:
             continue
-        for i, j in _tri_iter(size):
+        table_errata = errata.get(name, {})
+        for at in cells:
             report.checked += 1
-            if computed_side[i][j] != fixture_side[i][j]:
-                mismatch(name, (i, j), computed_side[i][j], fixture_side[i][j])
-
-    if fx.xi is not None:
-        for i in range(size):
-            report.checked += 1
-            got = result.lam[i]
-            want = fx.xi[i]
-            if i in err_xi:
-                forced = RationalFunction(LaurentPoly.parse(err_xi[i]["consistent"]))
-                printed = RationalFunction(LaurentPoly.parse(err_xi[i]["printed"]))
+            got = _cell(computed_side, at)
+            want = _cell(fixture_side, at)
+            if at in table_errata:
+                printed, forced = table_errata[at]
                 if got != forced or want != printed:
-                    mismatch("xi(erratum)", i, got, want)
+                    mismatch(f"{name}(erratum)", at, got, want)
             elif got != want:
-                mismatch("xi", i, got, want)
-
-    if fx.theta is not None:
-        for i in range(size):
-            report.checked += 1
-            if result.theta[i] != fx.theta[i]:
-                mismatch("theta", i, result.theta[i], fx.theta[i])
-
-    if fx.lambda_prime is not None:
-        for i in range(size):
-            report.checked += 1
-            if result.lambda_prime[i] != fx.lambda_prime[i]:
-                mismatch("lambda_prime", i, result.lambda_prime[i],
-                         fx.lambda_prime[i])
-
-    if fx.p_plus_modified is not None:
-        for i, j in _tri_iter(size):
-            report.checked += 1
-            if result.p_plus_modified.rows[i][j] != fx.p_plus_modified[i][j]:
-                mismatch("p_plus_modified", (i, j),
-                         result.p_plus_modified.rows[i][j],
-                         fx.p_plus_modified[i][j])
-
-    if fx.p_minus_modified is not None:
-        for i, j in _tri_iter(size):
-            report.checked += 1
-            if result.ic_minus.raw[i][j] != fx.p_minus_modified[i][j]:
-                mismatch("p_minus_modified", (i, j),
-                         result.ic_minus.raw[i][j], fx.p_minus_modified[i][j])
-
-    if fx.ic_minus_printed is not None:
-        for i, j in _tri_iter(size):
-            report.checked += 1
-            if result.ic_minus.raw[i][j] != fx.ic_minus_printed[i][j]:
-                mismatch("ic_minus", (i, j),
-                         result.ic_minus.raw[i][j], fx.ic_minus_printed[i][j])
-            elif not result.ic_minus.ok[i][j]:
-                mismatch("ic_minus(flag)", (i, j), "not in Z>=0[t^r]", "flag")
-
-    if fx.ic_plus_candidate is not None:
-        for i, j in _tri_iter(size):
-            report.checked += 1
-            if result.ic_plus.raw[i][j] != fx.ic_plus_candidate[i][j]:
-                mismatch("ic_plus_candidate", (i, j),
-                         result.ic_plus.raw[i][j], fx.ic_plus_candidate[i][j])
+                mismatch(name, at, got, want)
+            elif name == "ic_minus" and not _cell(result.ic_minus.ok, at):
+                mismatch("ic_minus(flag)", at, "not in Z>=0[t^r]", "flag")
 
     # The candidate must match the printed IC+ matrix exactly where the
     # source tables coincide (n = 1) and differ somewhere where they do not.

@@ -1,4 +1,5 @@
 """Command-line surface: formats, exit codes, JSON round trips."""
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,62 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", "--n", "1", "--r", "3",
                            "--format", "latex", "--emit", "lambda")
         assert code == 0 and out.startswith("\\begin{tabular}")
+
+    def test_csv_prints_every_requested_block(self, capsys):
+        code, out, _ = run(capsys, "solve", "--n", "1", "--r", "3",
+                           "--format", "csv", "--emit", "theta")
+        assert code == 0
+        assert out.splitlines() == ["rpartition,a_value,theta",
+                                    "(-;-;1),2,1", "(-;1;-),1,t",
+                                    "(1;-;-),0,t^-1"]
+
+    def test_latex_prints_the_raw_ic_matrix(self, capsys):
+        code, out, _ = run(capsys, "solve", "--n", "1", "--r", "3",
+                           "--format", "latex", "--emit", "ic-minus")
+        assert code == 0
+        assert out.startswith("% ic-minus for n=1, r=3\n\\begin{tabular}")
+        assert "$(1;-;-)$ & $1$ & $1$ & $1$ \\\\" in out
+
+    def test_text_blocks_follow_block_order(self, capsys):
+        code, out, _ = run(capsys, "solve", "--n", "1", "--r", "3",
+                           "--format", "csv", "--emit", "lambda,p-plus")
+        assert code == 0
+        assert out.index("# p-plus") < out.index("rpartition,a_value,xi")
+
+
+# sha256 of stdout, copied from WORKLOADS in bench/run.py, so that output
+# drift shows in the unit tests without running the benchmark.
+GOLDEN = {
+    ("solve", "--n", "1", "--r", "3"):
+        "d403a744a4d08b3244db57cc81e9e6cedbc503e0516371a84a07ff59816f97fc",
+    ("solve", "--n", "4", "--r", "1"):
+        "741bb4beb646c9280245d345cd06d5b9f44bbf6c4a535b3b8eb5e10fbdb0fa36",
+    ("solve", "--n", "2", "--r", "5"):
+        "0a4100743a4abdf11a32003735ac387d918235f14f7084b91f24522fc12cdd16",
+    ("verify", "thm55", "--n", "3", "--r", "2"):
+        "7ef53aed39c1e105697587fc96e09f94faf7ca32276c773fcde97b867c79db74",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "lemma59", "--format", "csv"),
+    ("verify", "thm55", "--suite", "lemma59"),
+    ("solve", "--n", "1", "--r", "3", "--method", "both"),
+    ("enumerate", "--n", "1", "--r", "3", "--seed", "1"),
+    ("omega", "--n", "1", "--r", "3", "--samples", "3"),
+    ("orders", "--order", "default", "--format", "latex"),
+])
+def test_undeclared_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err
 
 
 class TestVerifyCommand:

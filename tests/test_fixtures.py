@@ -48,6 +48,16 @@ class TestAgainstSolver:
         rep = check_fixture(load_fixture(fid, r))
         assert rep.passed, rep.violations[:5]
 
+    def test_violations_name_table_and_cell_in_check_order(self):
+        fx = load_fixture("n1r3")
+        res = solve_factorization(omega_matrix(1, 3, fx.order))
+        fx.xi[1] = RationalFunction.one()
+        fx.p_plus[2][0] = LaurentPoly.parse("t^7")
+        rep = check_fixture(fx, res)
+        assert [(v["table"], v["at"]) for v in rep.violations] == \
+            [("p_plus", (2, 0)), ("xi", 1)]
+        assert rep.checked == check_fixture(load_fixture("n1r3"), res).checked
+
 
 class TestDocumentedErrata:
     """The n=3 source table is internally inconsistent at three cells; the
@@ -83,3 +93,10 @@ class TestDocumentedErrata:
         fx, res = self._result()
         rep = check_fixture(fx, res)
         assert rep.passed, rep.violations[:5]
+
+    def test_a_misrecorded_erratum_is_a_violation(self):
+        fx, res = self._result()
+        fx.errata["xi"]["16"]["printed"] = "t^2"
+        rep = check_fixture(fx, res)
+        assert [(v["table"], v["at"]) for v in rep.violations] == \
+            [("xi(erratum)", 16)]
