@@ -7,7 +7,7 @@ verifies the combinatorial identities tying them to Green-function inner
 products.
 """
 from .exact import (Cyclotomic, ExactError, LaurentPoly, PolyMatrix,
-                    RationalFunction, from_zeta_power)
+                    RationalFunction)
 from .factor import (FactorizationError, FactorizationResult, IcMatrix,
                      order_sensitivity, solve_factorization, unmodify_kostka)
 from .greencheck import (InnerProductValue, VerifyReport, a_exponent,

@@ -76,7 +76,7 @@ def _matrix_strings(rows) -> list:
 
 def _csv(rows) -> str:
     buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -338,23 +338,20 @@ def _suite_symmetry(args) -> greencheck.VerifyReport:
     n_max = _size(args.n, 3, 0, "--n")
     r_max = _size(args.r, 3, 1, "--r")
     report = greencheck.VerifyReport("symmetry", {"n_max": n_max, "r_max": r_max})
+    entry = omega_mod.omega_entry_cosets
     for r in range(1, r_max + 1):
         for n in range(0, n_max + 1):
             items = rpart.enumerate_rpartitions(n, r)
-            entry = {}
-            for lam in items:
-                for mu in items:
-                    entry[(lam, mu)] = omega_mod.omega_entry_cosets(lam, mu, r)
             for lam in items:
                 for mu in items:
                     report.checked += 1
-                    if entry[(lam, mu)] != entry[(lam.transpose(), mu.transpose())]:
+                    if entry(lam, mu, r) != entry(lam.transpose(), mu.transpose(), r):
                         report.violations.append(
                             {"kind": "transpose", "n": n, "r": r,
                              "lam": str(lam), "mu": str(mu)})
                     if r <= 2:
                         report.checked += 1
-                        if entry[(lam, mu)] != entry[(mu, lam)]:
+                        if entry(lam, mu, r) != entry(mu, lam, r):
                             report.violations.append(
                                 {"kind": "r<=2 symmetry", "n": n, "r": r,
                                  "lam": str(lam), "mu": str(mu)})

@@ -737,26 +737,10 @@ class Cyclotomic:
 
     @staticmethod
     def zeta(r: int, k: int = 1) -> "Cyclotomic":
-        """zeta_r^k, reduced mod Phi_r."""
-        rows = _reduction_rows(r)
-        k %= r
-        deg = len(cyclotomic_polynomial(r)) - 1
-        if k < deg:
-            coords = [_ZERO] * deg
-            coords[k] = _ONE
-            return Cyclotomic(r, coords)
-        # reduce x^k by repeated squaring within the quotient ring
-        result = Cyclotomic.from_rational(r, 1)
-        base = Cyclotomic(r, rows[1]) if deg > 1 else Cyclotomic(r, rows[0])
-        if deg == 1:
-            # zeta is rational: 1 for r = 1, -1 for r = 2
-            base = Cyclotomic.from_rational(r, 1 if r == 1 else -1)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        """zeta_r^k: the remainder of x^(k mod r) modulo Phi_r."""
+        phi = [Fraction(c) for c in cyclotomic_polynomial(r)]
+        _, rem = _dense_divmod([_ZERO] * (k % r) + [_ONE], phi)
+        return Cyclotomic(r, rem + [_ZERO] * (len(phi) - 1 - len(rem)))
 
     def _check(self, other: "Cyclotomic"):
         if self.r != other.r:
@@ -896,11 +880,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic(r={self.r}, {self})"
-
-
-def from_zeta_power(k: int, r: int) -> Cyclotomic:
-    """zeta_r^k as an element of Q(zeta_r)."""
-    return Cyclotomic.zeta(r, k)
 
 
 class ZetaPoly:

@@ -8,7 +8,7 @@ Two independent routes compute each entry:
   label's cells (the Mackey formula), so no permutation is enumerated;
 * the oracle route works inside the wreath product itself, inducing
   characters by brute force and evaluating the defining fake-degree sum
-  over Q(zeta_r)(t).
+  as one polynomial in Q(zeta_r)[t] per conjugacy class.
 
 Both must agree, entry by entry; the test suite enforces this.
 """
@@ -198,26 +198,17 @@ def rho_character(blam: RPartition, w: WreathElement,
 
 
 @lru_cache(maxsize=None)
-def _fake_degree_fixed(n: int, r: int) -> tuple:
-    """Shared per-(n, r) data for fake-degree sums: class list with
-    det_V values, characteristic polynomials, cofactors against the common
-    denominator, and the numerator prefactor prod (t^(ir) - 1)."""
-    classes = wreath_classes(n, r)
-    charpolys = [wreath_charpoly(rep) for rep, _ in classes]
-    # prefix/suffix products give each cofactor in linear time
-    k = len(charpolys)
-    prefix = [ZetaPoly.from_scalar(r, 1)]
-    for p in charpolys:
-        prefix.append(prefix[-1] * p)
-    suffix = [ZetaPoly.from_scalar(r, 1)]
-    for p in reversed(charpolys):
-        suffix.append(suffix[-1] * p)
-    cofactors = [prefix[i] * suffix[k - 1 - i] for i in range(k)]
-    denominator = prefix[k]
+def _class_terms(n: int, r: int) -> tuple:
+    """(representative, size, prod_i (t^(ir) - 1) / det_V(t - w)) per class.
+
+    Each quotient is a polynomial: t^l - zeta^s divides t^(rl) - 1, and
+    prod_j (t^(r l_j) - 1) divides prod_(i<=n) (t^(ir) - 1)."""
     top = LaurentPoly.one()
     for i in range(1, n + 1):
         top = top * (LaurentPoly.t_power(i * r) - 1)
-    return classes, cofactors, denominator, ZetaPoly.from_laurent(r, top)
+    top = ZetaPoly.from_laurent(r, top)
+    return tuple((rep, size, top.exact_div(wreath_charpoly(rep)))
+                 for rep, size in wreath_classes(n, r))
 
 
 def fake_degree(n: int, r: int, chi,
@@ -231,17 +222,12 @@ def fake_degree(n: int, r: int, chi,
     else signals a bug in the caller's character values.
     """
     _check_oracle_bound(n, r, bound)
-    classes, cofactors, denominator, top = _fake_degree_fixed(n, r)
     acc = ZetaPoly(r, [])
-    for (rep, size), cof in zip(classes, cofactors):
+    for rep, size, quot in _class_terms(n, r):
         scalar = detV_value(rep) * chi(rep) * size
         if not scalar.is_zero:
-            acc = acc + cof * scalar
-    if acc.is_zero:
-        return LaurentPoly.zero()
-    num = (acc * top).exact_div(denominator)
-    result = num.to_laurent() * Fraction(1, wreath_order(n, r))
-    return result
+            acc = acc + quot * scalar
+    return acc.to_laurent() * Fraction(1, wreath_order(n, r))
 
 
 @lru_cache(maxsize=None)

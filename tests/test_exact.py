@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wkostka.exact import (Cyclotomic, ExactError, LaurentPoly,
                            RationalFunction, ZetaPoly, cyclotomic_polynomial,
-                           exact_div, from_zeta_power, poly_gcd)
+                           exact_div, poly_gcd)
 
 
 def P(s):
@@ -166,19 +166,29 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
     def test_zeta_power_wraps(self):
-        assert from_zeta_power(3, 3) == Cyclotomic.from_rational(3, 1)
+        assert Cyclotomic.zeta(3, 3) == Cyclotomic.from_rational(3, 1)
+
+    def test_zeta_matches_repeated_products(self):
+        for r in range(1, 13):
+            z = Cyclotomic.zeta(r, 1)
+            powers = [Cyclotomic.from_rational(r, 1)]
+            for _ in range(r - 1):
+                powers.append(powers[-1] * z)
+            assert all(p != 1 for p in powers[1:])
+            for k in range(-2 * r, 2 * r + 1):
+                assert Cyclotomic.zeta(r, k) == powers[k % r]
 
     def test_root_sum_vanishes(self):
         for r in (2, 3, 5, 7):
             total = Cyclotomic.from_rational(r, 0)
             for k in range(r):
-                total = total + from_zeta_power(k, r)
+                total = total + Cyclotomic.zeta(r, k)
             assert total.is_zero
 
     def test_as_rational(self):
-        z = from_zeta_power(1, 3)
+        z = Cyclotomic.zeta(3, 1)
         assert (z * z * z).as_rational() == 1
-        assert (z * from_zeta_power(2, 3)).as_rational() == 1
+        assert (z * Cyclotomic.zeta(3, 2)).as_rational() == 1
         with pytest.raises(ExactError):
             z.as_rational()
 
@@ -208,7 +218,7 @@ class TestCyclotomic:
 class TestZetaPoly:
     def test_binomial_product_and_division(self):
         r = 3
-        z = from_zeta_power(1, 3)
+        z = Cyclotomic.zeta(3, 1)
         p = ZetaPoly.binomial(r, 2, -z)          # t^2 - zeta
         q = ZetaPoly.binomial(r, 1, -(z * z))    # t - zeta^2
         prod = p * q
@@ -218,7 +228,7 @@ class TestZetaPoly:
 
     def test_to_laurent_requires_rational(self):
         r = 3
-        z = from_zeta_power(1, 3)
+        z = Cyclotomic.zeta(3, 1)
         p = ZetaPoly.binomial(r, 1, -z)
         with pytest.raises(ExactError):
             p.to_laurent()
