@@ -34,11 +34,8 @@ def _resolve_order(args) -> OrderedIndex:
         return rpart.default_total_order(n, r)
     if spec.startswith("fixture:"):
         fid = spec.split(":", 1)[1]
-        fx = fixtures.load_fixture(fid, r if fid == "n1rk" else None)
-        if fx.n != n or fx.r != r:
-            raise UsageError(f"fixture {fid} is for (n,r)=({fx.n},{fx.r})")
-        return fx.order
-    if spec.startswith("file:"):
+        order = fixtures.load_fixture(fid, r if fid == "n1rk" else None).order
+    elif spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
             with open(path) as fh:
@@ -47,8 +44,13 @@ def _resolve_order(args) -> OrderedIndex:
         except OSError as exc:
             raise UsageError(f"cannot read order file {path!r}: "
                              f"{exc.strerror}") from exc
-        return OrderedIndex(tuple(items))
-    raise UsageError(f"bad order spec {spec!r}")
+        order = OrderedIndex(tuple(items))
+    else:
+        raise UsageError(f"bad order spec {spec!r}")
+    if set(order.items) != set(rpart.enumerate_rpartitions(n, r)):
+        raise UsageError(f"order {spec!r} does not list P_{{n,r}} "
+                         f"for n={n}, r={r}")
+    return order
 
 
 def _size(value, default: int, least: int, flag: str) -> int:
@@ -62,8 +64,12 @@ def _size(value, default: int, least: int, flag: str) -> int:
 
 def _emit(payload: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path!r}: "
+                             f"{exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -305,6 +311,8 @@ def _suite_lemma59(args) -> greencheck.VerifyReport:
 
 
 def _suite_thm55(args) -> greencheck.VerifyReport:
+    if args.q and min(args.q) < 2:
+        raise UsageError("--q takes field orders, each at least 2")
     mode = "numeric" if args.q else "symbolic"
     return greencheck.thm55_check(_size(args.n, 2, 0, "--n"),
                                   _size(args.r, 3, 1, "--r"), mode,

@@ -4,9 +4,9 @@ Everything in this module is exact: Laurent polynomials in a single
 variable t over the rationals (fractions.Fraction), the fraction field Q(t),
 and elements of the cyclotomic field Q(zeta_r).  The production path computes
 in the Laurent ring; Q(t) only holds the Lambda and Lambda' diagonals of a
-solved factorization, the transcribed fixtures and the test oracles.  Values
-are immutable; all operations return new objects and are safe to share
-between threads.
+solved factorization and the test oracles.  One dense polynomial kernel
+serves both Q[t] and Q(zeta_r).  Values are immutable; all operations return
+new objects and are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -394,8 +394,10 @@ class _PolyParser:
 
 
 # ---------------------------------------------------------------------------
-# dense nonnegative-exponent polynomial helpers (internal, used for gcd and
-# exact division).  A "dense" poly is a list of Fractions, index = exponent.
+# dense polynomial arithmetic (internal).  A "dense" poly is a list of
+# coefficients, index = exponent.  The same three helpers serve Q[t] (for gcd
+# and exact division), Q(zeta_r) = Q[x]/(Phi_r) and Q(zeta_r)[t]: coefficients
+# may be ints, Fractions or Cyclotomics, and only need +, -, * and truth.
 # ---------------------------------------------------------------------------
 
 
@@ -414,24 +416,56 @@ def _from_dense(cs) -> LaurentPoly:
     return LaurentPoly({e: v for e, v in enumerate(cs) if v})
 
 
-def _dense_divmod(num: list, den: list) -> tuple:
+def _strip(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _dense_add(a, b) -> list:
+    """a + b, trailing zeros stripped."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] = out[k] + c
+    return _strip(out)
+
+
+def _dense_mul(a, b, zero) -> list:
+    """a * b; zero is the zero of the coefficient ring."""
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _dense_divmod(num, den) -> tuple:
+    """Quotient and remainder of num by den (whose last coefficient is its
+    nonzero leading one), both with trailing zeros stripped."""
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
     dn = len(den) - 1
-    lead = den[-1]
-    quot = [_ZERO] * max(len(num) - dn, 0)
+    lead_inv = _ONE / den[-1]
+    lower = [(j, d) for j, d in enumerate(den[:dn]) if d]
+    quot = [den[-1] * 0] * max(len(num) - dn, 0)
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k]
         if not c:
             continue
-        q = c / lead
+        q = c * lead_inv
         quot[k - dn] = q
-        for j in range(dn + 1):
-            num[k - dn + j] -= q * den[j]
-    while num and not num[-1]:
-        num.pop()
-    while quot and not quot[-1]:
-        quot.pop()
-    return quot, num
+        for j, d in lower:
+            num[k - dn + j] -= q * d
+    # Each num[k] above would cancel to zero; none is read again.
+    return _strip(quot), _strip(num[:dn])
 
 
 def _int_primitive(cs: list) -> list:
@@ -687,34 +721,10 @@ def cyclotomic_polynomial(r: int) -> tuple:
     coeffs = [-1] + [0] * (r - 1) + [1]  # x^r - 1
     for d in range(1, r):
         if r % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            quot, rem = _dense_divmod([Fraction(c) for c in coeffs],
-                                      [Fraction(c) for c in phi_d])
+            quot, rem = _dense_divmod(coeffs, cyclotomic_polynomial(d))
             assert not rem
             coeffs = [int(c) for c in quot]
     return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(r: int) -> tuple:
-    """Coordinates of x^k mod Phi_r for k = 0 .. 2*(deg-1)."""
-    phi = cyclotomic_polynomial(r)
-    deg = len(phi) - 1
-    rows = []
-    cur = [_ZERO] * deg
-    if deg:
-        cur[0] = _ONE
-    for _ in range(2 * deg - 1 if deg else 1):
-        rows.append(tuple(cur))
-        nxt = [_ZERO] + cur[:-1] if deg else []
-        carry = cur[-1] if deg else _ZERO
-        if deg:
-            nxt = nxt[:deg]
-            if carry:
-                for j in range(deg):
-                    nxt[j] -= carry * phi[j]
-        cur = nxt
-    return tuple(rows)
 
 
 class Cyclotomic:
@@ -731,6 +741,13 @@ class Cyclotomic:
         self.coords = coords
 
     @staticmethod
+    def _reduce(r: int, cs) -> "Cyclotomic":
+        """The element sum_k cs[k] zeta^k: cs taken modulo Phi_r."""
+        phi = cyclotomic_polynomial(r)
+        _, rem = _dense_divmod(cs, phi)
+        return Cyclotomic(r, rem + [_ZERO] * (len(phi) - 1 - len(rem)))
+
+    @staticmethod
     def from_rational(r: int, v) -> "Cyclotomic":
         deg = len(cyclotomic_polynomial(r)) - 1
         return Cyclotomic(r, (_as_fraction(v),) + (_ZERO,) * (deg - 1))
@@ -738,9 +755,7 @@ class Cyclotomic:
     @staticmethod
     def zeta(r: int, k: int = 1) -> "Cyclotomic":
         """zeta_r^k: the remainder of x^(k mod r) modulo Phi_r."""
-        phi = [Fraction(c) for c in cyclotomic_polynomial(r)]
-        _, rem = _dense_divmod([_ZERO] * (k % r) + [_ONE], phi)
-        return Cyclotomic(r, rem + [_ZERO] * (len(phi) - 1 - len(rem)))
+        return Cyclotomic._reduce(r, [_ZERO] * (k % r) + [_ONE])
 
     def _check(self, other: "Cyclotomic"):
         if self.r != other.r:
@@ -749,6 +764,9 @@ class Cyclotomic:
     @property
     def is_zero(self) -> bool:
         return all(not c for c in self.coords)
+
+    def __bool__(self):
+        return any(self.coords)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -764,12 +782,7 @@ class Cyclotomic:
         return Cyclotomic(self.r, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.r, other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        self._check(other)
-        return Cyclotomic(self.r, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -781,23 +794,7 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check(other)
-        deg = len(self.coords)
-        conv = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    conv[i + j] += a * b
-        rows = _reduction_rows(self.r)
-        out = [_ZERO] * deg
-        for k, c in enumerate(conv):
-            if c:
-                row = rows[k]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(self.r, out)
+        return Cyclotomic._reduce(self.r, _dense_mul(self.coords, other.coords, _ZERO))
 
     __rmul__ = __mul__
 
@@ -805,36 +802,16 @@ class Cyclotomic:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.r)]
-        a = list(self.coords)
-        while a and not a[-1]:
-            a.pop()
-        # extended gcd of a and phi in Q[x]
-        r0, r1 = a, phi
+        # s0 * self = r0 modulo Phi_r throughout; r0 ends as the gcd, a unit
+        r0, r1 = self.coords, cyclotomic_polynomial(self.r)
         s0, s1 = [_ONE], []
         while r1:
             q, rem = _dense_divmod(r0, r1)
             r0, r1 = r1, rem
-            # s_new = s0 - q*s1
-            prod = [_ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qc in enumerate(q):
-                if not qc:
-                    continue
-                for j, sc in enumerate(s1):
-                    prod[i + j] += qc * sc
-            ln = max(len(s0), len(prod))
-            s_new = [(s0[k] if k < len(s0) else _ZERO) -
-                     (prod[k] if k < len(prod) else _ZERO) for k in range(ln)]
-            while s_new and not s_new[-1]:
-                s_new.pop()
-            s0, s1 = s1, s_new
+            s0, s1 = s1, _dense_add(s0, _dense_mul(q, [-c for c in s1], _ZERO))
         if len(r0) != 1:
             raise ExactError("element is a zero divisor (should not happen over a field)")
-        scale = 1 / r0[0]
-        deg = len(self.coords)
-        inv = [c * scale for c in s0][:deg]
-        inv += [_ZERO] * (deg - len(inv))
-        return Cyclotomic(self.r, inv)
+        return Cyclotomic._reduce(self.r, [c / r0[0] for c in s0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -843,6 +820,9 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -935,12 +915,7 @@ class ZetaPoly:
     def __add__(self, other):
         if not isinstance(other, ZetaPoly):
             return NotImplemented
-        zero = Cyclotomic.from_rational(self.r, 0)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ZetaPoly(self.r, [
-            (self.coeffs[k] if k < len(self.coeffs) else zero) +
-            (other.coeffs[k] if k < len(other.coeffs) else zero)
-            for k in range(n)])
+        return ZetaPoly(self.r, _dense_add(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return ZetaPoly(self.r, [-c for c in self.coeffs])
@@ -953,37 +928,13 @@ class ZetaPoly:
             return ZetaPoly(self.r, [c * other for c in self.coeffs])
         if not isinstance(other, ZetaPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ZetaPoly(self.r, [])
-        zero = Cyclotomic.from_rational(self.r, 0)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return ZetaPoly(self.r, out)
+        return ZetaPoly(self.r, _dense_mul(self.coeffs, other.coeffs,
+                                           Cyclotomic.from_rational(self.r, 0)))
 
     __rmul__ = __mul__
 
     def divmod(self, den: "ZetaPoly") -> tuple:
-        if den.is_zero:
-            raise ZeroDivisionError("ZetaPoly division by zero")
-        zero = Cyclotomic.from_rational(self.r, 0)
-        num = list(self.coeffs)
-        dn = den.degree
-        lead_inv = den.coeffs[-1].inverse()
-        quot = [zero] * max(len(num) - dn, 0)
-        for k in range(len(num) - 1, dn - 1, -1):
-            c = num[k]
-            if c.is_zero:
-                continue
-            q = c * lead_inv
-            quot[k - dn] = q
-            for j in range(dn + 1):
-                num[k - dn + j] = num[k - dn + j] - q * den.coeffs[j]
-        return ZetaPoly(self.r, quot), ZetaPoly(self.r, num)
+        return tuple(ZetaPoly(self.r, p) for p in _dense_divmod(self.coeffs, den.coeffs))
 
     def exact_div(self, den: "ZetaPoly") -> "ZetaPoly":
         quot, rem = self.divmod(den)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .exact import LaurentPoly, RationalFunction
+from .exact import LaurentPoly
 from .factor import FactorizationResult, solve_factorization
 from .greencheck import VerifyReport
 from .omega import omega_matrix
@@ -34,7 +34,7 @@ class Fixture:
     a_values: list
     p_minus: list | None = None          # lower-triangle rows of LaurentPoly
     p_plus: list | None = None
-    xi: list | None = None               # RationalFunction diagonal
+    xi: list | None = None               # diagonal of LaurentPoly
     omega: list | None = None            # full square of LaurentPoly
     theta: list | None = None
     lambda_prime: list | None = None
@@ -80,13 +80,9 @@ def load_fixture(fixture_id: str, r: int | None = None) -> Fixture:
                 "ic_plus_printed", "ic_plus_candidate", "p_plus_modified"):
         if key in raw:
             setattr(fx, key, _parse_tri(raw[key], size))
-    if "xi" in raw:
-        fx.xi = [RationalFunction(LaurentPoly.parse(s)) for s in raw["xi"]]
-    if "theta" in raw:
-        fx.theta = [LaurentPoly.parse(s) for s in raw["theta"]]
-    if "lambda_prime" in raw:
-        fx.lambda_prime = [RationalFunction(LaurentPoly.parse(s))
-                           for s in raw["lambda_prime"]]
+    for key in ("xi", "theta", "lambda_prime"):
+        if key in raw:
+            setattr(fx, key, [LaurentPoly.parse(s) for s in raw[key]])
     return fx
 
 
@@ -103,12 +99,10 @@ def _n1rk_fixture(r: int) -> Fixture:
         if i >= 2:
             row[0] = t(i - 2)
         p_plus.append(row)
-    xi = [RationalFunction.one()]
-    for i in range(2, r + 1):
-        xi.append(RationalFunction(t(2 * i - 2) - t(2 * i - 2 - r)))
+    xi = [LaurentPoly.one()] + [t(2 * i - 2) - t(2 * i - 2 - r)
+                                for i in range(2, r + 1)]
     theta = [LaurentPoly.one()] + [t(r - 2 * (i - 1)) for i in range(2, r + 1)]
-    lam_prime = [RationalFunction.one()] + \
-        [RationalFunction(t(r) - 1)] * (r - 1)
+    lam_prime = [LaurentPoly.one()] + [t(r) - 1] * (r - 1)
     ic_minus = [[LaurentPoly.one()] * i for i in range(1, r + 1)]
     ic_plus = []
     for i in range(1, r + 1):
@@ -151,8 +145,8 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
     errata = {
         "a_values": {int(k): (v["printed"], v["consistent"])
                      for k, v in fx.errata.get("a_values", {}).items()},
-        "xi": {int(k): (RationalFunction(LaurentPoly.parse(v["printed"])),
-                        RationalFunction(LaurentPoly.parse(v["consistent"])))
+        "xi": {int(k): (LaurentPoly.parse(v["printed"]),
+                        LaurentPoly.parse(v["consistent"]))
                for k, v in fx.errata.get("xi", {}).items()},
     }
 
@@ -222,11 +216,11 @@ def reconstruction_check(fx: Fixture) -> VerifyReport:
     size = len(fx.order)
     for i in range(size):
         for j in range(size):
-            acc = RationalFunction.zero()
+            acc = LaurentPoly.zero()
             for l in range(min(i, j) + 1):
-                acc = acc + RationalFunction(fx.p_minus[i][l]) * fx.xi[l] * fx.p_plus[j][l]
+                acc = acc + fx.p_minus[i][l] * fx.xi[l] * fx.p_plus[j][l]
             report.checked += 1
-            if acc != RationalFunction(fx.omega[i][j]):
+            if acc != fx.omega[i][j]:
                 report.violations.append(
                     {"at": (i, j), "rebuilt": str(acc), "omega": str(fx.omega[i][j])})
     return report

@@ -256,6 +256,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("q", ["1", "0", "-1"])
+    def test_bad_q_is_a_usage_error(self, capsys, q):
+        code, out, err = run(capsys, "verify", "thm55", "--n", "2", "--r", "2",
+                             "--q", q)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bound_violation_is_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "oracle", "--n", "2", "--r", "3",
                            "--wreath-bound", "1")
@@ -285,6 +292,20 @@ class TestOrderSources:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # An empty file, and a file listing P_{1,3} under --n 2 --r 2.
+    @pytest.mark.parametrize("text,argv", [
+        ("", ("solve", "--n", "1", "--r", "2")),
+        ("(-;-;1)\n(-;1;-)\n(1;-;-)\n", ("enumerate", "--n", "2", "--r", "2")),
+        ("(-;-;1)\n(-;1;-)\n(1;-;-)\n", ("solve", "--n", "2", "--r", "2")),
+    ], ids=["empty", "n1r3-enumerate", "n1r3-solve"])
+    def test_order_file_not_listing_p_nr_is_a_usage_error(
+            self, tmp_path, capsys, text, argv):
+        path = tmp_path / "order.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, "--order", f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_fixture_mismatch(self, capsys):
         code, _, err = run(capsys, "omega", "--n", "1", "--r", "3",
                            "--order", "fixture:n2r3")
@@ -300,6 +321,13 @@ class TestOrderSources:
                            "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["n"] == 1
+
+    def test_unwritable_out_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "absent" / "x.json"
+        code, out, err = run(capsys, "solve", "--n", "1", "--r", "2",
+                             "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOrdersCommand:

@@ -203,6 +203,17 @@ class TestCyclotomic:
                     continue
                 assert (x * x.inverse()).as_rational() == 1
 
+    def test_phi_vanishes_at_zeta(self):
+        for r in range(1, 13):
+            z = Cyclotomic.zeta(r, 1)
+            power = Cyclotomic.from_rational(r, 1)
+            total = Cyclotomic.from_rational(r, 0)
+            for k, phi_k in enumerate(cyclotomic_polynomial(r)):
+                total = total + power * phi_k
+                assert bool(power) and not power.is_zero
+                power = power * z
+            assert not total and total.is_zero
+
     def test_float_cross_check(self):
         rng = random.Random(9)
         for r in (3, 4, 5, 6, 8):
@@ -225,6 +236,25 @@ class TestZetaPoly:
         assert prod.exact_div(q) == p
         quot, rem = prod.divmod(p)
         assert rem.is_zero and quot == q
+
+    def test_divmod_by_non_monic_divisor(self):
+        rng = random.Random(11)
+        for r in (3, 4, 5, 8):
+            deg = len(cyclotomic_polynomial(r)) - 1
+
+            def scalar():
+                return Cyclotomic(r, [Fraction(rng.randint(-3, 3),
+                                               rng.randint(1, 3))
+                                      for _ in range(deg)])
+
+            for _ in range(5):
+                a = ZetaPoly(r, [scalar() for _ in range(4)])
+                lead = Cyclotomic.zeta(r, 1) * Fraction(rng.randint(1, 4)) + \
+                    Fraction(rng.randint(-2, 2))
+                b = ZetaPoly(r, [scalar(), scalar(), lead])
+                c = ZetaPoly(r, [scalar(), scalar()])
+                assert not lead.is_rational() and b.degree == 2
+                assert (a * b + c).divmod(b) == (a, c)
 
     def test_to_laurent_requires_rational(self):
         r = 3
