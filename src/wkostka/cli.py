@@ -417,10 +417,18 @@ def _suite_orders(args) -> greencheck.VerifyReport:
     return report
 
 
-SUITES = {"fixtures": _suite_fixtures, "lemma59": _suite_lemma59,
-          "thm55": _suite_thm55, "oracle": _suite_oracle,
-          "symmetry": _suite_symmetry, "classical-r1": _suite_classical,
-          "orders": _suite_orders}
+# Suite -> (its function, the flags it reads besides --out).
+SUITES = {
+    "fixtures": (_suite_fixtures, ()),
+    "lemma59": (_suite_lemma59, ("--n", "--r")),
+    "thm55": (_suite_thm55, ("--n", "--r", "--q")),
+    "oracle": (_suite_oracle, ("--n", "--r", "--wreath-bound")),
+    "symmetry": (_suite_symmetry, ("--n", "--r")),
+    "classical-r1": (_suite_classical, ("--n",)),
+    "orders": (_suite_orders, ("--n", "--r", "--seed", "--samples")),
+}
+_SUITE_FLAGS = tuple(dict.fromkeys(f for _, reads in SUITES.values()
+                                   for f in reads))
 
 
 def cmd_verify(args) -> int:
@@ -429,7 +437,15 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"choose from {', '.join(SUITES)}")
-    report = SUITES[args.suite](args)
+    suite, reads = SUITES[args.suite]
+    # The parser leaves an absent suite flag None; it takes its default here.
+    for flag in _SUITE_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, _FLAGS[flag]["default"])
+        elif flag not in reads:
+            raise UsageError(f"verify {args.suite} does not read {flag}")
+    report = suite(args)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -452,7 +468,8 @@ def cmd_orders(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-# The flags that more than one subcommand reads, each spelled once.
+# The flags that more than one subcommand reads, and the verify suite flags,
+# each spelled once.
 _FLAGS = {
     "--n": dict(type=int, default=None),
     "--r": dict(type=int, default=None),
@@ -463,6 +480,7 @@ _FLAGS = {
     "--wreath-bound": dict(type=int, default=omega_mod.WREATH_ORACLE_BOUND),
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int, default=5),
+    "--q": dict(type=int, nargs="+", default=None),
 }
 
 
@@ -494,11 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--emit", default=None,
                          help="comma list of " + ",".join(BLOCKS))
     p_verify = command("verify", cmd_verify, "run a verification suite",
-                       "--n", "--r", "--out", "--seed", "--samples",
-                       "--wreath-bound")
+                       "--out")
     p_verify.add_argument("suite", nargs="?", default=None,
                           help=" | ".join(SUITES))
-    p_verify.add_argument("--q", type=int, nargs="+", default=None)
+    for flag in _SUITE_FLAGS:
+        p_verify.add_argument(flag, **{**_FLAGS[flag], "default": None})
     command("orders", cmd_orders, "order-sensitivity report",
             "--n", "--r", "--out", "--seed", "--samples")
     return parser

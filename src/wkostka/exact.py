@@ -4,9 +4,10 @@ Everything in this module is exact: Laurent polynomials in a single
 variable t over the rationals (fractions.Fraction), the fraction field Q(t),
 and elements of the cyclotomic field Q(zeta_r).  The production path computes
 in the Laurent ring; Q(t) only holds the Lambda and Lambda' diagonals of a
-solved factorization and the test oracles.  One dense polynomial kernel
-serves both Q[t] and Q(zeta_r).  Values are immutable; all operations return
-new objects and are safe to share between threads.
+solved factorization and the test oracles.  Every polynomial is stored
+densely, and one dense kernel computes in Q[t, t^-1], Q(zeta_r) and
+Q(zeta_r)[t].  Values are immutable; all operations return new objects and
+are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -35,25 +36,30 @@ def _as_fraction(x) -> Fraction:
 class LaurentPoly:
     """A Laurent polynomial sum c_k t^k with exact rational coefficients.
 
-    Exponents may be negative.  The representation is canonical: no zero
-    coefficient is ever stored, so equal values compare and hash equal.
+    Exponents may be negative.  The representation is canonical and dense:
+    coeffs[i] is the coefficient of t^(low + i), and neither end of coeffs
+    is zero (the zero polynomial is low = 0, coeffs = ()), so equal values
+    compare and hash equal.  Sums, products and exact division run through
+    the dense kernel below.
 
     >>> p = LaurentPoly.parse("t^2 - t^-1")
     >>> str(p * p)
     't^4 - 2t + t^-2'
     """
 
-    __slots__ = ("_c", "_key")
+    __slots__ = ("low", "coeffs")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = _as_fraction(v)
-                if v:
-                    c[int(e)] = v
-        self._c = c
-        self._key = tuple(sorted(c.items(), reverse=True))
+        terms = {}
+        for e, v in (coeffs or {}).items():
+            v = _as_fraction(v)
+            if v:
+                terms[int(e)] = v
+        self.low = min(terms, default=0)
+        dense = [_ZERO] * (max(terms, default=-1) - self.low + 1)
+        for e, v in terms.items():
+            dense[e - self.low] = v
+        self.coeffs = tuple(dense)
 
     # -- constructors -------------------------------------------------
 
@@ -77,33 +83,35 @@ class LaurentPoly:
 
     def items(self):
         """Terms as (exponent, coefficient), highest exponent first."""
-        return self._key
+        cs, low = self.coeffs, self.low
+        return tuple((low + i, cs[i]) for i in reversed(range(len(cs))) if cs[i])
 
     def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, _ZERO)
+        i = e - self.low
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.coeffs
 
     @property
     def is_one(self) -> bool:
-        return self._key == ((0, _ONE),)
+        return self.low == 0 and self.coeffs == (_ONE,)
 
     @property
     def min_exp(self) -> int:
-        if not self._c:
+        if not self.coeffs:
             raise ExactError("the zero polynomial has no exponents")
-        return self._key[-1][0]
+        return self.low
 
     @property
     def max_exp(self) -> int:
-        if not self._c:
+        if not self.coeffs:
             raise ExactError("the zero polynomial has no exponents")
-        return self._key[0][0]
+        return self.low + len(self.coeffs) - 1
 
     def is_monomial(self) -> bool:
-        return len(self._c) == 1
+        return len(self.coeffs) == 1
 
     # -- ring operations ----------------------------------------------
 
@@ -112,27 +120,20 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, _ZERO) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._key = tuple(sorted(c.items(), reverse=True))
-        return out
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        low = min(self.low, other.low)
+        return _laurent(low, _dense_add(_padded(self, low), _padded(other, low)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return _laurent(self.low, [-v if v else v for v in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, Fraction, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -142,24 +143,11 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _as_fraction(other)
-            if not f:
-                return LaurentPoly.zero()
-            return LaurentPoly({e: v * f for e, v in self._c.items()})
+            return _laurent(self.low, [v * f if v else v for v in self.coeffs])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, _ZERO) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._key = tuple(sorted(c.items(), reverse=True))
-        return out
+        return _laurent(self.low + other.low,
+                        _dense_mul(self.coeffs, other.coeffs, _ZERO))
 
     __rmul__ = __mul__
 
@@ -169,8 +157,7 @@ class LaurentPoly:
         if n < 0:
             if not self.is_monomial():
                 raise ExactError("negative power of a non-monomial")
-            e, v = self._key[0]
-            return LaurentPoly({e * n: v ** n})
+            return LaurentPoly({self.low * n: self.coeffs[0] ** n})
         result = LaurentPoly.one()
         base = self
         while n:
@@ -185,22 +172,22 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._key == other._key
+        return self.low == other.low and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.items())
 
     # -- shifts and substitutions ---------------------------------------
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
+        return _laurent(self.low + k, self.coeffs)
 
     def scale_exponents(self, k: int) -> "LaurentPoly":
         """Substitute t -> t^k (k may be negative but not zero)."""
         if k == 0:
             raise ExactError("exponent scale factor must be nonzero")
-        return LaurentPoly({e * k: v for e, v in self._c.items()})
+        return LaurentPoly({e * k: v for e, v in self.items()})
 
     def substitute_tr(self, r: int) -> "LaurentPoly":
         """The polynomial f(t^r) obtained from f(t)."""
@@ -214,38 +201,35 @@ class LaurentPoly:
 
     def eval_at(self, q) -> Fraction:
         q = _as_fraction(q)
-        if q == 0 and self._c and self.min_exp < 0:
+        if q == 0 and self.coeffs and self.low < 0:
             raise ExactError("cannot evaluate negative exponents at 0")
-        total = _ZERO
-        for e, v in self._c.items():
-            total += v * q ** e
-        return total
+        return sum((v * q ** e for e, v in self.items()), _ZERO)
 
     # -- predicates used by the IC transforms ---------------------------
 
     def is_poly_in_tr(self, r: int) -> bool:
         """True iff every exponent present is nonnegative and divisible by r."""
-        return all(e >= 0 and e % r == 0 for e in self._c)
+        return all(e >= 0 and e % r == 0 for e, _ in self.items())
 
     def descale_exponents(self, r: int) -> "LaurentPoly":
         """Inverse of substitute_tr; requires is_poly_in_tr(r)."""
         if not self.is_poly_in_tr(r):
             raise ExactError(f"not a polynomial in t^{r}")
-        return LaurentPoly({e // r: v for e, v in self._c.items()})
+        return _laurent(self.low // r, self.coeffs[::r])
 
     def has_nonneg_int_coeffs(self) -> bool:
-        return all(v.denominator == 1 and v >= 0 for _, v in self._key)
+        return all(v.denominator == 1 and v >= 0 for v in self.coeffs)
 
     def has_int_coeffs(self) -> bool:
-        return all(v.denominator == 1 for _, v in self._key)
+        return all(v.denominator == 1 for v in self.coeffs)
 
     # -- printing -------------------------------------------------------
 
     def to_string(self, var: str = "t") -> str:
-        if not self._key:
+        if not self.coeffs:
             return "0"
         parts = []
-        for e, v in self._key:
+        for e, v in self.items():
             mag = -v if v < 0 else v
             if e == 0:
                 body = str(mag)
@@ -394,26 +378,32 @@ class _PolyParser:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic (internal).  A "dense" poly is a list of
-# coefficients, index = exponent.  The same three helpers serve Q[t] (for gcd
-# and exact division), Q(zeta_r) = Q[x]/(Phi_r) and Q(zeta_r)[t]: coefficients
-# may be ints, Fractions or Cyclotomics, and only need +, -, * and truth.
+# dense polynomial arithmetic (internal).  A "dense" poly is a sequence of
+# coefficients, index = exponent.  The same three helpers serve Q[t, t^-1]
+# (a LaurentPoly's coeffs, offset by its low exponent), Q(zeta_r) =
+# Q[x]/(Phi_r) and Q(zeta_r)[t]: coefficients may be ints, Fractions or
+# Cyclotomics, and only need +, -, * and truth.  Zero slots are skipped, as
+# Laurent values are often sparse inside their span.
 # ---------------------------------------------------------------------------
 
 
-def _dense(p: LaurentPoly) -> list:
-    if p.is_zero:
-        return []
-    if p.min_exp < 0:
-        raise ExactError("negative exponents in polynomial context")
-    out = [_ZERO] * (p.max_exp + 1)
-    for e, v in p.items():
-        out[e] = v
+def _laurent(low: int, cs) -> LaurentPoly:
+    """The LaurentPoly sum cs[i] t^(low + i), zeros trimmed from both ends."""
+    hi = len(cs)
+    while hi and not cs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not cs[lo]:
+        lo += 1
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.low = low + lo if hi else 0
+    out.coeffs = tuple(cs[lo:hi])
     return out
 
 
-def _from_dense(cs) -> LaurentPoly:
-    return LaurentPoly({e: v for e, v in enumerate(cs) if v})
+def _padded(p: LaurentPoly, low: int) -> tuple:
+    """p's coefficients from t^low up (low <= p.low)."""
+    return (_ZERO,) * (p.low - low) + p.coeffs
 
 
 def _strip(cs: list) -> list:
@@ -428,7 +418,8 @@ def _dense_add(a, b) -> list:
         a, b = b, a
     out = list(a)
     for k, c in enumerate(b):
-        out[k] = out[k] + c
+        if c:
+            out[k] = out[k] + c
     return _strip(out)
 
 
@@ -510,8 +501,10 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return _monic(q)
     if q.is_zero:
         return _monic(p)
-    a = _clear_denominators(_dense(p))
-    b = _clear_denominators(_dense(q))
+    if p.low < 0 or q.low < 0:
+        raise ExactError("negative exponents in polynomial context")
+    a = _clear_denominators(_padded(p, 0))
+    b = _clear_denominators(_padded(q, 0))
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -519,7 +512,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         a, b = b, _int_primitive(r)
     a = _int_primitive(a)
     lead = Fraction(a[-1])
-    return _from_dense([Fraction(c) / lead for c in a])
+    return _laurent(0, [Fraction(c) / lead for c in a])
 
 
 def _clear_denominators(cs: list) -> list:
@@ -532,7 +525,7 @@ def _clear_denominators(cs: list) -> list:
 def _monic(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero:
         return p
-    return p * (1 / p.items()[0][1])
+    return p * (1 / p.coeffs[-1])
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -541,12 +534,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero:
         return num
-    shift = num.min_exp - den.min_exp
-    quot, rem = _dense_divmod(_dense(num.shift(-num.min_exp)),
-                              _dense(den.shift(-den.min_exp)))
+    quot, rem = _dense_divmod(num.coeffs, den.coeffs)
     if rem:
         raise ExactError("inexact polynomial division")
-    return _from_dense(quot).shift(shift)
+    return _laurent(num.low - den.low, quot)
 
 
 class RationalFunction:
@@ -580,7 +571,7 @@ class RationalFunction:
         if not g.is_one:
             p = exact_div(p, g)
             q = exact_div(q, g)
-        lead = q.items()[0][1]
+        lead = q.coeffs[-1]
         if lead != 1:
             inv = 1 / lead
             p = p * inv
@@ -873,11 +864,8 @@ class ZetaPoly:
     __slots__ = ("r", "coeffs")
 
     def __init__(self, r: int, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
         self.r = r
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_strip(list(coeffs)))
 
     @staticmethod
     def from_scalar(r: int, c) -> "ZetaPoly":
@@ -887,13 +875,10 @@ class ZetaPoly:
 
     @staticmethod
     def from_laurent(r: int, p: LaurentPoly) -> "ZetaPoly":
-        if not p.is_zero and p.min_exp < 0:
+        if p.low < 0:
             raise ExactError("negative exponents cannot enter ZetaPoly")
-        size = 0 if p.is_zero else p.max_exp + 1
-        cs = [Cyclotomic.from_rational(r, 0)] * size
-        for e, v in p.items():
-            cs[e] = Cyclotomic.from_rational(r, v)
-        return ZetaPoly(r, cs)
+        return ZetaPoly(r, [Cyclotomic.from_rational(r, v)
+                            for v in _padded(p, 0)])
 
     @staticmethod
     def binomial(r: int, degree: int, constant: Cyclotomic) -> "ZetaPoly":
@@ -917,12 +902,6 @@ class ZetaPoly:
             return NotImplemented
         return ZetaPoly(self.r, _dense_add(self.coeffs, other.coeffs))
 
-    def __neg__(self):
-        return ZetaPoly(self.r, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return ZetaPoly(self.r, [c * other for c in self.coeffs])
@@ -945,8 +924,7 @@ class ZetaPoly:
     def to_laurent(self) -> LaurentPoly:
         """Convert to a rational-coefficient polynomial; raises if any
         coefficient has a nonzero zeta component."""
-        return LaurentPoly({e: c.as_rational() for e, c in enumerate(self.coeffs)
-                            if not c.is_zero})
+        return _laurent(0, [c.as_rational() for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, ZetaPoly):

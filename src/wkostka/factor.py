@@ -117,17 +117,24 @@ def solve_factorization(om: OmegaMatrix, verify: bool = True) -> FactorizationRe
         ic_plus=ic_plus_candidate(order, pp, om.r))
 
 
-def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
-                           om: OmegaMatrix):
-    k = len(order.items)
+def reconstructed_entries(p_minus, xi, p_plus):
+    """(i, j, sum_l P-_il xi_l P+_jl) for every cell, row by row, from the
+    rows of the lower-triangular P+- and the diagonal xi."""
+    k = len(xi)
     for i in range(k):
         for j in range(k):
             acc = LaurentPoly.zero()
             for l in range(min(i, j) + 1):
-                acc = acc + pm.rows[i][l] * xi[l] * pp.rows[j][l]
-            if acc != om.entries.rows[i][j]:
-                raise FactorizationError(
-                    f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
+                acc = acc + p_minus[i][l] * xi[l] * p_plus[j][l]
+            yield i, j, acc
+
+
+def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
+                           om: OmegaMatrix):
+    for i, j, acc in reconstructed_entries(pm.rows, xi, pp.rows):
+        if acc != om.entries.rows[i][j]:
+            raise FactorizationError(
+                f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
 
 
 def theta_diag(order: OrderedIndex) -> tuple:

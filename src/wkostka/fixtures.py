@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .exact import LaurentPoly
-from .factor import FactorizationResult, solve_factorization
+from .factor import (FactorizationResult, reconstructed_entries,
+                     solve_factorization)
 from .greencheck import VerifyReport
 from .omega import omega_matrix
 from .rpart import OrderedIndex, RPartition
@@ -213,14 +214,9 @@ def reconstruction_check(fx: Fixture) -> VerifyReport:
     report = VerifyReport("fixture-reconstruction", {"id": fx.id})
     if fx.omega is None or fx.p_minus is None or fx.p_plus is None or fx.xi is None:
         return report
-    size = len(fx.order)
-    for i in range(size):
-        for j in range(size):
-            acc = LaurentPoly.zero()
-            for l in range(min(i, j) + 1):
-                acc = acc + fx.p_minus[i][l] * fx.xi[l] * fx.p_plus[j][l]
-            report.checked += 1
-            if acc != fx.omega[i][j]:
-                report.violations.append(
-                    {"at": (i, j), "rebuilt": str(acc), "omega": str(fx.omega[i][j])})
+    for i, j, acc in reconstructed_entries(fx.p_minus, fx.xi, fx.p_plus):
+        report.checked += 1
+        if acc != fx.omega[i][j]:
+            report.violations.append(
+                {"at": (i, j), "rebuilt": str(acc), "omega": str(fx.omega[i][j])})
     return report

@@ -343,11 +343,9 @@ def _omega_block(m: Composition, m_prime: Composition, r: int) -> tuple:
     for h, terms in coset_table(m, m_prime):
         tpow = r * sum(h.row_prefix(i, i) for i in range(1, r))
         for cols, rows, rho, weight in terms:
-            coeffs = acc.setdefault((cols, rows), {})
-            for e, v in torus_quotient(rho, m.n, r).items():
-                coeffs[e + tpow] = coeffs.get(e + tpow, 0) + weight * v
-    return tuple((cols, rows, LaurentPoly(coeffs))
-                 for (cols, rows), coeffs in acc.items())
+            term = torus_quotient(rho, m.n, r).shift(tpow) * weight
+            acc[cols, rows] = acc.get((cols, rows), LaurentPoly.zero()) + term
+    return tuple((cols, rows, poly) for (cols, rows), poly in acc.items())
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,14 @@
 """Command-line surface: formats, exit codes, JSON round trips."""
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from wkostka.cli import main, omega_from_json, omega_to_json
+from wkostka.cli import (SUITES, build_parser, main, omega_from_json,
+                         omega_to_json)
 from wkostka.exact import LaurentPoly, RationalFunction
 from wkostka.omega import omega_matrix
 from wkostka.rpart import default_total_order
@@ -156,11 +160,12 @@ def test_csv_lines_end_in_newline_alone(capsys, argv):
     assert code == 0 and "\r" not in out
 
 
-# sha256 of stdout.  The solve and verify digests are copied from WORKLOADS
-# in bench/run.py, so that output drift shows in the unit tests without
-# running the benchmark.  The wreath omega digest is not in bench/run.py: it
-# pins the oracle's own bytes, where criterion 5 only checks that the oracle
-# agrees with the coset route.
+# sha256 of stdout.  The (1,3), (4,1), (2,5) solve and the (3,2) verify
+# digests are copied from WORKLOADS in bench/run.py, so that output drift
+# shows in the unit tests without running the benchmark.  The others are not
+# in bench/run.py: the (3,3) pair pins outputs with both n >= 3 and r >= 3,
+# and the wreath omega digest pins the oracle's own bytes, where criterion 5
+# only checks that the oracle agrees with the coset route.
 GOLDEN = {
     ("solve", "--n", "1", "--r", "3"):
         "d403a744a4d08b3244db57cc81e9e6cedbc503e0516371a84a07ff59816f97fc",
@@ -170,6 +175,10 @@ GOLDEN = {
         "0a4100743a4abdf11a32003735ac387d918235f14f7084b91f24522fc12cdd16",
     ("verify", "thm55", "--n", "3", "--r", "2"):
         "7ef53aed39c1e105697587fc96e09f94faf7ca32276c773fcde97b867c79db74",
+    ("solve", "--n", "3", "--r", "3"):
+        "933d4e6c33e2ce4e427ab9f9e959afe3f3e25a2a12b3cd41f3419b24c816265c",
+    ("verify", "thm55", "--n", "3", "--r", "3"):
+        "9ad996e642c099b075b9363e37697a11d1e5a5d60544aae24a61cef3df1449fa",
     ("omega", "--n", "2", "--r", "4", "--method", "wreath"):
         "439432b755ee8851bfb7f67f26e10b7ab274f5d49d5a7a69fe99dff513d9724f",
 }
@@ -263,6 +272,21 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("fixtures", "--n", "9", "--r", "9"),
+        ("classical-r1", "--n", "2", "--r", "7"),
+        ("classical-r1", "--n", "2", "--q", "5"),
+        ("lemma59", "--n", "1", "--r", "1", "--seed", "1"),
+        ("thm55", "--n", "1", "--r", "2", "--samples", "3"),
+        ("oracle", "--n", "1", "--r", "2", "--seed", "0"),
+        ("symmetry", "--n", "1", "--r", "1", "--wreath-bound", "5"),
+        ("orders", "--n", "1", "--r", "2", "--q", "2"),
+    ])
+    def test_flag_the_suite_does_not_read_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bound_violation_is_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "oracle", "--n", "2", "--r", "3",
                            "--wreath-bound", "1")
@@ -338,3 +362,30 @@ class TestOrdersCommand:
         data = json.loads(out)
         assert data["distinct_orders"] >= 1
         assert "comparable_mismatches" in data
+
+
+def _readme_flag_table() -> dict:
+    """{command: flags} from README's table, verify suites as "verify SUITE"."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        m = re.fullmatch(r"\| `([a-z0-9 -]+)` \| `(.*)` \|", line)
+        if m:
+            table[m.group(1)] = set(re.findall(r"--[a-z-]+", m.group(2)))
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    want = {}
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings
+                 if s != "--help" and s.startswith("--")}
+        if name != "verify":
+            want[name] = flags
+            continue
+        for suite, (_, reads) in SUITES.items():
+            want[f"verify {suite}"] = {"--out", *reads}
+        assert flags == set().union(*(want[f"verify {s}"] for s in SUITES))
+    assert _readme_flag_table() == want

@@ -103,6 +103,99 @@ class TestRingAxioms:
         assert (p * q).coeff(0) == c1 * c2
 
 
+# The sparse exponent -> coefficient dict arithmetic that LaurentPoly used
+# before it stored dense coefficients, kept as the oracle for the dense one.
+def _ref(terms) -> dict:
+    return {e: Fraction(v) for e, v in terms.items() if v}
+
+
+def _ref_add(a, b) -> dict:
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return _ref(out)
+
+
+def _ref_mul(a, b) -> dict:
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return _ref(out)
+
+
+def _ref_items(a) -> tuple:
+    return tuple(sorted(a.items(), reverse=True))
+
+
+def _ref_shift(a, k) -> dict:
+    return {e + k: v for e, v in a.items()}
+
+
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+_terms = st.dictionaries(st.integers(-8, 8), _coeffs, max_size=6)
+_nonzero_terms = st.dictionaries(st.integers(-8, 8), _coeffs.filter(bool),
+                                 min_size=1, max_size=6)
+
+
+class TestDictReference:
+    @given(_terms, _terms, _coeffs, st.integers(-5, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b, c, k):
+        p, q = LaurentPoly(a), LaurentPoly(b)
+        ra, rb = _ref(a), _ref(b)
+        assert p.items() == _ref_items(ra)
+        assert (p + q).items() == _ref_items(_ref_add(ra, rb))
+        assert (p - q).items() == _ref_items(_ref_add(ra, _ref_mul(rb, {0: -1})))
+        assert (-p).items() == _ref_items(_ref_mul(ra, {0: -1}))
+        assert (p * q).items() == _ref_items(_ref_mul(ra, rb))
+        assert (p * c).items() == _ref_items(_ref_mul(ra, _ref({0: c})))
+        assert p.shift(k).items() == _ref_items(_ref_shift(ra, k))
+        assert (p == q) == (ra == rb)
+        assert hash(p) == hash(_ref_items(ra))
+        rebuilt = (p + q) - q
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+
+    @given(_terms, _terms, st.sampled_from(["low", "high", "both"]))
+    @settings(max_examples=150, deadline=None)
+    def test_sums_that_cancel_at_an_end(self, a, middle, ends):
+        ra = _ref(a)
+        if len(ra) < 2:
+            ra = {-3: Fraction(2), 4: Fraction(-1, 3)}
+        lo, hi = min(ra), max(ra)
+        rb = {e: v for e, v in _ref(middle).items() if lo < e < hi}
+        if ends in ("low", "both"):
+            rb[lo] = -ra[lo]
+        if ends in ("high", "both"):
+            rb[hi] = -ra[hi]
+        total = LaurentPoly(ra) + LaurentPoly(rb)
+        want = _ref_add(ra, rb)
+        assert total.items() == _ref_items(want)
+        assert total == LaurentPoly(want) and hash(total) == hash(_ref_items(want))
+        if not total.is_zero:
+            assert (total.min_exp > lo) == (ends != "high")
+            assert (total.max_exp < hi) == (ends != "low")
+            assert total.min_exp == min(want) and total.max_exp == max(want)
+        assert (LaurentPoly(ra) - LaurentPoly(_ref_mul(rb, {0: -1}))) == total
+
+    @given(_nonzero_terms, _nonzero_terms, st.integers(-9, -1),
+           st.integers(-9, -1))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_div_with_negative_exponents(self, q_terms, d_terms,
+                                               q_low, d_low):
+        rq, rd = _ref(q_terms), _ref(d_terms)
+        rq = _ref_shift(rq, q_low - min(rq))
+        rd = _ref_shift(rd, d_low - min(rd))
+        num = _ref_mul(rq, rd)
+        quot = exact_div(LaurentPoly(num), LaurentPoly(rd))
+        assert quot.items() == _ref_items(rq)
+        assert quot == LaurentPoly(rq) and hash(quot) == hash(_ref_items(rq))
+        if len(rd) > 1:
+            with pytest.raises(ExactError):
+                exact_div(LaurentPoly(_ref_add(num, {min(num) - 1: 1})),
+                          LaurentPoly(rd))
+
+
 class TestRationalFunction:
     def test_geometric_factor(self):
         f = RationalFunction(P("t^9 - 1"), P("t^3 - 1"))
