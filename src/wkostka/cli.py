@@ -38,12 +38,14 @@ def _resolve_order(args) -> OrderedIndex:
     elif spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 items = [RPartition.parse(line.strip()) for line in fh
                          if line.strip()]
         except OSError as exc:
             raise UsageError(f"cannot read order file {path!r}: "
                              f"{exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"order file {path!r} is not UTF-8 text") from exc
         order = OrderedIndex(tuple(items))
     else:
         raise UsageError(f"bad order spec {spec!r}")
@@ -476,7 +478,7 @@ _FLAGS = {
     "--order": dict(default="default", help="default | fixture:ID | file:PATH"),
     "--format": dict(choices=("json", "csv", "latex"), default="json"),
     "--out": dict(default=None),
-    "--coset-bound": dict(type=int, default=omega_mod.COSET_N_BOUND),
+    "--coset-bound": dict(type=int, default=omega_mod.COSET_K_BOUND),
     "--wreath-bound": dict(type=int, default=omega_mod.WREATH_ORACLE_BOUND),
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int, default=5),

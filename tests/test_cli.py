@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from wkostka.cli import (SUITES, build_parser, main, omega_from_json,
-                         omega_to_json)
+from wkostka.cli import (_FLAGS, SUITES, build_parser, main,
+                         omega_from_json, omega_to_json)
 from wkostka.exact import LaurentPoly, RationalFunction
 from wkostka.omega import omega_matrix
 from wkostka.rpart import default_total_order
@@ -293,6 +293,24 @@ class TestVerifyCommand:
         assert code == 1
 
 
+class TestCosetBound:
+    def test_bound_counts_rpartitions(self, capsys):
+        code, out, err = run(capsys, "solve", "--n", "1", "--r", "5",
+                             "--coset-bound", "4")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "K = 5" in err
+
+    # K = 15 at (7,1): the default bound admits n = 7.
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "7", "--r", "1"),
+        ("verify", "thm55", "--n", "7", "--r", "1"),
+    ], ids=["solve", "thm55"])
+    def test_n7_runs_by_default(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)
+
+
 class TestOrderSources:
     def test_order_file(self, tmp_path, capsys):
         path = tmp_path / "order.txt"
@@ -329,6 +347,15 @@ class TestOrderSources:
         code, out, err = run(capsys, *argv, "--order", f"file:{path}")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_order_file_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "order.txt"
+        path.write_bytes(b"\xff\xfe(1;-)\n")
+        code, out, err = run(capsys, "solve", "--n", "1", "--r", "2",
+                             "--order", f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_fixture_mismatch(self, capsys):
         code, _, err = run(capsys, "omega", "--n", "1", "--r", "3",
@@ -389,3 +416,11 @@ def test_readme_flag_table_matches_the_parser():
             want[f"verify {suite}"] = {"--out", *reads}
         assert flags == set().union(*(want[f"verify {s}"] for s in SUITES))
     assert _readme_flag_table() == want
+
+
+def test_readme_guard_defaults_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = set(re.findall(r"`(--(?:coset|wreath)-bound)`\s+\(default (\d+)\)",
+                            readme))
+    assert stated == {(flag, str(_FLAGS[flag]["default"]))
+                      for flag in ("--coset-bound", "--wreath-bound")}

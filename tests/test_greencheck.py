@@ -3,13 +3,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkostka.exact import RationalFunction
 from wkostka.greencheck import (MINUS, PLUS, GreenCheckError, a_exponent,
                                 green_inner_product, identity_5113_check,
                                 lemma59_check, thm55_check)
+from wkostka.omega import a_O, b_O
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
-                           enumerate_contingency, enumerate_rpartitions)
+                           compositions, enumerate_contingency,
+                           enumerate_rpartitions, n_star, partitions)
 
 from literal_cosets import green_by_literal_cosets
 
@@ -20,6 +24,12 @@ def RP(s):
 
 def _h(rows):
     return ContingencyMatrix(tuple(tuple(r) for r in rows))
+
+
+def _with_weight(m):
+    """The r-partitions of weight m."""
+    return [RPartition(parts) for parts in
+            itertools.product(*(tuple(partitions(k)) for k in m.parts))]
 
 
 class TestAExponent:
@@ -105,6 +115,23 @@ class TestLemma59:
     def test_no_violations(self, n, r):
         rep = lemma59_check(n, r)
         assert rep.passed and rep.checked > 0
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_data_up_to_n6(self, data):
+        """N* - a(lam) - a(tau mu) + a_O(h) = r b_O(lam, mu, h) on random
+        weights, contingency tables and r-partitions with n <= 6, r <= 4;
+        the exhaustive checks stop at n = 4."""
+        r = data.draw(st.integers(1, 4), label="r")
+        n = data.draw(st.integers(0, 6), label="n")
+        weights = [Composition(c) for c in compositions(n, r)]
+        m = data.draw(st.sampled_from(weights), label="m")
+        mp = data.draw(st.sampled_from(weights), label="m'")
+        h = data.draw(st.sampled_from(enumerate_contingency(m, mp)), label="h")
+        lam = data.draw(st.sampled_from(_with_weight(m)), label="lam")
+        mu = data.draw(st.sampled_from(_with_weight(mp)), label="mu")
+        assert n_star(n, r) - lam.a_value() - mu.tau().a_value() + a_O(h, r) \
+            == r * b_O(lam, mu, h)
 
     @pytest.mark.parametrize("n,r", [(2, 3), (3, 3), (2, 4)])
     def test_bare_identity(self, n, r):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkostka.exact import Cyclotomic, ExactError, LaurentPoly
+from wkostka.greencheck import thm55_check
 from wkostka.omega import (OmegaError, WreathElement, a_O, b_O, bracket,
                            coset_table, delta_value, detV_value,
                            epsilon_value, fake_degree, omega_entry_bruteforce,
@@ -296,9 +297,23 @@ class TestOmegaEntries:
             omega_matrix(1, 3, order, "nope")
 
     def test_coset_bound(self):
-        lam = RPartition((((7,),) + ((),)))
+        """The coset route compares K = |P_{n,r}| (5 at (1,5)) with the
+        bound once, before it computes any entry."""
+        order = default_total_order(1, 5)
+        omega_entry_cosets.cache_clear()
         with pytest.raises(OmegaError):
-            omega_entry_cosets(lam, lam, 2)
+            omega_matrix(1, 5, order, coset_n_bound=4)
+        assert omega_entry_cosets.cache_info().currsize == 0
+        assert len(omega_matrix(1, 5, order, coset_n_bound=5).order) == 5
+
+    def test_one_cache_entry_per_omega_entry(self):
+        """The entry cache is keyed by (lam, mu, r) alone, so Omega and the
+        Theorem 5.5 check share every entry."""
+        omega_entry_cosets.cache_clear()
+        omega_matrix(2, 3, default_total_order(2, 3))
+        thm55_check(2, 3)
+        k = len(enumerate_rpartitions(2, 3))
+        assert omega_entry_cosets.cache_info().currsize == 81 == k * k
 
     def test_n0_matrix(self):
         order = default_total_order(0, 3)
