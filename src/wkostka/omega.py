@@ -7,8 +7,9 @@ Two independent routes compute each entry:
   enters only through its contingency label and the cycle types of the
   label's cells (the Mackey formula), so no permutation is enumerated;
 * the oracle route works inside the wreath product itself, inducing
-  characters by brute force and evaluating the defining fake-degree sum
-  as one polynomial in Q(zeta_r)[t] per conjugacy class.
+  characters by brute force (one pass over each block subgroup) and
+  evaluating the defining fake-degree sum as one polynomial in
+  Q(zeta_r)[t] per conjugacy class.
 
 Both must agree, entry by entry; the test suite enforces this.
 """
@@ -19,13 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
 from .exact import Cyclotomic, LaurentPoly, PolyMatrix, ZetaPoly, exact_div
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     enumerate_contingency, n_star, partitions)
-from .symgrp import (all_perms, block_character, block_cycle_types,
-                     centralizer_order, char_perm_det_from_type, compose,
-                     cycles, in_young, inverse, sign)
+from .symgrp import (all_perms, block_character, block_cycle_types, block_of,
+                     centralizer_order, char_perm_det_from_type, cycles,
+                     in_young, inverse, sign)
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
@@ -42,11 +44,7 @@ class OmegaError(ValueError):
 
 @dataclass(frozen=True)
 class WreathElement:
-    """(sigma, a): the monomial matrix e_i -> zeta^(a_i) e_(sigma(i)).
-
-    The product applies the right factor first:
-    (sigma, a)(tau, b) = (sigma tau, a o tau + b).
-    """
+    """(sigma, a): the monomial matrix e_i -> zeta^(a_i) e_(sigma(i))."""
 
     sigma: tuple
     colors: tuple
@@ -62,23 +60,11 @@ class WreathElement:
     def n(self) -> int:
         return len(self.sigma)
 
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        if self.r != other.r:
-            raise OmegaError("mixed color orders")
-        tau = other.sigma
-        colors = tuple((self.colors[tau[i]] + other.colors[i]) % self.r
-                       for i in range(self.n))
-        return WreathElement(compose(self.sigma, tau), colors, self.r)
-
     def inv(self) -> "WreathElement":
         sig_inv = inverse(self.sigma)
         colors = tuple((-self.colors[sig_inv[i]]) % self.r
                        for i in range(self.n))
         return WreathElement(sig_inv, colors, self.r)
-
-    @staticmethod
-    def identity(n: int, r: int) -> "WreathElement":
-        return WreathElement(tuple(range(n)), (0,) * n, r)
 
     def colored_cycle_type(self) -> tuple:
         """Multiset of (cycle length, color sum mod r): the conjugacy class."""
@@ -123,6 +109,8 @@ def wreath_charpoly(w: WreathElement) -> ZetaPoly:
 
 
 def _check_oracle_bound(n: int, r: int, bound: int):
+    """The wreath oracle's guard, n*r^n <= bound.  omega_matrix and verify
+    oracle check it once per (n, r), before any entry; no entry reads it."""
     cost = n * r ** n
     if cost > bound:
         raise OmegaError(
@@ -144,57 +132,49 @@ def wreath_classes(n: int, r: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _wreath_group_list(n: int, r: int) -> tuple:
-    return tuple(wreath_elements(n, r))
+def _induced(blam: RPartition, r: int) -> MappingProxyType:
+    """rho^blam on every class of W, keyed by colored cycle type.
 
-
-def _tilde_character(blam: RPartition, w: WreathElement) -> Cyclotomic:
-    """chi~^lambda on the block subgroup: Young character twisted by the
-    block-graded powers of delta."""
-    m = blam.weight()
-    value = block_character(blam, block_cycle_types(w.sigma, m))
-    if value == 0:
-        return Cyclotomic.from_rational(w.r, 0)
-    exp = 0
-    pos = 0
-    for i, size in enumerate(m.parts):
-        exp += i * sum(w.colors[pos:pos + size])
-        pos += size
-    return Cyclotomic.zeta(w.r, exp) * value
-
-
-@lru_cache(maxsize=None)
-def _rho_on_class(blam: RPartition, class_key: tuple, n: int, r: int) -> Cyclotomic:
-    group = _wreath_group_list(n, r)
-    m = blam.weight()
-    # locate one element with the given colored cycle type
-    w0 = None
-    for rep, _ in wreath_classes(n, r):
-        if rep.colored_cycle_type() == class_key:
-            w0 = rep
-            break
-    if w0 is None:
-        raise OmegaError(f"unknown class {class_key}")
-    order_m = 1
+    rho^blam is induced from chi~^lambda on the block subgroup
+    H = S_m x (Z/rZ)^n (the Young character twisted by the block-graded
+    powers of delta).  By Frobenius's formula its value on a class C is
+    |W| / (|H| |C|) times the sum of chi~^lambda over H meet C, so one pass
+    over H sums chi~^lambda by colored cycle type, as integer counts per
+    power of zeta.  The twist of (sigma, a) is zeta^(sum_p block(p) a_p)."""
+    n, m = blam.n, blam.weight()
+    blocks = block_of(m)
+    counts = {rep.colored_cycle_type(): [0] * r
+              for rep, _ in wreath_classes(n, r)}
+    for sigma in all_perms(n):
+        if not in_young(sigma, m):
+            continue
+        value = block_character(blam, block_cycle_types(sigma, m))
+        if not value:
+            continue
+        for colors in itertools.product(range(r), repeat=n):
+            key = WreathElement(sigma, colors, r).colored_cycle_type()
+            twist = sum(b * c for b, c in zip(blocks, colors))
+            counts[key][twist % r] += value
+    order_h = r ** n
     for size in m.parts:
-        order_m *= factorial(size) * r ** size
-    total = Cyclotomic.from_rational(r, 0)
-    for g in group:
-        conj = g.inv() * w0 * g
-        if in_young(conj.sigma, m):
-            total = total + _tilde_character(blam, conj)
-    return total * Fraction(1, order_m)
+        order_h *= factorial(size)
+    out = {}
+    for rep, size in wreath_classes(n, r):
+        key = rep.colored_cycle_type()
+        total = Cyclotomic.from_rational(r, 0)
+        for k, c in enumerate(counts[key]):
+            if c:
+                total = total + Cyclotomic.zeta(r, k) * c
+        out[key] = total * Fraction(wreath_order(n, r), order_h * size)
+    return MappingProxyType(out)
 
 
-def rho_character(blam: RPartition, w: WreathElement,
-                  bound: int = WREATH_ORACLE_BOUND) -> Cyclotomic:
+def rho_character(blam: RPartition, w: WreathElement) -> Cyclotomic:
     """Value at w of the irreducible character indexed by blam, computed by
     brute-force induction from the block subgroup."""
-    n, r = blam.n, w.r
-    if w.n != n:
-        raise OmegaError("element size does not match the r-partition")
-    _check_oracle_bound(n, r, bound)
-    return _rho_on_class(blam, w.colored_cycle_type(), n, r)
+    if w.n != blam.n or w.r != blam.r:
+        raise OmegaError("element does not match the r-partition")
+    return _induced(blam, w.r)[w.colored_cycle_type()]
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +191,7 @@ def _class_terms(n: int, r: int) -> tuple:
                  for rep, size in wreath_classes(n, r))
 
 
-def fake_degree(n: int, r: int, chi,
-                bound: int = WREATH_ORACLE_BOUND) -> LaurentPoly:
+def fake_degree(n: int, r: int, chi) -> LaurentPoly:
     """The graded multiplicity generating polynomial of the class function
     chi (a callable on wreath elements with values in Q(zeta_r)):
 
@@ -221,7 +200,6 @@ def fake_degree(n: int, r: int, chi,
     The result must be a polynomial with rational coefficients; anything
     else signals a bug in the caller's character values.
     """
-    _check_oracle_bound(n, r, bound)
     acc = ZetaPoly(r, [])
     for rep, size, quot in _class_terms(n, r):
         scalar = detV_value(rep) * chi(rep) * size
@@ -231,8 +209,8 @@ def fake_degree(n: int, r: int, chi,
 
 
 @lru_cache(maxsize=None)
-def omega_entry_bruteforce(lam: RPartition, mu: RPartition, r: int,
-                           bound: int = WREATH_ORACLE_BOUND) -> LaurentPoly:
+def omega_entry_bruteforce(lam: RPartition, mu: RPartition,
+                           r: int) -> LaurentPoly:
     """omega_(lam,mu) = t^(N*) R(rho^lam x conj(rho^mu) x conj(det_V))."""
     if lam.n != mu.n or lam.r != r or mu.r != r:
         raise OmegaError("index mismatch")
@@ -240,10 +218,9 @@ def omega_entry_bruteforce(lam: RPartition, mu: RPartition, r: int,
 
     def chi(w: WreathElement) -> Cyclotomic:
         winv = w.inv()
-        return (rho_character(lam, w, bound) * rho_character(mu, winv, bound)
-                * detV_value(winv))
+        return rho_character(lam, w) * rho_character(mu, winv) * detV_value(winv)
 
-    value = fake_degree(n, r, chi, bound).shift(n_star(n, r))
+    value = fake_degree(n, r, chi).shift(n_star(n, r))
     if not value.has_nonneg_int_coeffs():
         raise OmegaError(
             f"oracle entry ({lam}, {mu}) is not in Z>=0[t]: {value}")
@@ -399,14 +376,16 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
     """Omega over order.  The coset route computes K^2 entries for
     K = |P_{n,r}| = len(order), and the solver then eliminates in order K^3,
     so it refuses K > coset_n_bound before it computes any entry.  (The
-    keyword keeps its old name: bench/traced.py passes it by that name.)"""
+    keyword keeps its old name: bench/traced.py passes it by that name.)
+    The wreath route likewise checks n*r^n against wreath_bound once."""
     if method == "cosets":
         if len(order) > coset_n_bound:
             raise OmegaError(f"coset route bound exceeded: K = {len(order)} "
                              f"> {coset_n_bound}, where K = |P_{{n,r}}|")
         entry = lambda a, b: omega_entry_cosets(a, b, r)
     elif method == "wreath":
-        entry = lambda a, b: omega_entry_bruteforce(a, b, r, bound=wreath_bound)
+        _check_oracle_bound(n, r, wreath_bound)
+        entry = lambda a, b: omega_entry_bruteforce(a, b, r)
     else:
         raise OmegaError(f"unknown method {method!r}")
     rows = [[entry(lam, mu) for mu in order.items] for lam in order.items]

@@ -55,11 +55,13 @@ class TestOmegaCommand:
                                    ["t^3", "t^4", "t^2"],
                                    ["t^2", "t^3", "t^4"]]
 
-    def test_method_both_verdict(self, capsys):
-        code, out, _ = run(capsys, "omega", "--n", "1", "--r", "3",
-                           "--method", "both")
-        assert code == 0
-        assert json.loads(out)["verdict"] == "equal"
+    def test_method_both_is_a_usage_error(self, capsys):
+        """The cosets-vs-wreath comparison is verify oracle, which names
+        each entry that differs."""
+        code, out, err = run(capsys, "omega", "--n", "1", "--r", "3",
+                             "--method", "both")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'both'" in err
 
     def test_symmetric_r2(self, capsys):
         code, out, _ = run(capsys, "omega", "--n", "1", "--r", "2")
@@ -120,6 +122,15 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "--n", "1", "--r", "2",
                            "--emit", "bogus")
         assert code == 2 and "unknown block" in err
+
+    def test_empty_emit_is_a_usage_error(self, capsys):
+        """An empty --emit names the block '', not the default of every
+        block."""
+        code, out, err = run(capsys, "solve", "--n", "1", "--r", "2",
+                             "--emit", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown block ''")
+        assert err.count("\n") == 1
 
     def test_csv_and_latex(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "1", "--r", "3",
@@ -288,9 +299,12 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bound_violation_is_exit_1(self, capsys):
-        code, _, err = run(capsys, "verify", "oracle", "--n", "2", "--r", "3",
-                           "--wreath-bound", "1")
-        assert code == 1
+        for n, r, bound, cost in (("2", "3", "1", 18), ("1", "3", "2", 3)):
+            code, out, err = run(capsys, "verify", "oracle", "--n", n,
+                                 "--r", r, "--wreath-bound", bound)
+            assert code == 1 and out == ""
+            assert err == ("error: wreath oracle bound exceeded: "
+                           f"n*r^n = {cost} > {bound}\n")
 
 
 class TestCosetBound:

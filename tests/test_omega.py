@@ -20,6 +20,7 @@ from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
 from wkostka.symgrp import char_perm_det_from_type, double_cosets
 
 from literal_cosets import omega_by_literal_cosets
+from literal_wreath import identity, product, rho_by_conjugation
 
 
 def P(s):
@@ -31,21 +32,24 @@ def RP(s):
 
 
 class TestWreathGroup:
+    """The group law lives in tests/literal_wreath.py, with the conjugation
+    walk that needs it; the library only inverts."""
+
     def test_identity_and_inverse(self):
         rng = random.Random(1)
         els = list(wreath_elements(3, 3))
-        e = WreathElement.identity(3, 3)
+        e = identity(3, 3)
         for _ in range(100):
             w = rng.choice(els)
-            assert w * w.inv() == e
-            assert w.inv() * w == e
+            assert product(w, w.inv()) == e
+            assert product(w.inv(), w) == e
 
     def test_associativity_random(self):
         rng = random.Random(2)
         els = list(wreath_elements(3, 2))
         for _ in range(200):
             a, b, c = (rng.choice(els) for _ in range(3))
-            assert (a * b) * c == a * (b * c)
+            assert product(product(a, b), c) == product(a, product(b, c))
 
     def test_order(self):
         assert wreath_order(3, 3) == 162
@@ -64,7 +68,7 @@ class TestWreathGroup:
         assert detV_value(w) == Cyclotomic.zeta(3, 1)
 
     def test_charpoly_identity_element(self):
-        w = WreathElement.identity(3, 3)
+        w = identity(3, 3)
         assert wreath_charpoly(w).to_laurent() == P("(t - 1)^3")
 
     def test_charpoly_full_cycle(self):
@@ -79,6 +83,20 @@ class TestWreathGroup:
 
 
 class TestRhoCharacter:
+    @pytest.mark.parametrize("n,r", [(1, 3), (2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_matches_conjugation_walk(self, n, r):
+        """One pass over the block subgroup (Frobenius) against the literal
+        walk over W, on every r-partition and every class."""
+        for lam in enumerate_rpartitions(n, r):
+            for w, _ in wreath_classes(n, r):
+                assert rho_character(lam, w) == rho_by_conjugation(lam, w)
+
+    def test_element_must_match(self):
+        with pytest.raises(OmegaError):
+            rho_character(RP("(1;-;-)"), identity(1, 2))
+        with pytest.raises(OmegaError):
+            rho_character(RP("(1;-;-)"), identity(2, 3))
+
     def test_one_dimensionals(self):
         n, r = 2, 3
         triv = RP("(2;-;-)")
@@ -125,7 +143,7 @@ class TestRhoCharacter:
 
     def test_degree_sum_of_squares(self):
         n, r = 3, 3
-        e = WreathElement.identity(n, r)
+        e = identity(n, r)
         total = Fraction(0)
         for lam in enumerate_rpartitions(n, r):
             d = rho_character(lam, e).as_rational()
@@ -146,12 +164,18 @@ class TestFakeDegree:
             assert val.has_nonneg_int_coeffs()
             # graded multiplicity of lam in the coinvariant algebra:
             # total multiplicity equals the degree of the character
-            e = WreathElement.identity(n, r)
+            e = identity(n, r)
             assert val.eval_at(1) == rho_character(lam, e).as_rational()
 
     def test_oracle_bound(self):
-        with pytest.raises(OmegaError):
-            fake_degree(6, 4, lambda w: Cyclotomic.from_rational(4, 1))
+        """The wreath route compares n*r^n (3 at (1,3)) with the bound once,
+        before it computes any entry; fake_degree itself takes no bound."""
+        order = default_total_order(1, 3)
+        omega_entry_bruteforce.cache_clear()
+        with pytest.raises(OmegaError, match=r"n\*r\^n = 3 > 2"):
+            omega_matrix(1, 3, order, "wreath", wreath_bound=2)
+        assert omega_entry_bruteforce.cache_info().currsize == 0
+        assert len(omega_matrix(1, 3, order, "wreath", wreath_bound=3).order) == 3
 
 
 class TestBracketExponents:
@@ -314,6 +338,15 @@ class TestOmegaEntries:
         thm55_check(2, 3)
         k = len(enumerate_rpartitions(2, 3))
         assert omega_entry_cosets.cache_info().currsize == 81 == k * k
+
+    def test_one_cache_entry_per_oracle_entry(self):
+        """The oracle's entry cache is keyed by (lam, mu, r) alone: a second
+        matrix under another bound reuses the same 9 entries."""
+        order = default_total_order(1, 3)
+        omega_entry_bruteforce.cache_clear()
+        omega_matrix(1, 3, order, "wreath")
+        omega_matrix(1, 3, order, "wreath", wreath_bound=20001)
+        assert omega_entry_bruteforce.cache_info().currsize == 9
 
     def test_n0_matrix(self):
         order = default_total_order(0, 3)
