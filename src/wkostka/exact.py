@@ -1,13 +1,14 @@
 """Exact scalar and polynomial arithmetic.
 
 Everything in this module is exact: Laurent polynomials in a single
-variable t over the rationals (fractions.Fraction), the fraction field Q(t),
-and elements of the cyclotomic field Q(zeta_r).  The production path computes
-in the Laurent ring; Q(t) only holds the Lambda and Lambda' diagonals of a
-solved factorization and the test oracles.  Every polynomial is stored
-densely, and one dense kernel computes in Q[t, t^-1], Q(zeta_r) and
-Q(zeta_r)[t].  Values are immutable; all operations return new objects and
-are safe to share between threads.
+variable t over the rationals, the fraction field Q(t), and elements of the
+cyclotomic field Q(zeta_r).  A Laurent coefficient is stored as an int where
+it is integral and as a fractions.Fraction otherwise, so the production path
+(whose Omega, P+- and Lambda are integral) computes over Z.  Q(t) only holds
+the Lambda and Lambda' diagonals of a solved factorization and the test
+oracles.  Every polynomial is stored densely, and one dense kernel computes
+in Q[t, t^-1], Q(zeta_r) and Q(zeta_r)[t].  Values are immutable; all
+operations return new objects and are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -21,10 +22,6 @@ class ExactError(ValueError):
     asked to become a Laurent polynomial)."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -33,14 +30,24 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _exact(x):
+    """x as an int where it is integral and as a Fraction otherwise."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
 class LaurentPoly:
     """A Laurent polynomial sum c_k t^k with exact rational coefficients.
 
     Exponents may be negative.  The representation is canonical and dense:
     coeffs[i] is the coefficient of t^(low + i), and neither end of coeffs
-    is zero (the zero polynomial is low = 0, coeffs = ()), so equal values
-    compare and hash equal.  Sums, products and exact division run through
-    the dense kernel below.
+    is zero (the zero polynomial is low = 0, coeffs = ()).  A coefficient is
+    an int where it is integral and a Fraction otherwise, so equal values
+    compare and hash equal and integral values compute over Z.  Sums,
+    products and exact division run through the dense kernel below.
 
     >>> p = LaurentPoly.parse("t^2 - t^-1")
     >>> str(p * p)
@@ -52,11 +59,11 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         terms = {}
         for e, v in (coeffs or {}).items():
-            v = _as_fraction(v)
+            v = _exact(v)
             if v:
                 terms[int(e)] = v
         self.low = min(terms, default=0)
-        dense = [_ZERO] * (max(terms, default=-1) - self.low + 1)
+        dense = [0] * (max(terms, default=-1) - self.low + 1)
         for e, v in terms.items():
             dense[e - self.low] = v
         self.coeffs = tuple(dense)
@@ -86,9 +93,9 @@ class LaurentPoly:
         cs, low = self.coeffs, self.low
         return tuple((low + i, cs[i]) for i in reversed(range(len(cs))) if cs[i])
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int):
         i = e - self.low
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     @property
     def is_zero(self) -> bool:
@@ -96,7 +103,7 @@ class LaurentPoly:
 
     @property
     def is_one(self) -> bool:
-        return self.low == 0 and self.coeffs == (_ONE,)
+        return self.low == 0 and self.coeffs == (1,)
 
     @property
     def min_exp(self) -> int:
@@ -115,11 +122,14 @@ class LaurentPoly:
 
     # -- ring operations ----------------------------------------------
 
+    # Each operator tests for a LaurentPoly operand first, as isinstance
+    # against Fraction (whose metaclass is ABCMeta) is the slow test.
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
         if not other.coeffs:
             return self
         if not self.coeffs:
@@ -130,10 +140,13 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _laurent(self.low, [-v if v else v for v in self.coeffs])
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.low = self.low
+        out.coeffs = tuple([-v for v in self.coeffs])
+        return out
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, LaurentPoly)):
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -141,13 +154,13 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return _laurent(self.low, [v * f if v else v for v in self.coeffs])
-        if not isinstance(other, LaurentPoly):
+        if isinstance(other, LaurentPoly):
+            return _laurent(self.low + other.low,
+                            _dense_mul(self.coeffs, other.coeffs, 0))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return _laurent(self.low + other.low,
-                        _dense_mul(self.coeffs, other.coeffs, _ZERO))
+        f = _exact(other)
+        return _laurent(self.low, [v * f if v else v for v in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -157,7 +170,7 @@ class LaurentPoly:
         if n < 0:
             if not self.is_monomial():
                 raise ExactError("negative power of a non-monomial")
-            return LaurentPoly({self.low * n: self.coeffs[0] ** n})
+            return LaurentPoly({self.low * n: Fraction(self.coeffs[0]) ** n})
         result = LaurentPoly.one()
         base = self
         while n:
@@ -168,10 +181,10 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
         return self.low == other.low and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -203,7 +216,7 @@ class LaurentPoly:
         q = _as_fraction(q)
         if q == 0 and self.coeffs and self.low < 0:
             raise ExactError("cannot evaluate negative exponents at 0")
-        return sum((v * q ** e for e, v in self.items()), _ZERO)
+        return sum((v * q ** e for e, v in self.items()), Fraction(0))
 
     # -- predicates used by the IC transforms ---------------------------
 
@@ -382,28 +395,34 @@ class _PolyParser:
 # coefficients, index = exponent.  The same three helpers serve Q[t, t^-1]
 # (a LaurentPoly's coeffs, offset by its low exponent), Q(zeta_r) =
 # Q[x]/(Phi_r) and Q(zeta_r)[t]: coefficients may be ints, Fractions or
-# Cyclotomics, and only need +, -, * and truth.  Zero slots are skipped, as
-# Laurent values are often sparse inside their span.
+# Cyclotomics, and only need +, -, * and truth (division also needs the
+# leading coefficient's inverse).  On ints they stay in Z wherever the result
+# is integral.  Zero slots are skipped, as Laurent values are often sparse
+# inside their span.
 # ---------------------------------------------------------------------------
 
 
 def _laurent(low: int, cs) -> LaurentPoly:
-    """The LaurentPoly sum cs[i] t^(low + i), zeros trimmed from both ends."""
+    """The LaurentPoly sum cs[i] t^(low + i), zeros trimmed from both ends
+    and integral Fractions stored as ints."""
     hi = len(cs)
     while hi and not cs[hi - 1]:
         hi -= 1
     lo = 0
     while lo < hi and not cs[lo]:
         lo += 1
+    cs = tuple(cs[lo:hi])
+    if Fraction in map(type, cs):
+        cs = tuple(map(_exact, cs))
     out = LaurentPoly.__new__(LaurentPoly)
     out.low = low + lo if hi else 0
-    out.coeffs = tuple(cs[lo:hi])
+    out.coeffs = cs
     return out
 
 
 def _padded(p: LaurentPoly, low: int) -> tuple:
     """p's coefficients from t^low up (low <= p.low)."""
-    return (_ZERO,) * (p.low - low) + p.coeffs
+    return (0,) * (p.low - low) + p.coeffs
 
 
 def _strip(cs: list) -> list:
@@ -439,19 +458,27 @@ def _dense_mul(a, b, zero) -> list:
 
 def _dense_divmod(num, den) -> tuple:
     """Quotient and remainder of num by den (whose last coefficient is its
-    nonzero leading one), both with trailing zeros stripped."""
+    nonzero leading one), both with trailing zeros stripped.
+
+    A step whose int coefficient the int leading coefficient divides stays
+    in Z; any other step multiplies by the leading coefficient's inverse."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
     dn = len(den) - 1
-    lead_inv = _ONE / den[-1]
+    lead = den[-1]
+    int_lead = type(lead) is int
+    lead_inv = Fraction(1, lead) if int_lead else 1 / lead
     lower = [(j, d) for j, d in enumerate(den[:dn]) if d]
-    quot = [den[-1] * 0] * max(len(num) - dn, 0)
+    quot = [lead * 0] * max(len(num) - dn, 0)
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k]
         if not c:
             continue
-        q = c * lead_inv
+        if int_lead and type(c) is int and not c % lead:
+            q = c // lead
+        else:
+            q = c * lead_inv
         quot[k - dn] = q
         for j, d in lower:
             num[k - dn + j] -= q * d
@@ -511,8 +538,8 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         r = _int_pseudo_rem(a, b)
         a, b = b, _int_primitive(r)
     a = _int_primitive(a)
-    lead = Fraction(a[-1])
-    return _laurent(0, [Fraction(c) / lead for c in a])
+    lead = a[-1]
+    return _laurent(0, a if lead == 1 else [Fraction(c, lead) for c in a])
 
 
 def _clear_denominators(cs: list) -> list:
@@ -525,7 +552,7 @@ def _clear_denominators(cs: list) -> list:
 def _monic(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero:
         return p
-    return p * (1 / p.coeffs[-1])
+    return p * Fraction(1, p.coeffs[-1])
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -573,7 +600,7 @@ class RationalFunction:
             q = exact_div(q, g)
         lead = q.coeffs[-1]
         if lead != 1:
-            inv = 1 / lead
+            inv = Fraction(1, lead)
             p = p * inv
             q = q * inv
         self.num = p.shift(shift)
@@ -736,17 +763,17 @@ class Cyclotomic:
         """The element sum_k cs[k] zeta^k: cs taken modulo Phi_r."""
         phi = cyclotomic_polynomial(r)
         _, rem = _dense_divmod(cs, phi)
-        return Cyclotomic(r, rem + [_ZERO] * (len(phi) - 1 - len(rem)))
+        return Cyclotomic(r, rem + [0] * (len(phi) - 1 - len(rem)))
 
     @staticmethod
     def from_rational(r: int, v) -> "Cyclotomic":
         deg = len(cyclotomic_polynomial(r)) - 1
-        return Cyclotomic(r, (_as_fraction(v),) + (_ZERO,) * (deg - 1))
+        return Cyclotomic(r, (v,) + (0,) * (deg - 1))
 
     @staticmethod
     def zeta(r: int, k: int = 1) -> "Cyclotomic":
         """zeta_r^k: the remainder of x^(k mod r) modulo Phi_r."""
-        return Cyclotomic._reduce(r, [_ZERO] * (k % r) + [_ONE])
+        return Cyclotomic._reduce(r, [0] * (k % r) + [1])
 
     def _check(self, other: "Cyclotomic"):
         if self.r != other.r:
@@ -785,7 +812,7 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check(other)
-        return Cyclotomic._reduce(self.r, _dense_mul(self.coords, other.coords, _ZERO))
+        return Cyclotomic._reduce(self.r, _dense_mul(self.coords, other.coords, 0))
 
     __rmul__ = __mul__
 
@@ -795,14 +822,15 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         # s0 * self = r0 modulo Phi_r throughout; r0 ends as the gcd, a unit
         r0, r1 = self.coords, cyclotomic_polynomial(self.r)
-        s0, s1 = [_ONE], []
+        s0, s1 = [1], []
         while r1:
             q, rem = _dense_divmod(r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _dense_add(s0, _dense_mul(q, [-c for c in s1], _ZERO))
+            s0, s1 = s1, _dense_add(s0, _dense_mul(q, [-c for c in s1], 0))
         if len(r0) != 1:
             raise ExactError("element is a zero divisor (should not happen over a field)")
-        return Cyclotomic._reduce(self.r, [c / r0[0] for c in s0])
+        inv = Fraction(1, r0[0])
+        return Cyclotomic._reduce(self.r, [c * inv for c in s0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .exact import (ExactError, LaurentPoly, PolyMatrix, RationalFunction,
                     exact_div)
@@ -131,10 +133,66 @@ def reconstructed_entries(p_minus, xi, p_plus):
 
 def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
                            om: OmegaMatrix):
-    for i, j, acc in reconstructed_entries(pm.rows, xi, pp.rows):
-        if acc != om.entries.rows[i][j]:
-            raise FactorizationError(
-                f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
+    """Raise FactorizationError at the first cell (i, j), row by row, where
+    sum_l P-_il xi_l P+_jl differs from Omega_ij.  Each cell is one integer
+    identity (Kronecker substitution: Schoenhage, EUROCAM 1982; Harvey,
+    J. Symbolic Comput. 2009).
+
+    P-, xi and P+ are each written as t^L times polynomials, with L the
+    lowest exponent in that matrix, and Omega about the sum of the three
+    (or about its own lowest exponent, where that is lower).  Evaluating
+    those polynomials at t = 2^B is a ring map, so the rebuilt cell packs
+    to sum_l P-_il(2^B) xi_l(2^B) P+_jl(2^B).  Every coefficient of either
+    side of a cell is at most
+
+        C = K max||P-||_1 max||xi||_1 max||P+||_1 + max||Omega||_1
+
+    in absolute value (||.||_1 sums the absolute coefficients), and B is
+    the least width with 2^(B-1) > C.  Each side's integer is then the
+    balanced base-2^B expansion of its polynomial, every digit in
+    (-2^(B-1), 2^(B-1)), and balanced expansions are unique: the integers
+    are equal exactly when the polynomials are.  A non-integral coefficient
+    anywhere is first cleared with D, the lcm of all denominators: the check
+    then compares D^3 Omega with the sum of (D P-)(D xi)(D P+).
+    """
+    mats = [pm.rows, (xi,), pp.rows, om.entries.rows]
+    d = lcm(*(c.denominator for rows in mats for row in rows for p in row
+              for c in p.coeffs if type(c) is not int))
+    if d != 1:
+        mats = [[[p * scale for p in row] for row in rows]
+                for rows, scale in zip(mats, (d, d, d, d ** 3))]
+    k = len(xi)
+    norms = [max(sum(map(abs, p.coeffs)) for row in rows for p in row)
+             for rows in mats]
+    bits = (k * norms[0] * norms[1] * norms[2] + norms[3]).bit_length() + 1
+    lows = [min((p.low for row in rows for p in row if p.coeffs), default=0)
+            for rows in mats]
+    # Omega packs about base; P- packs about its low less the gap below the
+    # sum of the three lows, so that every product sits about base too.
+    top = lows[0] + lows[1] + lows[2]
+    base = min(top, lows[3])
+    lows[0] -= top - base
+    lows[3] = base
+    packed_pm, (packed_xi,), packed_pp, packed_om = (
+        [[_packed(p, low, bits) for p in row] for row in rows]
+        for rows, low in zip(mats, lows))
+    for i in range(k):
+        weighted = list(map(mul, packed_pm[i][:i + 1], packed_xi))
+        for j in range(k):
+            m = min(i, j) + 1
+            if sum(map(mul, weighted[:m], packed_pp[j][:m])) != packed_om[i][j]:
+                raise FactorizationError(
+                    f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
+
+
+def _packed(p: LaurentPoly, low: int, bits: int) -> int:
+    """p * t^-low at t = 2^bits (low <= p.low unless p is zero)."""
+    if not p.coeffs:
+        return 0
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << bits) + c
+    return v << bits * (p.low - low)
 
 
 def theta_diag(order: OrderedIndex) -> tuple:

@@ -176,7 +176,9 @@ def test_csv_lines_end_in_newline_alone(capsys, argv):
 # shows in the unit tests without running the benchmark.  The others are not
 # in bench/run.py: the (3,3) pair pins outputs with both n >= 3 and r >= 3,
 # and the wreath omega digest pins the oracle's own bytes, where criterion 5
-# only checks that the oracle agrees with the coset route.
+# only checks that the oracle agrees with the coset route.  The (4,2) solve,
+# the csv and latex forms of (3,3) and verify fixtures pin the printing of
+# int and Fraction coefficients alike.
 GOLDEN = {
     ("solve", "--n", "1", "--r", "3"):
         "d403a744a4d08b3244db57cc81e9e6cedbc503e0516371a84a07ff59816f97fc",
@@ -192,6 +194,14 @@ GOLDEN = {
         "9ad996e642c099b075b9363e37697a11d1e5a5d60544aae24a61cef3df1449fa",
     ("omega", "--n", "2", "--r", "4", "--method", "wreath"):
         "439432b755ee8851bfb7f67f26e10b7ab274f5d49d5a7a69fe99dff513d9724f",
+    ("solve", "--n", "4", "--r", "2"):
+        "61d381885cbe7509372900aba07c8ef081b796c6436c8d0273e5ac2e1d1e2657",
+    ("solve", "--n", "3", "--r", "3", "--format", "csv"):
+        "eceaec2bdd0e2b93765f36ff48ddefb4024405853b50e9924ae476328efd1ae6",
+    ("solve", "--n", "3", "--r", "3", "--format", "latex"):
+        "07daf934e8400320b237b605d3e6c35560ff800f6f6a793d98d2309b2ece703b",
+    ("verify", "fixtures"):
+        "a2fd8580ed086a5928dec680eea56656bbc045c03d200e3d5602b2183bb393a7",
 }
 
 

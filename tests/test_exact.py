@@ -69,6 +69,27 @@ class TestLaurentPoly:
         with pytest.raises(ExactError):
             (P("t - 1")) ** -1
 
+    def test_negative_power_of_an_int_coefficient_is_a_fraction(self):
+        inv = P("2t") ** -1
+        assert inv.items() == ((-1, Fraction(1, 2)),)
+        assert type(inv.coeff(-1)) is Fraction
+        assert P("-2t^3") ** -2 == P("1/4*t^-6")
+
+    def test_missing_coefficient_is_int_zero(self):
+        assert P("t").coeff(5) == 0 and type(P("t").coeff(5)) is int
+        assert type(P("t").coeff(1)) is int
+
+    def test_exact_div_over_z_and_over_q(self):
+        quot = exact_div(P("2t^2 - 2"), P("t - 1"))
+        assert quot == P("2t + 2")
+        assert all(type(c) is int for c in quot.coeffs)
+        half = exact_div(P("t^2 - 1"), P("2t - 2"))
+        assert half.items() == ((1, Fraction(1, 2)), (0, Fraction(1, 2)))
+        assert exact_div(P("t^3 + 2t"), P("2t")) == P("1/2*t^2 + 1")
+        assert exact_div(P("2t^2 + 1"), P("2t")) == P("t + 1/2*t^-1")
+        with pytest.raises(ExactError):
+            exact_div(P("2t^2 + 1"), P("2t - 2"))
+
 
 def _random_poly(rng, max_terms=5):
     return LaurentPoly({rng.randint(-6, 6): Fraction(rng.randint(-9, 9),
@@ -136,6 +157,37 @@ _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 _terms = st.dictionaries(st.integers(-8, 8), _coeffs, max_size=6)
 _nonzero_terms = st.dictionaries(st.integers(-8, 8), _coeffs.filter(bool),
                                  min_size=1, max_size=6)
+
+
+def _is_canonical(p) -> bool:
+    """Every coefficient is an int where integral and a Fraction otherwise."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in p.coeffs)
+
+
+class TestIntegralCoefficients:
+    @given(_terms, st.lists(st.booleans(), min_size=17, max_size=17), _coeffs)
+    @settings(max_examples=150, deadline=None)
+    def test_builds_from_fractions_ints_or_both_agree(self, terms, picks, c):
+        as_fraction = {e: Fraction(v) for e, v in terms.items()}
+        as_int = {e: v.numerator if v.denominator == 1 else v
+                  for e, v in terms.items()}
+        mixed = {e: as_int[e] if picks[e + 8] else as_fraction[e]
+                 for e in terms}
+        builds = [LaurentPoly(d) for d in (as_fraction, as_int, mixed)]
+        first = builds[0]
+        for p in builds:
+            assert _is_canonical(p)
+            assert p.items() == first.items()
+            assert [type(v) for _, v in p.items()] == \
+                [type(v) for _, v in first.items()]
+            assert str(p) == str(first) and p.to_latex() == first.to_latex()
+            assert p == first and hash(p) == hash(first)
+            for value in (p * p, p + first, p - first, -p, p * c,
+                          p * Fraction(2), p * Fraction(1, 2) * 2,
+                          p.shift(3), p.reciprocal_var()):
+                assert _is_canonical(value)
+        assert LaurentPoly(as_fraction) * Fraction(1, 2) * 2 == first
 
 
 class TestDictReference:
@@ -210,6 +262,14 @@ class TestRationalFunction:
         p = P("t^2 - t^-1")
         assert RationalFunction(p).try_to_laurent() == p
 
+    def test_int_leading_coefficient_is_inverted_exactly(self):
+        f = RationalFunction(P("2t + 2"), P("2t"))
+        assert f.num == P("1 + t^-1") and f.den.is_one
+        assert f == RationalFunction(P("1 + t^-1"))
+        g = RationalFunction(P("1"), P("3t - 3"))
+        assert g.num.items() == ((0, Fraction(1, 3)),)
+        assert g.den == P("t - 1")
+
     def test_canonical_denominator(self):
         f = RationalFunction(P("t^2"), P("2t^3 - 2t"))
         assert f.den.items()[0][1] == 1
@@ -243,6 +303,11 @@ class TestPolyGcd:
         a = P("(t - 1)*(t^2 + 1)")
         b = P("(t - 1)*(t + 3)")
         assert poly_gcd(a, b) == P("t - 1")
+
+    def test_monic_of_an_int_polynomial(self):
+        assert poly_gcd(P("2t + 2"), LaurentPoly.zero()) == P("t + 1")
+        assert poly_gcd(LaurentPoly.zero(), P("3t^2")) == P("t^2")
+        assert poly_gcd(P("4t^2 - 4"), P("6t + 6")) == P("t + 1")
 
     def test_exact_div(self):
         assert exact_div(P("t^6 - t^-3"), P("t^-3")) == P("t^9 - 1")

@@ -1,9 +1,16 @@
-"""Triangular factorization, IC transforms, order sensitivity, charge oracle."""
+"""Triangular factorization, IC transforms, order sensitivity, charge oracle,
+and the packed reconstruction check against its polynomial oracle."""
 import re
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wkostka.exact import LaurentPoly, RationalFunction
+from literal_reconstruction import check_reconstruction
+from wkostka import factor
+from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
 from wkostka.factor import (FactorizationError, charge,
                             classical_kostka_polynomial,
                             classical_modified_kostka, order_sensitivity,
@@ -243,3 +250,121 @@ class TestSolverErrors:
         entry = f"P- entry ({order.items[1]}, {order.items[0]})"
         with pytest.raises(FactorizationError, match=re.escape(entry)):
             solve_factorization(bad)
+
+
+# -- the packed reconstruction check and its polynomial oracle ----------------
+
+
+@lru_cache(maxsize=None)
+def _solved(n, r):
+    return _solve(n, r)
+
+
+def _tables(res):
+    """Mutable copies of P-, xi, P+ and Omega of a solved factorization."""
+    xi = [x.try_to_laurent() for x in res.lam]
+    return [[list(row) for row in res.p_minus.rows], [xi],
+            [list(row) for row in res.p_plus.rows],
+            [list(row) for row in res.omega.entries.rows]]
+
+
+def _outcomes(res, tables):
+    """What the packed check and the oracle say about tables: None where
+    the check accepts, its error message where it rejects."""
+    order, om = res.order, res.omega
+    pm, (xi,), pp, omega = tables
+    args = (order, PolyMatrix(order, pm), tuple(xi), PolyMatrix(order, pp),
+            OmegaMatrix(order, PolyMatrix(order, omega), om.n, om.r,
+                        om.method))
+    out = []
+    for check in (factor._verify_reconstruction, check_reconstruction):
+        try:
+            check(*args)
+            out.append(None)
+        except FactorizationError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _rejected_at(res, i, j):
+    return f"reconstruction failed at ({res.order.items[i]}, {res.order.items[j]})"
+
+
+def _bump(p, e, delta=1):
+    return p + LaurentPoly.t_power(e, delta)
+
+
+class TestReconstructionCheck:
+    @pytest.mark.parametrize("n,r", [(0, 3), (1, 3), (2, 3), (3, 2), (2, 4),
+                                     (3, 3)])
+    def test_both_accept_the_solved_tables(self, n, r):
+        res = _solved(n, r)
+        assert _outcomes(res, _tables(res)) == [None, None]
+
+    def test_perturbed_p_plus_coefficient(self):
+        res = _solved(3, 3)
+        tables = _tables(res)
+        pp = tables[2]
+        col = 5
+        row = next(b for b in range(col + 1, len(pp)) if not pp[b][col].is_zero)
+        pp[row][col] = _bump(pp[row][col], pp[row][col].min_exp)
+        # P+_(row,col) first enters the cell (col, row), through l = col
+        assert _outcomes(res, tables) == [_rejected_at(res, col, row)] * 2
+
+    def test_perturbed_xi_coefficient(self):
+        res = _solved(3, 3)
+        tables = _tables(res)
+        xi = tables[1][0]
+        xi[7] = _bump(xi[7], xi[7].max_exp, -1)
+        assert _outcomes(res, tables) == [_rejected_at(res, 7, 7)] * 2
+
+    def test_perturbed_top_omega_coefficient(self):
+        res = _solved(3, 3)
+        tables = _tables(res)
+        omega = tables[3]
+        i, j = 4, 9
+        assert not omega[i][j].is_zero
+        omega[i][j] = _bump(omega[i][j], omega[i][j].max_exp)
+        assert _outcomes(res, tables) == [_rejected_at(res, i, j)] * 2
+
+    def test_omega_term_below_every_product(self):
+        res = _solved(3, 3)
+        tables = _tables(res)
+        omega = tables[3]
+        lowest = min(p.min_exp for row in omega for p in row if not p.is_zero)
+        omega[6][2] = _bump(omega[6][2], lowest - 5)
+        assert _outcomes(res, tables) == [_rejected_at(res, 6, 2)] * 2
+
+    def test_a_carry_between_digits_is_caught(self):
+        # t^(e+1) - 2^w t^e vanishes at t = 2^w.  The packing width grows
+        # with Omega's norm, so no w slips through.
+        res = _solved(2, 3)
+        for w in range(1, 64):
+            tables = _tables(res)
+            p = tables[3][2][5]
+            tables[3][2][5] = p + LaurentPoly({p.min_exp + 1: 1,
+                                               p.min_exp: -2 ** w})
+            assert _outcomes(res, tables) == [_rejected_at(res, 2, 5)] * 2
+
+    def test_non_integral_tables(self):
+        res = _solved(2, 3)
+        pm, (xi,), pp, omega = _tables(res)
+        scales = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 1), Fraction(1, 3))
+        tables = [[[p * s for p in row] for row in rows]
+                  for rows, s in zip((pm, [xi], pp, omega), scales)]
+        assert _outcomes(res, tables) == [None, None]
+        tables[3][3][1] = _bump(tables[3][3][1], 2, Fraction(1, 5))
+        assert _outcomes(res, tables) == [_rejected_at(res, 3, 1)] * 2
+
+    @given(st.integers(0, 3), st.integers(0, 8), st.integers(0, 8),
+           st.integers(-14, 14), st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)]))
+    @settings(max_examples=60, deadline=None)
+    def test_packed_check_agrees_with_the_oracle(self, which, i, j, e, delta):
+        res = _solved(2, 3)
+        tables = _tables(res)
+        rows = tables[which]
+        if which == 1:
+            i = 0
+        rows[i][j] = _bump(rows[i][j], e, delta)
+        packed, oracle = _outcomes(res, tables)
+        assert packed == oracle
