@@ -6,8 +6,7 @@ triangular factorization that defines the (modified) Kostka functions, and
 verifies the combinatorial identities tying them to Green-function inner
 products.
 """
-from .exact import (Cyclotomic, ExactError, LaurentPoly, PolyMatrix,
-                    RationalFunction)
+from .exact import ExactError, LaurentPoly, PolyMatrix, RationalFunction
 from .factor import (FactorizationError, FactorizationResult, IcMatrix,
                      order_sensitivity, solve_factorization, unmodify_kostka)
 from .greencheck import (InnerProductValue, VerifyReport, a_exponent,

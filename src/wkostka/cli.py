@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import factor, fixtures, greencheck, omega as omega_mod, rpart
-from .exact import LaurentPoly, PolyMatrix
 from .rpart import OrderedIndex, RPartition
 
 EXIT_OK = 0
@@ -155,13 +154,6 @@ def omega_to_json(om) -> dict:
     return {"n": om.n, "r": om.r,
             "order": [str(lam) for lam in om.order.items],
             "entries": _matrix_strings(om.entries.rows)}
-
-
-def omega_from_json(data: dict):
-    order = OrderedIndex(tuple(RPartition.parse(s) for s in data["order"]))
-    rows = [[LaurentPoly.parse(s) for s in row] for row in data["entries"]]
-    return omega_mod.OmegaMatrix(order, PolyMatrix(order, rows),
-                                 data["n"], data["r"], "json")
 
 
 def _omega(args, order, method: str):

@@ -1,14 +1,15 @@
 """Exact scalar and polynomial arithmetic.
 
 Everything in this module is exact: Laurent polynomials in a single
-variable t over the rationals, the fraction field Q(t), and elements of the
-cyclotomic field Q(zeta_r).  A Laurent coefficient is stored as an int where
-it is integral and as a fractions.Fraction otherwise, so the production path
+variable t over the rationals, the fraction field Q(t), and the cyclotomic
+polynomials Phi_r.  A Laurent coefficient is stored as an int where it is
+integral and as a fractions.Fraction otherwise, so the production path
 (whose Omega, P+- and Lambda are integral) computes over Z.  Q(t) only holds
 the Lambda and Lambda' diagonals of a solved factorization and the test
 oracles.  Every polynomial is stored densely, and one dense kernel computes
-in Q[t, t^-1], Q(zeta_r) and Q(zeta_r)[t].  Values are immutable; all
-operations return new objects and are safe to share between threads.
+in Q[t, t^-1]; the wreath oracle also divides by Phi_r with it.  Values are
+immutable; all operations return new objects and are safe to share between
+threads.
 """
 from __future__ import annotations
 
@@ -156,7 +157,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             return _laurent(self.low + other.low,
-                            _dense_mul(self.coeffs, other.coeffs, 0))
+                            _dense_mul(self.coeffs, other.coeffs))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         f = _exact(other)
@@ -232,9 +233,6 @@ class LaurentPoly:
 
     def has_nonneg_int_coeffs(self) -> bool:
         return all(v.denominator == 1 and v >= 0 for v in self.coeffs)
-
-    def has_int_coeffs(self) -> bool:
-        return all(v.denominator == 1 for v in self.coeffs)
 
     # -- printing -------------------------------------------------------
 
@@ -392,13 +390,11 @@ class _PolyParser:
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic (internal).  A "dense" poly is a sequence of
-# coefficients, index = exponent.  The same three helpers serve Q[t, t^-1]
-# (a LaurentPoly's coeffs, offset by its low exponent), Q(zeta_r) =
-# Q[x]/(Phi_r) and Q(zeta_r)[t]: coefficients may be ints, Fractions or
-# Cyclotomics, and only need +, -, * and truth (division also needs the
-# leading coefficient's inverse).  On ints they stay in Z wherever the result
-# is integral.  Zero slots are skipped, as Laurent values are often sparse
-# inside their span.
+# coefficients, index = exponent: a LaurentPoly's coeffs, offset by its low
+# exponent, or a vector of zeta powers that the wreath oracle reduces modulo
+# Phi_r.  Coefficients are ints or Fractions, and on ints the helpers stay
+# in Z wherever the result is integral.  Zero slots are skipped, as Laurent
+# values are often sparse inside their span.
 # ---------------------------------------------------------------------------
 
 
@@ -442,11 +438,11 @@ def _dense_add(a, b) -> list:
     return _strip(out)
 
 
-def _dense_mul(a, b, zero) -> list:
-    """a * b; zero is the zero of the coefficient ring."""
+def _dense_mul(a, b) -> list:
+    """a * b."""
     if not a or not b:
         return []
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -461,16 +457,16 @@ def _dense_divmod(num, den) -> tuple:
     nonzero leading one), both with trailing zeros stripped.
 
     A step whose int coefficient the int leading coefficient divides stays
-    in Z; any other step multiplies by the leading coefficient's inverse."""
+    in Z; any other step multiplies by 1 / lead, a Fraction."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
     dn = len(den) - 1
     lead = den[-1]
     int_lead = type(lead) is int
-    lead_inv = Fraction(1, lead) if int_lead else 1 / lead
+    lead_inv = Fraction(1, lead)
     lower = [(j, d) for j, d in enumerate(den[:dn]) if d]
-    quot = [lead * 0] * max(len(num) - dn, 0)
+    quot = [0] * max(len(num) - dn, 0)
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k]
         if not c:
@@ -721,7 +717,7 @@ def _coerce_rf(x):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic field Q(zeta_r) = Q[x]/(Phi_r)
+# cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -743,224 +739,6 @@ def cyclotomic_polynomial(r: int) -> tuple:
             assert not rem
             coeffs = [int(c) for c in quot]
     return tuple(coeffs)
-
-
-class Cyclotomic:
-    """An element of Q(zeta_r) in coordinates w.r.t. 1, zeta, ..., zeta^(phi(r)-1)."""
-
-    __slots__ = ("r", "coords")
-
-    def __init__(self, r: int, coords):
-        deg = len(cyclotomic_polynomial(r)) - 1
-        coords = tuple(_as_fraction(c) for c in coords)
-        if len(coords) != deg:
-            raise ExactError(f"expected {deg} coordinates for conductor {r}")
-        self.r = r
-        self.coords = coords
-
-    @staticmethod
-    def _reduce(r: int, cs) -> "Cyclotomic":
-        """The element sum_k cs[k] zeta^k: cs taken modulo Phi_r."""
-        phi = cyclotomic_polynomial(r)
-        _, rem = _dense_divmod(cs, phi)
-        return Cyclotomic(r, rem + [0] * (len(phi) - 1 - len(rem)))
-
-    @staticmethod
-    def from_rational(r: int, v) -> "Cyclotomic":
-        deg = len(cyclotomic_polynomial(r)) - 1
-        return Cyclotomic(r, (v,) + (0,) * (deg - 1))
-
-    @staticmethod
-    def zeta(r: int, k: int = 1) -> "Cyclotomic":
-        """zeta_r^k: the remainder of x^(k mod r) modulo Phi_r."""
-        return Cyclotomic._reduce(r, [0] * (k % r) + [1])
-
-    def _check(self, other: "Cyclotomic"):
-        if self.r != other.r:
-            raise ExactError("mixed cyclotomic conductors")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.r, other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        self._check(other)
-        return Cyclotomic(self.r, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.r, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return Cyclotomic(self.r, tuple(a * f for a in self.coords))
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        self._check(other)
-        return Cyclotomic._reduce(self.r, _dense_mul(self.coords, other.coords, 0))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        # s0 * self = r0 modulo Phi_r throughout; r0 ends as the gcd, a unit
-        r0, r1 = self.coords, cyclotomic_polynomial(self.r)
-        s0, s1 = [1], []
-        while r1:
-            q, rem = _dense_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _dense_add(s0, _dense_mul(q, [-c for c in s1], 0))
-        if len(r0) != 1:
-            raise ExactError("element is a zero divisor (should not happen over a field)")
-        inv = Fraction(1, r0[0])
-        return Cyclotomic._reduce(self.r, [c * inv for c in s0])
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return Cyclotomic(self.r, tuple(a / f for a in self.coords))
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.r, other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.r == other.r and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.r, self.coords))
-
-    def is_rational(self) -> bool:
-        return all(not c for c in self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ExactError(f"{self} is not rational")
-        return self.coords[0]
-
-    def approx_complex(self) -> complex:
-        from cmath import exp, pi
-        z = exp(2j * pi / self.r)
-        return sum(complex(c) * z ** k for k, c in enumerate(self.coords))
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coords):
-            if not c:
-                continue
-            base = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            parts.append(f"{c}*{base}" if k else str(c))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Cyclotomic(r={self.r}, {self})"
-
-
-class ZetaPoly:
-    """A polynomial in t with coefficients in Q(zeta_r).
-
-    Only what the wreath-product fake-degree computation needs: ring
-    operations, monic products, and exact division.  Coefficients are stored
-    densely, constant term first.
-    """
-
-    __slots__ = ("r", "coeffs")
-
-    def __init__(self, r: int, coeffs):
-        self.r = r
-        self.coeffs = tuple(_strip(list(coeffs)))
-
-    @staticmethod
-    def from_scalar(r: int, c) -> "ZetaPoly":
-        if isinstance(c, (int, Fraction)):
-            c = Cyclotomic.from_rational(r, c)
-        return ZetaPoly(r, [c])
-
-    @staticmethod
-    def from_laurent(r: int, p: LaurentPoly) -> "ZetaPoly":
-        if p.low < 0:
-            raise ExactError("negative exponents cannot enter ZetaPoly")
-        return ZetaPoly(r, [Cyclotomic.from_rational(r, v)
-                            for v in _padded(p, 0)])
-
-    @staticmethod
-    def binomial(r: int, degree: int, constant: Cyclotomic) -> "ZetaPoly":
-        """t^degree + constant."""
-        zero = Cyclotomic.from_rational(r, 0)
-        cs = [zero] * (degree + 1)
-        cs[0] = constant
-        cs[degree] = Cyclotomic.from_rational(r, 1)
-        return ZetaPoly(r, cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        if not isinstance(other, ZetaPoly):
-            return NotImplemented
-        return ZetaPoly(self.r, _dense_add(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return ZetaPoly(self.r, [c * other for c in self.coeffs])
-        if not isinstance(other, ZetaPoly):
-            return NotImplemented
-        return ZetaPoly(self.r, _dense_mul(self.coeffs, other.coeffs,
-                                           Cyclotomic.from_rational(self.r, 0)))
-
-    __rmul__ = __mul__
-
-    def divmod(self, den: "ZetaPoly") -> tuple:
-        return tuple(ZetaPoly(self.r, p) for p in _dense_divmod(self.coeffs, den.coeffs))
-
-    def exact_div(self, den: "ZetaPoly") -> "ZetaPoly":
-        quot, rem = self.divmod(den)
-        if not rem.is_zero:
-            raise ExactError("inexact ZetaPoly division")
-        return quot
-
-    def to_laurent(self) -> LaurentPoly:
-        """Convert to a rational-coefficient polynomial; raises if any
-        coefficient has a nonzero zeta component."""
-        return _laurent(0, [c.as_rational() for c in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, ZetaPoly):
-            return NotImplemented
-        return self.r == other.r and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"ZetaPoly(r={self.r}, deg={self.degree if self.coeffs else '-inf'})"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ Two independent routes compute each entry:
   label's cells (the Mackey formula), so no permutation is enumerated;
 * the oracle route works inside the wreath product itself, inducing
   characters by brute force (one pass over each block subgroup) and
-  evaluating the defining fake-degree sum as one polynomial in
-  Q(zeta_r)[t] per conjugacy class.
+  evaluating the defining fake-degree sum in the group ring Q[C_r][t]:
+  every zeta-valued quantity is a zeta-power vector v, worth
+  sum_k v[k] zeta^(k mod r), products are cyclic convolutions, and each
+  value is reduced modulo Phi_r once, at the end.  Q[C_r] -> Q(zeta_r) is a
+  ring map, so this is exact, and the route shares no Omega helper with
+  the coset route.
 
 Both must agree, entry by entry; the test suite enforces this.
 """
@@ -22,7 +26,8 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
-from .exact import Cyclotomic, LaurentPoly, PolyMatrix, ZetaPoly, exact_div
+from .exact import (LaurentPoly, PolyMatrix, _dense_divmod, _exact,
+                    cyclotomic_polynomial, exact_div)
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     enumerate_contingency, n_star, partitions)
 from .symgrp import (all_perms, block_character, block_cycle_types, block_of,
@@ -85,26 +90,41 @@ def wreath_elements(n: int, r: int):
             yield WreathElement(sigma, colors, r)
 
 
-def delta_value(w: WreathElement) -> Cyclotomic:
-    """The order-r linear character: zeta^(sum of colors)."""
-    return Cyclotomic.zeta(w.r, sum(w.colors))
-
-
 def epsilon_value(w: WreathElement) -> int:
     """Pull-back of the sign character of S_n."""
     return sign(w.sigma)
 
 
-def detV_value(w: WreathElement) -> Cyclotomic:
-    """det on the reflection representation: epsilon * delta."""
-    return delta_value(w) * epsilon_value(w)
+def detV_value(w: WreathElement) -> tuple:
+    """det on the reflection representation, epsilon * delta, as the
+    zeta-power vector epsilon(w) zeta^(sum of colors)."""
+    return (0,) * (sum(w.colors) % w.r) + (sign(w.sigma),)
 
 
-def wreath_charpoly(w: WreathElement) -> ZetaPoly:
-    """det_V(t - w) = prod over cycles (t^len - zeta^(color sum))."""
-    out = ZetaPoly.from_scalar(w.r, 1)
-    for length, s in w.colored_cycle_type():
-        out = out * ZetaPoly.binomial(w.r, length, -Cyclotomic.zeta(w.r, s))
+def zeta_coords(v, r: int) -> tuple:
+    """The zeta-power vector v, whose value is sum_k v[k] zeta^(k mod r), in
+    its canonical coordinates on 1, zeta, ..., zeta^(phi(r)-1): v taken
+    modulo Phi_r (which divides x^r - 1, so the wrap k mod r is free).
+
+    >>> zeta_coords((1, 1, 1), 3)
+    (0, 0)
+    >>> zeta_coords((0, 0, 1), 4)
+    (-1, 0)
+    """
+    phi = cyclotomic_polynomial(r)
+    _, rem = _dense_divmod(v, phi)
+    return tuple(map(_exact, rem)) + (0,) * (len(phi) - 1 - len(rem))
+
+
+def _zeta_mul(a, b, r: int) -> list:
+    """The product of two zeta-power vectors in the group ring Q[C_r]: a
+    cyclic convolution, with nothing reduced modulo Phi_r."""
+    out = [0] * r
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % r] += x * y
     return out
 
 
@@ -140,7 +160,8 @@ def _induced(blam: RPartition, r: int) -> MappingProxyType:
     powers of delta).  By Frobenius's formula its value on a class C is
     |W| / (|H| |C|) times the sum of chi~^lambda over H meet C, so one pass
     over H sums chi~^lambda by colored cycle type, as integer counts per
-    power of zeta.  The twist of (sigma, a) is zeta^(sum_p block(p) a_p)."""
+    power of zeta, and each class's counts are reduced modulo Phi_r once.
+    The twist of (sigma, a) is zeta^(sum_p block(p) a_p)."""
     n, m = blam.n, blam.weight()
     blocks = block_of(m)
     counts = {rep.colored_cycle_type(): [0] * r
@@ -161,17 +182,16 @@ def _induced(blam: RPartition, r: int) -> MappingProxyType:
     out = {}
     for rep, size in wreath_classes(n, r):
         key = rep.colored_cycle_type()
-        total = Cyclotomic.from_rational(r, 0)
-        for k, c in enumerate(counts[key]):
-            if c:
-                total = total + Cyclotomic.zeta(r, k) * c
-        out[key] = total * Fraction(wreath_order(n, r), order_h * size)
+        scale = Fraction(wreath_order(n, r), order_h * size)
+        out[key] = tuple(_exact(c * scale)
+                         for c in zeta_coords(counts[key], r))
     return MappingProxyType(out)
 
 
-def rho_character(blam: RPartition, w: WreathElement) -> Cyclotomic:
+def rho_character(blam: RPartition, w: WreathElement) -> tuple:
     """Value at w of the irreducible character indexed by blam, computed by
-    brute-force induction from the block subgroup."""
+    brute-force induction from the block subgroup, in canonical coordinates
+    (zeta_coords), so that equal values compare equal."""
     if w.n != blam.n or w.r != blam.r:
         raise OmegaError("element does not match the r-partition")
     return _induced(blam, w.r)[w.colored_cycle_type()]
@@ -179,33 +199,63 @@ def rho_character(blam: RPartition, w: WreathElement) -> Cyclotomic:
 
 @lru_cache(maxsize=None)
 def _class_terms(n: int, r: int) -> tuple:
-    """(representative, size, prod_i (t^(ir) - 1) / det_V(t - w)) per class.
+    """(representative, size, prod_i (t^(ir) - 1) / det_V(t - w)) per class,
+    the quotient as r LaurentPolys, the k-th the coefficient of zeta^k.
 
-    Each quotient is a polynomial: t^l - zeta^s divides t^(rl) - 1, and
-    prod_j (t^(r l_j) - 1) divides prod_(i<=n) (t^(ir) - 1)."""
+    det_V(t - w) is the product over the cycles of w of t^l - zeta^s, for
+    the cycle's length l and color sum s, and the telescoping identity
+
+        (t^(rl) - 1) / (t^l - zeta^s) = sum_(k<r) t^(lk) zeta^(s(r-1-k))
+
+    holds already in Z[x]/(x^r - 1).  So each quotient is the integer
+    polynomial prod_(i<=n) (t^(ir) - 1) / prod_cycles (t^(rl) - 1) times
+    those sums, and nothing is divided by a value with zeta in it."""
     top = LaurentPoly.one()
     for i in range(1, n + 1):
         top = top * (LaurentPoly.t_power(i * r) - 1)
-    top = ZetaPoly.from_laurent(r, top)
-    return tuple((rep, size, top.exact_div(wreath_charpoly(rep)))
-                 for rep, size in wreath_classes(n, r))
+    out = []
+    for rep, size in wreath_classes(n, r):
+        den = LaurentPoly.one()
+        quot = [LaurentPoly.one()] + [LaurentPoly.zero()] * (r - 1)
+        for length, s in rep.colored_cycle_type():
+            den = den * (LaurentPoly.t_power(r * length) - 1)
+            quot = [sum((quot[(m - s * (r - 1 - k)) % r].shift(length * k)
+                         for k in range(r)), LaurentPoly.zero())
+                    for m in range(r)]
+        base = exact_div(top, den)
+        out.append((rep, size, tuple(base * q for q in quot)))
+    return tuple(out)
 
 
 def fake_degree(n: int, r: int, chi) -> LaurentPoly:
     """The graded multiplicity generating polynomial of the class function
-    chi (a callable on wreath elements with values in Q(zeta_r)):
+    chi (a callable on wreath elements whose values are zeta-power vectors):
 
         R(chi) = prod_i (t^(ir) - 1) / |W| * sum_w det(w) chi(w) / det(t - w)
 
-    The result must be a polynomial with rational coefficients; anything
-    else signals a bug in the caller's character values.
+    The sum runs in the group ring Q[C_r][t], each class adding its
+    quotient times |C| det(w) chi(w), and each coefficient of t is reduced
+    modulo Phi_r once, at the end.  The result must be a polynomial with
+    rational coefficients; anything else signals a bug in the caller's
+    character values.
     """
-    acc = ZetaPoly(r, [])
+    acc = [LaurentPoly.zero()] * r
     for rep, size, quot in _class_terms(n, r):
-        scalar = detV_value(rep) * chi(rep) * size
-        if not scalar.is_zero:
-            acc = acc + quot * scalar
-    return acc.to_laurent() * Fraction(1, wreath_order(n, r))
+        scalar = _zeta_mul(detV_value(rep), chi(rep), r)
+        for i, c in enumerate(scalar):
+            if c:
+                for j, q in enumerate(quot):
+                    k = (i + j) % r
+                    acc[k] = acc[k] + q * (c * size)
+    order = wreath_order(n, r)
+    coeffs = {}
+    for e in range(max(p.low + len(p.coeffs) for p in acc)):
+        coords = zeta_coords([p.coeff(e) for p in acc], r)
+        if any(coords[1:]):
+            raise OmegaError(f"fake degree has the irrational coefficient "
+                             f"{coords} (on 1, zeta, ...) at t^{e}")
+        coeffs[e] = Fraction(coords[0], order)
+    return LaurentPoly(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -216,11 +266,16 @@ def omega_entry_bruteforce(lam: RPartition, mu: RPartition,
         raise OmegaError("index mismatch")
     n = lam.n
 
-    def chi(w: WreathElement) -> Cyclotomic:
+    def chi(w: WreathElement) -> list:
         winv = w.inv()
-        return rho_character(lam, w) * rho_character(mu, winv) * detV_value(winv)
+        return _zeta_mul(_zeta_mul(rho_character(lam, w),
+                                   rho_character(mu, winv), r),
+                         detV_value(winv), r)
 
-    value = fake_degree(n, r, chi).shift(n_star(n, r))
+    try:
+        value = fake_degree(n, r, chi).shift(n_star(n, r))
+    except OmegaError as exc:
+        raise OmegaError(f"oracle entry ({lam}, {mu}): {exc}") from None
     if not value.has_nonneg_int_coeffs():
         raise OmegaError(
             f"oracle entry ({lam}, {mu}) is not in Z>=0[t]: {value}")

@@ -3,14 +3,15 @@ kept as the oracle of omega._induced.
 
 rho_by_conjugation evaluates the induced character at w as
 (1/|H|) sum over every g in W with g^-1 w g in the block subgroup H of
-chi~^lambda(g^-1 w g), walking the whole group once per value.
+chi~^lambda(g^-1 w g), walking the whole group once per value, and reduces
+the sum to canonical coordinates (zeta_coords) so that it compares with
+omega.rho_character.
 """
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from wkostka.exact import Cyclotomic
-from wkostka.omega import WreathElement, wreath_elements
+from wkostka.omega import WreathElement, wreath_elements, zeta_coords
 from wkostka.symgrp import compose, in_young, young_character
 
 
@@ -27,15 +28,15 @@ def identity(n, r):
 
 
 def tilde_character(blam, w):
-    """chi~^lambda on the block subgroup: the Young character twisted by
-    the block-graded powers of delta."""
+    """chi~^lambda on the block subgroup, as a zeta-power vector: the Young
+    character twisted by the block-graded powers of delta."""
     m = blam.weight()
     exp = 0
     pos = 0
     for i, size in enumerate(m.parts):
         exp += i * sum(w.colors[pos:pos + size])
         pos += size
-    return Cyclotomic.zeta(w.r, exp) * young_character(blam, w.sigma, m)
+    return (0,) * (exp % w.r) + (young_character(blam, w.sigma, m),)
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +51,9 @@ def rho_by_conjugation(blam, w):
     order_h = w.r ** w.n
     for size in m.parts:
         order_h *= factorial(size)
-    total = Cyclotomic.from_rational(w.r, 0)
+    total = [0] * w.r
     for conj in conjugates(w):
         if in_young(conj.sigma, m):
-            total = total + tilde_character(blam, conj)
-    return total * Fraction(1, order_h)
+            for k, c in enumerate(tilde_character(blam, conj)):
+                total[k] += c
+    return zeta_coords([Fraction(c, order_h) for c in total], w.r)

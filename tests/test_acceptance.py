@@ -15,7 +15,7 @@ from wkostka.greencheck import (identity_5113_check, lemma59_check,
                                 thm55_check)
 from wkostka.omega import (omega_entry_bruteforce, omega_entry_cosets,
                            omega_matrix, rho_character, wreath_classes,
-                           epsilon_value)
+                           epsilon_value, zeta_coords)
 from wkostka.rpart import (Composition, RPartition, default_total_order,
                            dim_x, dim_xm_unip, enumerate_contingency,
                            enumerate_rpartitions)
@@ -92,7 +92,8 @@ def test_criterion_4_section_7_4_exact():
           "verbatim.")
 
 
-@pytest.mark.parametrize("n,r", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("n,r", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3),
+                                 (3, 2), (4, 2), (2, 5)])
 def test_criterion_5_dual_route_oracle(n, r):
     with Budget(f"criterion 5: dual-route oracle ({n},{r})", 600.0):
         for lam in enumerate_rpartitions(n, r):
@@ -195,8 +196,10 @@ def test_criterion_10_property_suites():
                 for lam in enumerate_rpartitions(n, r):
                     tlam = lam.transpose()
                     for w, _ in wreath_classes(n, r):
+                        twisted = [epsilon_value(w) * c
+                                   for c in rho_character(lam, w)]
                         assert rho_character(tlam, w) == \
-                            rho_character(lam, w) * epsilon_value(w)
+                            zeta_coords(twisted, r)
         # dimension-gap identity, exhaustive n <= 4, r <= 4
         for n in range(0, 5):
             for r in range(1, 5):

@@ -7,11 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from wkostka.cli import (_FLAGS, SUITES, build_parser, main,
-                         omega_from_json, omega_to_json)
-from wkostka.exact import LaurentPoly, RationalFunction
-from wkostka.omega import omega_matrix
-from wkostka.rpart import default_total_order
+from wkostka.cli import _FLAGS, SUITES, build_parser, main, omega_to_json
+from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
+from wkostka.omega import OmegaMatrix, omega_matrix
+from wkostka.rpart import OrderedIndex, RPartition, default_total_order
+
+
+def omega_from_json(data: dict) -> OmegaMatrix:
+    """The inverse of omega_to_json."""
+    order = OrderedIndex(tuple(RPartition.parse(s) for s in data["order"]))
+    rows = [[LaurentPoly.parse(s) for s in row] for row in data["entries"]]
+    return OmegaMatrix(order, PolyMatrix(order, rows), data["n"], data["r"],
+                       "json")
 
 
 def run(capsys, *argv):

@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: Laurent polynomials, Q(t), cyclotomics."""
+"""Exact arithmetic layer: Laurent polynomials, Q(t), cyclotomic polynomials."""
 import random
 from fractions import Fraction
 
@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkostka.exact import (Cyclotomic, ExactError, LaurentPoly,
-                           RationalFunction, ZetaPoly, cyclotomic_polynomial,
-                           exact_div, poly_gcd)
+from wkostka.exact import (ExactError, LaurentPoly, RationalFunction,
+                           cyclotomic_polynomial, exact_div, poly_gcd)
 
 
 def P(s):
@@ -315,112 +314,10 @@ class TestPolyGcd:
             exact_div(P("t^2 + 1"), P("t - 1"))
 
 
-class TestCyclotomic:
+class TestPhiR:
     def test_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
         assert cyclotomic_polynomial(2) == (1, 1)
         assert cyclotomic_polynomial(3) == (1, 1, 1)
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-    def test_zeta_power_wraps(self):
-        assert Cyclotomic.zeta(3, 3) == Cyclotomic.from_rational(3, 1)
-
-    def test_zeta_matches_repeated_products(self):
-        for r in range(1, 13):
-            z = Cyclotomic.zeta(r, 1)
-            powers = [Cyclotomic.from_rational(r, 1)]
-            for _ in range(r - 1):
-                powers.append(powers[-1] * z)
-            assert all(p != 1 for p in powers[1:])
-            for k in range(-2 * r, 2 * r + 1):
-                assert Cyclotomic.zeta(r, k) == powers[k % r]
-
-    def test_root_sum_vanishes(self):
-        for r in (2, 3, 5, 7):
-            total = Cyclotomic.from_rational(r, 0)
-            for k in range(r):
-                total = total + Cyclotomic.zeta(r, k)
-            assert total.is_zero
-
-    def test_as_rational(self):
-        z = Cyclotomic.zeta(3, 1)
-        assert (z * z * z).as_rational() == 1
-        assert (z * Cyclotomic.zeta(3, 2)).as_rational() == 1
-        with pytest.raises(ExactError):
-            z.as_rational()
-
-    def test_inverse(self):
-        rng = random.Random(3)
-        for r in (3, 4, 5, 6):
-            for _ in range(20):
-                coords = [Fraction(rng.randint(-4, 4)) for _ in
-                          range(len(cyclotomic_polynomial(r)) - 1)]
-                x = Cyclotomic(r, coords)
-                if x.is_zero:
-                    continue
-                assert (x * x.inverse()).as_rational() == 1
-
-    def test_phi_vanishes_at_zeta(self):
-        for r in range(1, 13):
-            z = Cyclotomic.zeta(r, 1)
-            power = Cyclotomic.from_rational(r, 1)
-            total = Cyclotomic.from_rational(r, 0)
-            for k, phi_k in enumerate(cyclotomic_polynomial(r)):
-                total = total + power * phi_k
-                assert bool(power) and not power.is_zero
-                power = power * z
-            assert not total and total.is_zero
-
-    def test_float_cross_check(self):
-        rng = random.Random(9)
-        for r in (3, 4, 5, 6, 8):
-            deg = len(cyclotomic_polynomial(r)) - 1
-            for _ in range(30):
-                a = Cyclotomic(r, [Fraction(rng.randint(-3, 3)) for _ in range(deg)])
-                b = Cyclotomic(r, [Fraction(rng.randint(-3, 3)) for _ in range(deg)])
-                lhs = (a * b).approx_complex()
-                rhs = a.approx_complex() * b.approx_complex()
-                assert abs(lhs - rhs) < 1e-9
-
-
-class TestZetaPoly:
-    def test_binomial_product_and_division(self):
-        r = 3
-        z = Cyclotomic.zeta(3, 1)
-        p = ZetaPoly.binomial(r, 2, -z)          # t^2 - zeta
-        q = ZetaPoly.binomial(r, 1, -(z * z))    # t - zeta^2
-        prod = p * q
-        assert prod.exact_div(q) == p
-        quot, rem = prod.divmod(p)
-        assert rem.is_zero and quot == q
-
-    def test_divmod_by_non_monic_divisor(self):
-        rng = random.Random(11)
-        for r in (3, 4, 5, 8):
-            deg = len(cyclotomic_polynomial(r)) - 1
-
-            def scalar():
-                return Cyclotomic(r, [Fraction(rng.randint(-3, 3),
-                                               rng.randint(1, 3))
-                                      for _ in range(deg)])
-
-            for _ in range(5):
-                a = ZetaPoly(r, [scalar() for _ in range(4)])
-                lead = Cyclotomic.zeta(r, 1) * Fraction(rng.randint(1, 4)) + \
-                    Fraction(rng.randint(-2, 2))
-                b = ZetaPoly(r, [scalar(), scalar(), lead])
-                c = ZetaPoly(r, [scalar(), scalar()])
-                assert not lead.is_rational() and b.degree == 2
-                assert (a * b + c).divmod(b) == (a, c)
-
-    def test_to_laurent_requires_rational(self):
-        r = 3
-        z = Cyclotomic.zeta(3, 1)
-        p = ZetaPoly.binomial(r, 1, -z)
-        with pytest.raises(ExactError):
-            p.to_laurent()
-        # (t - z)(t - z^2)(t - 1) = t^3 - 1 has rational coefficients
-        full = p * ZetaPoly.binomial(r, 1, -(z * z)) * \
-            ZetaPoly.binomial(r, 1, Cyclotomic.from_rational(r, -1))
-        assert full.to_laurent() == P("t^3 - 1")

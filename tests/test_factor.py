@@ -78,7 +78,7 @@ class TestStructure:
             for mat in (res.p_minus, res.p_plus):
                 for row in mat.rows:
                     for e in row:
-                        assert e.has_int_coeffs()
+                        assert all(type(c) is int for c in e.coeffs)
 
     def test_zero_pattern_respects_dominance(self):
         from wkostka.rpart import dominance_leq

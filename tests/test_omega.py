@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkostka.exact import Cyclotomic, ExactError, LaurentPoly
+from wkostka.exact import ExactError, LaurentPoly, cyclotomic_polynomial
 from wkostka.greencheck import thm55_check
-from wkostka.omega import (OmegaError, WreathElement, a_O, b_O, bracket,
-                           coset_table, delta_value, detV_value,
-                           epsilon_value, fake_degree, omega_entry_bruteforce,
-                           omega_entry_cosets, omega_matrix, rho_character,
-                           torus_quotient, wreath_charpoly, wreath_classes,
-                           wreath_elements, wreath_order)
+from wkostka.omega import (OmegaError, WreathElement, _class_terms,
+                           _zeta_mul, a_O, b_O, bracket, coset_table,
+                           detV_value, epsilon_value, fake_degree,
+                           omega_entry_bruteforce, omega_entry_cosets,
+                           omega_matrix, rho_character, torus_quotient,
+                           wreath_classes, wreath_elements, wreath_order,
+                           zeta_coords)
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            default_total_order, enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets
@@ -29,6 +30,11 @@ def P(s):
 
 def RP(s):
     return RPartition.parse(s)
+
+
+def zeta_power(k, r, c=1):
+    """c zeta^k in canonical coordinates."""
+    return zeta_coords((0,) * (k % r) + (c,), r)
 
 
 class TestWreathGroup:
@@ -63,23 +69,63 @@ class TestWreathGroup:
 
     def test_linear_characters(self):
         w = WreathElement((0, 1, 2), (1, 0, 0), 3)
-        assert delta_value(w) == Cyclotomic.zeta(3, 1)
         assert epsilon_value(w) == 1
-        assert detV_value(w) == Cyclotomic.zeta(3, 1)
+        assert zeta_coords(detV_value(w), 3) == (0, 1)
+        w = WreathElement((1, 0, 2), (1, 1, 0), 3)  # -zeta^2 = 1 + zeta
+        assert epsilon_value(w) == -1
+        assert zeta_coords(detV_value(w), 3) == (1, 1)
 
-    def test_charpoly_identity_element(self):
-        w = identity(3, 3)
-        assert wreath_charpoly(w).to_laurent() == P("(t - 1)^3")
+    @pytest.mark.parametrize("n,r", [(2, 3), (2, 4), (3, 3)])
+    def test_class_quotient_times_charpoly(self, n, r):
+        """Each class quotient times det_V(t - w) = prod_cycles (t^l - x^s)
+        is prod_(i<=n) (t^(ir) - 1) in Z[C_r][t], the k-th of the r
+        LaurentPolys the coefficient of x^k."""
+        top = P("1")
+        for i in range(1, n + 1):
+            top = top * (LaurentPoly.t_power(i * r) - 1)
+        want = [top] + [LaurentPoly.zero()] * (r - 1)
+        terms = _class_terms(n, r)
+        assert len(terms) == len(wreath_classes(n, r))
+        for rep, _, quot in terms:
+            prod = list(quot)
+            for length, s in rep.colored_cycle_type():
+                prod = [prod[k].shift(length) - prod[(k - s) % r]
+                        for k in range(r)]
+            assert prod == want, rep
 
-    def test_charpoly_full_cycle(self):
-        w = WreathElement((1, 2, 0), (1, 2, 0), 3)  # colors sum to 0 mod 3
-        assert wreath_charpoly(w).to_laurent() == P("t^3 - 1")
 
-    def test_det_is_charpoly_constant(self):
-        for w in wreath_elements(2, 3):
-            cp = wreath_charpoly(w)
-            const = cp.coeffs[0] * (-1) ** w.n
-            assert const == detV_value(w)
+class TestZetaCoords:
+    """Zeta-power vectors, the oracle's value type, reduced modulo Phi_r."""
+
+    def test_zeta_power_wraps(self):
+        for r in range(1, 13):
+            deg = len(cyclotomic_polynomial(r)) - 1
+            for k in range(deg):
+                assert zeta_power(k, r) == tuple(int(i == k) for i in range(deg))
+            for k in range(3 * r):
+                assert zeta_coords((0,) * k + (1,), r) == zeta_power(k, r)
+
+    def test_group_ring_products(self):
+        """Q[C_r] -> Q(zeta_r) is a ring map: reducing a cyclic convolution
+        equals reducing the plain polynomial product."""
+        rng = random.Random(3)
+        for r in (3, 4, 5, 6, 8):
+            for _ in range(20):
+                a = [rng.randint(-4, 4) for _ in range(r)]
+                b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(r)]
+                plain = (LaurentPoly(dict(enumerate(a)))
+                         * LaurentPoly(dict(enumerate(b))))
+                assert zeta_coords(_zeta_mul(a, b, r), r) == \
+                    zeta_coords([plain.coeff(k) for k in range(2 * r)], r)
+
+    def test_root_sum_vanishes(self):
+        for r in (2, 3, 5, 7):
+            assert not any(zeta_coords((1,) * r, r))
+
+    def test_phi_vanishes_at_zeta(self):
+        for r in range(1, 13):
+            assert not any(zeta_coords(cyclotomic_polynomial(r), r))
 
 
 class TestRhoCharacter:
@@ -90,6 +136,8 @@ class TestRhoCharacter:
         for lam in enumerate_rpartitions(n, r):
             for w, _ in wreath_classes(n, r):
                 assert rho_character(lam, w) == rho_by_conjugation(lam, w)
+                assert len(rho_character(lam, w)) == \
+                    len(cyclotomic_polynomial(r)) - 1
 
     def test_element_must_match(self):
         with pytest.raises(OmegaError):
@@ -103,10 +151,11 @@ class TestRhoCharacter:
         delt = RP("(-;2;-)")
         det_bar = RP("(-;-;11)")
         for w in wreath_elements(n, r):
-            d = delta_value(w)
-            assert rho_character(triv, w) == Cyclotomic.from_rational(r, 1)
-            assert rho_character(delt, w) == d
-            assert rho_character(det_bar, w) == d * d * epsilon_value(w)
+            s = sum(w.colors)
+            assert rho_character(triv, w) == zeta_power(0, r)
+            assert rho_character(delt, w) == zeta_power(s, r)
+            assert rho_character(det_bar, w) == \
+                zeta_power(2 * s, r, epsilon_value(w))
 
     def test_slot_characters(self):
         # (5.6.2)-type: the one-row / one-column r-partitions in slot i
@@ -118,20 +167,19 @@ class TestRhoCharacter:
             mu_parts[i] = (1,) * n
             lam, mu = RPartition(tuple(lam_parts)), RPartition(tuple(mu_parts))
             for w, _ in wreath_classes(n, r):
-                d = delta_value(w)
-                dpow = Cyclotomic.from_rational(r, 1)
-                for _ in range(i):
-                    dpow = dpow * d
-                assert rho_character(lam, w) == dpow
-                assert rho_character(mu, w) == dpow * epsilon_value(w)
+                s = i * sum(w.colors)
+                assert rho_character(lam, w) == zeta_power(s, r)
+                assert rho_character(mu, w) == \
+                    zeta_power(s, r, epsilon_value(w))
 
     def test_transpose_twist(self):
         for n, r in ((1, 3), (2, 3), (3, 3), (2, 2)):
             for lam in enumerate_rpartitions(n, r):
                 tlam = lam.transpose()
                 for w, _ in wreath_classes(n, r):
-                    assert rho_character(tlam, w) == \
-                        rho_character(lam, w) * epsilon_value(w)
+                    twisted = [epsilon_value(w) * c
+                               for c in rho_character(lam, w)]
+                    assert rho_character(tlam, w) == zeta_coords(twisted, r)
 
     def test_conjugate_is_slot_reversal(self):
         # conj(rho^lam)(w) = rho^lam(w^-1) matches the slot-reversed index
@@ -146,7 +194,8 @@ class TestRhoCharacter:
         e = identity(n, r)
         total = Fraction(0)
         for lam in enumerate_rpartitions(n, r):
-            d = rho_character(lam, e).as_rational()
+            d, *rest = rho_character(lam, e)
+            assert not any(rest)
             total += d * d
         assert total == wreath_order(n, r)
 
@@ -154,8 +203,13 @@ class TestRhoCharacter:
 class TestFakeDegree:
     def test_trivial_character(self):
         for n, r in ((1, 3), (2, 3), (2, 2)):
-            one = Cyclotomic.from_rational(r, 1)
-            assert fake_degree(n, r, lambda w: one) == P("1")
+            assert fake_degree(n, r, lambda w: (1,)) == P("1")
+
+    def test_irrational_values_raise(self):
+        """The constant zeta is no rational class function: its fake degree
+        is zeta, which the Phi_r reduction leaves non-constant."""
+        with pytest.raises(OmegaError, match="irrational"):
+            fake_degree(2, 3, lambda w: (0, 1))
 
     def test_nonnegative_integer_coefficients(self):
         n, r = 2, 3
@@ -165,7 +219,7 @@ class TestFakeDegree:
             # graded multiplicity of lam in the coinvariant algebra:
             # total multiplicity equals the degree of the character
             e = identity(n, r)
-            assert val.eval_at(1) == rho_character(lam, e).as_rational()
+            assert (val.eval_at(1), 0) == rho_character(lam, e)
 
     def test_oracle_bound(self):
         """The wreath route compares n*r^n (3 at (1,3)) with the bound once,
