@@ -7,12 +7,11 @@ error or a tripped guard bound, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 
-from . import factor, fixtures, greencheck, omega as omega_mod, rpart
+from . import factor, greencheck, omega as omega_mod, rpart
 from .rpart import OrderedIndex, RPartition
 
 EXIT_OK = 0
@@ -33,7 +32,7 @@ def _resolve_order(args) -> OrderedIndex:
         return rpart.default_total_order(n, r)
     if spec.startswith("fixture:"):
         fid = spec.split(":", 1)[1]
-        order = fixtures.load_fixture(fid, r if fid == "n1rk" else None).order
+        order = _load_fixture(fid, r if fid == "n1rk" else None).order
     elif spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
@@ -52,6 +51,16 @@ def _resolve_order(args) -> OrderedIndex:
         raise UsageError(f"order {spec!r} does not list P_{{n,r}} "
                          f"for n={n}, r={r}")
     return order
+
+
+def _load_fixture(fid: str, r):
+    """fixtures.load_fixture, imported only by the commands that read a
+    fixture; a bad fixture id or r is a usage error."""
+    from . import fixtures
+    try:
+        return fixtures.load_fixture(fid, r)
+    except fixtures.FixtureError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _size(value, default: int, least: int, flag: str) -> int:
@@ -82,6 +91,7 @@ def _matrix_strings(rows) -> list:
 
 
 def _csv(rows) -> str:
+    import csv
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -269,11 +279,12 @@ def cmd_solve(args) -> int:
 
 
 def _suite_fixtures(args) -> greencheck.VerifyReport:
+    from . import fixtures
     report = greencheck.VerifyReport("fixtures", {})
     jobs = [("n1r3", None), ("n2r3", None), ("n3r3", None)] + \
         [("n1rk", r) for r in range(2, 7)]
     for fid, r in jobs:
-        fx = fixtures.load_fixture(fid, r)
+        fx = _load_fixture(fid, r)
         rec = fixtures.reconstruction_check(fx)
         sub = fixtures.check_fixture(fx)
         report.checked += rec.checked + sub.checked
@@ -513,7 +524,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (UsageError, rpart.RPartitionError, fixtures.FixtureError) as exc:
+    except (UsageError, rpart.RPartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (omega_mod.OmegaError, factor.FactorizationError,

@@ -3,9 +3,11 @@
 Two independent routes compute each entry:
 
 * the production route sums characters of symmetric-group Young subgroups
-  over double cosets, with everything staying inside Q[t, t^-1].  A coset
-  enters only through its contingency label and the cycle types of the
-  label's cells (the Mackey formula), so no permutation is enumerated;
+  over double cosets, with everything staying inside Z[t, t^-1]: the 1/z
+  weights of each weight pair are cleared by one common denominator, which
+  each entry divides out exactly.  A coset enters only through its
+  contingency label and the cycle types of the label's cells (the Mackey
+  formula), so no permutation is enumerated;
 * the oracle route works inside the wreath product itself, inducing
   characters by brute force (one pass over each block subgroup) and
   evaluating the defining fake-degree sum in the group ring Q[C_r][t]:
@@ -23,10 +25,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from types import MappingProxyType
 
-from .exact import (LaurentPoly, PolyMatrix, _dense_divmod, _exact,
+from .exact import (LaurentPoly, PolyMatrix, _dense_divmod, _exact, _laurent,
                     cyclotomic_polynomial, exact_div)
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     enumerate_contingency, n_star, partitions)
@@ -95,10 +97,12 @@ def epsilon_value(w: WreathElement) -> int:
     return sign(w.sigma)
 
 
-def detV_value(w: WreathElement) -> tuple:
-    """det on the reflection representation, epsilon * delta, as the
-    zeta-power vector epsilon(w) zeta^(sum of colors)."""
-    return (0,) * (sum(w.colors) % w.r) + (sign(w.sigma),)
+def detV_value(key: tuple, r: int) -> tuple:
+    """det on the reflection representation, epsilon * delta, on the class
+    of colored cycle type key, as the zeta-power vector
+    epsilon zeta^(sum of colors)."""
+    sgn = -1 if sum(length - 1 for length, _ in key) % 2 else 1
+    return (0,) * (sum(s for _, s in key) % r) + (sgn,)
 
 
 def zeta_coords(v, r: int) -> tuple:
@@ -199,8 +203,10 @@ def rho_character(blam: RPartition, w: WreathElement) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_terms(n: int, r: int) -> tuple:
-    """(representative, size, prod_i (t^(ir) - 1) / det_V(t - w)) per class,
-    the quotient as r LaurentPolys, the k-th the coefficient of zeta^k.
+    """(key, inverse key, size, prod_i (t^(ir) - 1) / det_V(t - w)) per
+    class, where key is the colored cycle type of w and the inverse key that
+    of w^-1 (each cycle's color sum negated), and the quotient is r
+    LaurentPolys, the k-th the coefficient of zeta^k.
 
     det_V(t - w) is the product over the cycles of w of t^l - zeta^s, for
     the cycle's length l and color sum s, and the telescoping identity
@@ -215,21 +221,25 @@ def _class_terms(n: int, r: int) -> tuple:
         top = top * (LaurentPoly.t_power(i * r) - 1)
     out = []
     for rep, size in wreath_classes(n, r):
+        key = rep.colored_cycle_type()
+        inv_key = tuple(sorted(((length, -s % r) for length, s in key),
+                               reverse=True))
         den = LaurentPoly.one()
         quot = [LaurentPoly.one()] + [LaurentPoly.zero()] * (r - 1)
-        for length, s in rep.colored_cycle_type():
+        for length, s in key:
             den = den * (LaurentPoly.t_power(r * length) - 1)
             quot = [sum((quot[(m - s * (r - 1 - k)) % r].shift(length * k)
                          for k in range(r)), LaurentPoly.zero())
                     for m in range(r)]
         base = exact_div(top, den)
-        out.append((rep, size, tuple(base * q for q in quot)))
+        out.append((key, inv_key, size, tuple(base * q for q in quot)))
     return tuple(out)
 
 
 def fake_degree(n: int, r: int, chi) -> LaurentPoly:
     """The graded multiplicity generating polynomial of the class function
-    chi (a callable on wreath elements whose values are zeta-power vectors):
+    chi, a callable on (class key, inverse class key) whose values are
+    zeta-power vectors:
 
         R(chi) = prod_i (t^(ir) - 1) / |W| * sum_w det(w) chi(w) / det(t - w)
 
@@ -240,8 +250,8 @@ def fake_degree(n: int, r: int, chi) -> LaurentPoly:
     character values.
     """
     acc = [LaurentPoly.zero()] * r
-    for rep, size, quot in _class_terms(n, r):
-        scalar = _zeta_mul(detV_value(rep), chi(rep), r)
+    for key, inv_key, size, quot in _class_terms(n, r):
+        scalar = _zeta_mul(detV_value(key, r), chi(key, inv_key), r)
         for i, c in enumerate(scalar):
             if c:
                 for j, q in enumerate(quot):
@@ -265,12 +275,11 @@ def omega_entry_bruteforce(lam: RPartition, mu: RPartition,
     if lam.n != mu.n or lam.r != r or mu.r != r:
         raise OmegaError("index mismatch")
     n = lam.n
+    rho_lam, rho_mu = _induced(lam, r), _induced(mu, r)
 
-    def chi(w: WreathElement) -> list:
-        winv = w.inv()
-        return _zeta_mul(_zeta_mul(rho_character(lam, w),
-                                   rho_character(mu, winv), r),
-                         detV_value(winv), r)
+    def chi(key: tuple, inv_key: tuple) -> list:
+        return _zeta_mul(_zeta_mul(rho_lam[key], rho_mu[inv_key], r),
+                         detV_value(inv_key, r), r)
 
     try:
         value = fake_degree(n, r, chi).shift(n_star(n, r))
@@ -369,15 +378,61 @@ def torus_quotient(rho: tuple, n: int, r: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _omega_block(m: Composition, m_prime: Composition, r: int) -> tuple:
-    """(column types, row types, polynomial): coset_table contracted with
-    t^(r sum_(i<r) h_(i,<=i)) * torus_quotient, summed over the labels h."""
-    acc: dict = {}
-    for h, terms in coset_table(m, m_prime):
+    """(low, L, blocks) for the weight pair (m, m').  Each block is
+    (column types, row types, coefficients): coset_table contracted with
+    t^(r sum_(i<r) h_(i,<=i)) * torus_quotient and summed over the labels h,
+    times L, the lcm of the denominators of the 1/z weights, so that its
+    coefficients are ints.  Every block is a dense tuple of one length, its
+    i-th entry the coefficient of t^(low + i)."""
+    den = 1
+    terms = []
+    for h, h_terms in coset_table(m, m_prime):
         tpow = r * sum(h.row_prefix(i, i) for i in range(1, r))
-        for cols, rows, rho, weight in terms:
-            term = torus_quotient(rho, m.n, r).shift(tpow) * weight
-            acc[cols, rows] = acc.get((cols, rows), LaurentPoly.zero()) + term
-    return tuple((cols, rows, poly) for (cols, rows), poly in acc.items())
+        for cols, rows, rho, weight in h_terms:
+            den = lcm(den, weight.denominator)
+            terms.append((cols, rows, weight,
+                          torus_quotient(rho, m.n, r).shift(tpow)))
+    low = min(poly.low for *_, poly in terms)
+    width = max(poly.low + len(poly.coeffs) for *_, poly in terms) - low
+    acc: dict = {}
+    for cols, rows, weight, poly in terms:
+        cs = acc.setdefault((cols, rows), [0] * width)
+        scale = weight.numerator * (den // weight.denominator)
+        for i, c in enumerate(poly.coeffs, poly.low - low):
+            cs[i] += scale * c
+    return low, den, tuple((cols, rows, tuple(cs))
+                           for (cols, rows), cs in acc.items())
+
+
+def _axpy(acc, c: int, cs) -> list:
+    """acc + c * cs on dense coefficient lists of one length; acc None is 0."""
+    if acc is None:
+        return [c * x for x in cs]
+    return [a + c * x for a, x in zip(acc, cs)]
+
+
+@lru_cache(maxsize=None)
+def _omega_row(lam: RPartition, m_prime: Composition, r: int) -> tuple:
+    """(low, L, ((row types, R), ...)) with R_lam(rows), the sum over the
+    column types of chi^lam(cols) * block(cols, rows), formed once per
+    (lam, m') from _omega_block(weight(lam), m', r).  Row types whose R is
+    zero are left out."""
+    low, den, blocks = _omega_block(lam.weight(), m_prime, r)
+    acc: dict = {}
+    for cols, rows, cs in blocks:
+        c = block_character(lam, cols)
+        if c:
+            acc[rows] = _axpy(acc.get(rows), c, cs)
+    return low, den, tuple((rows, tuple(cs)) for rows, cs in acc.items()
+                           if any(cs))
+
+
+@lru_cache(maxsize=None)
+def _shift_shares(lam: RPartition) -> tuple:
+    """(a(lam) - r n(lam), a(tau lam) - r n(lam)): lam's share of the
+    exponent shift of an entry in its row, and of one in its column."""
+    rn = lam.r * lam.n_value()
+    return lam.a_value() - rn, lam.tau().a_value() - rn
 
 
 @lru_cache(maxsize=None)
@@ -389,18 +444,28 @@ def omega_entry_cosets(lam: RPartition, mu: RPartition, r: int) -> LaurentPoly:
             / (|S_m| |S_m'| det_V(t^r - y)),
 
     with the sum over each coset's members x and y in S_m meet x S_m' x^-1,
-    here read off coset_table.
+    here read off coset_table.  The sum is L times the entry, formed over Z
+    as the sum over the row types of chi^mu(rows) * R_lam(rows)
+    (_omega_row), and divided by L exactly: a remainder raises OmegaError.
     """
     if lam.n != mu.n or lam.r != r or mu.r != r:
         raise OmegaError("index mismatch")
-    n = lam.n
-    total = LaurentPoly.zero()
-    for cols, rows, poly in _omega_block(lam.weight(), mu.weight(), r):
-        c = block_character(lam, cols) * block_character(mu, rows)
+    low, den, row = _omega_row(lam, mu.weight(), r)
+    total = None
+    for rows, cs in row:
+        c = block_character(mu, rows)
         if c:
-            total = total + poly * c
-    value = total.shift(r * (comb(n, 2) - lam.n_value() - mu.n_value())
-                        + lam.a_value() + mu.tau().a_value())
+            total = _axpy(total, c, cs)
+    coeffs = []
+    for x in total or ():
+        q, rem = divmod(x, den)
+        if rem:
+            raise OmegaError(f"coset entry ({lam}, {mu}) is not integral: "
+                             f"a coefficient {x} of L times it is not "
+                             f"divisible by L = {den}")
+        coeffs.append(q)
+    shift = r * comb(lam.n, 2) + _shift_shares(lam)[0] + _shift_shares(mu)[1]
+    value = _laurent(low + shift, coeffs)
     if not value.has_nonneg_int_coeffs():
         raise OmegaError(
             f"coset entry ({lam}, {mu}) is not in Z>=0[t]: {value}")

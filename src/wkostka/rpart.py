@@ -406,7 +406,9 @@ class ContingencyMatrix:
 
 
 def enumerate_contingency(m: Composition, m_prime: Composition) -> list:
-    """All contingency matrices with column margins m and row margins m'.
+    """All contingency matrices with column margins m and row margins m',
+    in descending lexicographic order of their rows.  Rows and columns with
+    a zero margin hold zeros; the recursion runs over the others only.
 
     >>> res = enumerate_contingency(Composition((1, 1, 0)), Composition((0, 1, 1)))
     >>> len(res)
@@ -417,27 +419,34 @@ def enumerate_contingency(m: Composition, m_prime: Composition) -> list:
     if m.r != m_prime.r:
         raise RPartitionError("margins must have the same length")
     r = m.r
+    cols = [j for j in range(r) if m.parts[j]]
+    targets = [(i, part) for i, part in enumerate(m_prime.parts) if part]
     out = []
 
-    def fill(i: int, col_left: tuple, acc: list):
-        if i == r:
-            if all(c == 0 for c in col_left):
-                out.append(ContingencyMatrix(tuple(acc)))
+    def row_fill(k: int, left: int, caps: tuple, row: list):
+        # Entries of one row in the nonzero columns cols[k:], each at most
+        # the column's remaining margin; the last takes what is left.
+        if k == len(cols) - 1:
+            if left <= caps[k]:
+                row[cols[k]] = left
+                yield row
             return
-        target = m_prime.parts[i]
+        room = sum(caps[k + 1:])
+        for v in range(min(left, caps[k]), max(left - room, 0) - 1, -1):
+            row[cols[k]] = v
+            yield from row_fill(k + 1, left - v, caps, row)
 
-        def row_fill(j: int, left: int, row: list):
-            if j == r - 1:
-                if left <= col_left[j]:
-                    yield tuple(row + [left])
-                return
-            for v in range(min(left, col_left[j]), -1, -1):
-                yield from row_fill(j + 1, left - v, row + [v])
+    def fill(t: int, caps: tuple, acc: list):
+        if t == len(targets):
+            out.append(ContingencyMatrix(tuple(map(tuple, acc))))
+            return
+        i, target = targets[t]
+        for row in row_fill(0, target, caps, [0] * r):
+            acc[i] = row
+            fill(t + 1, tuple(caps[k] - row[j] for k, j in enumerate(cols)),
+                 acc)
 
-        for row in row_fill(0, target, []):
-            fill(i + 1, tuple(c - v for c, v in zip(col_left, row)), acc + [row])
-
-    fill(0, m.parts, [])
+    fill(0, tuple(m.parts[j] for j in cols), [[0] * r for _ in range(r)])
     return out
 
 

@@ -2,15 +2,22 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wkostka
 from wkostka.cli import _FLAGS, SUITES, build_parser, main, omega_to_json
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
 from wkostka.omega import OmegaMatrix, omega_matrix
 from wkostka.rpart import OrderedIndex, RPartition, default_total_order
+
+
+SRC = Path(wkostka.__file__).resolve().parents[1]
 
 
 def omega_from_json(data: dict) -> OmegaMatrix:
@@ -392,6 +399,24 @@ class TestOrderSources:
         code, _, err = run(capsys, "omega", "--n", "1", "--r", "3",
                            "--order", "fixture:n2r3")
         assert code == 2
+
+    @pytest.mark.parametrize("spec,r,message", [
+        ("fixture:nope", "3", "unknown fixture 'nope'"),
+        ("fixture:n1rk", "1", "the general-r fixture needs r >= 2"),
+    ])
+    def test_bad_fixture_is_a_usage_error(self, capsys, spec, r, message):
+        code, out, err = run(capsys, "solve", "--n", "1", "--r", r,
+                             "--order", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_import_skips_fixtures_and_csv(self):
+        """Only fixture orders, verify fixtures and csv output load them."""
+        probe = ("import sys, wkostka.cli; print('wkostka.fixtures' in "
+                 "sys.modules, 'csv' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.stdout == "False False\n"
 
     def test_missing_nr(self, capsys):
         code, _, err = run(capsys, "omega")

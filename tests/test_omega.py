@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wkostka.omega as omega_mod
 from wkostka.exact import ExactError, LaurentPoly, cyclotomic_polynomial
 from wkostka.greencheck import thm55_check
 from wkostka.omega import (OmegaError, WreathElement, _class_terms,
-                           _zeta_mul, a_O, b_O, bracket, coset_table,
-                           detV_value, epsilon_value, fake_degree,
-                           omega_entry_bruteforce, omega_entry_cosets,
+                           _omega_block, _omega_row, _zeta_mul, a_O, b_O,
+                           bracket, coset_table, detV_value, epsilon_value,
+                           fake_degree, omega_entry_bruteforce,
+                           omega_entry_cosets,
                            omega_matrix, rho_character, torus_quotient,
                            wreath_classes, wreath_elements, wreath_order,
                            zeta_coords)
@@ -21,6 +23,7 @@ from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
 from wkostka.symgrp import char_perm_det_from_type, double_cosets
 
 from literal_cosets import omega_by_literal_cosets
+from literal_omega_block import omega_by_fraction_blocks
 from literal_wreath import identity, product, rho_by_conjugation
 
 
@@ -70,10 +73,10 @@ class TestWreathGroup:
     def test_linear_characters(self):
         w = WreathElement((0, 1, 2), (1, 0, 0), 3)
         assert epsilon_value(w) == 1
-        assert zeta_coords(detV_value(w), 3) == (0, 1)
+        assert zeta_coords(detV_value(w.colored_cycle_type(), 3), 3) == (0, 1)
         w = WreathElement((1, 0, 2), (1, 1, 0), 3)  # -zeta^2 = 1 + zeta
         assert epsilon_value(w) == -1
-        assert zeta_coords(detV_value(w), 3) == (1, 1)
+        assert zeta_coords(detV_value(w.colored_cycle_type(), 3), 3) == (1, 1)
 
     @pytest.mark.parametrize("n,r", [(2, 3), (2, 4), (3, 3)])
     def test_class_quotient_times_charpoly(self, n, r):
@@ -86,9 +89,12 @@ class TestWreathGroup:
         want = [top] + [LaurentPoly.zero()] * (r - 1)
         terms = _class_terms(n, r)
         assert len(terms) == len(wreath_classes(n, r))
-        for rep, _, quot in terms:
+        for (rep, _), (key, inv_key, _, quot) in zip(wreath_classes(n, r),
+                                                     terms):
+            assert key == rep.colored_cycle_type()
+            assert inv_key == rep.inv().colored_cycle_type()
             prod = list(quot)
-            for length, s in rep.colored_cycle_type():
+            for length, s in key:
                 prod = [prod[k].shift(length) - prod[(k - s) % r]
                         for k in range(r)]
             assert prod == want, rep
@@ -203,18 +209,20 @@ class TestRhoCharacter:
 class TestFakeDegree:
     def test_trivial_character(self):
         for n, r in ((1, 3), (2, 3), (2, 2)):
-            assert fake_degree(n, r, lambda w: (1,)) == P("1")
+            assert fake_degree(n, r, lambda key, inv_key: (1,)) == P("1")
 
     def test_irrational_values_raise(self):
         """The constant zeta is no rational class function: its fake degree
         is zeta, which the Phi_r reduction leaves non-constant."""
         with pytest.raises(OmegaError, match="irrational"):
-            fake_degree(2, 3, lambda w: (0, 1))
+            fake_degree(2, 3, lambda key, inv_key: (0, 1))
 
     def test_nonnegative_integer_coefficients(self):
         n, r = 2, 3
+        reps = {w.colored_cycle_type(): w for w, _ in wreath_classes(n, r)}
         for lam in enumerate_rpartitions(n, r):
-            val = fake_degree(n, r, lambda w: rho_character(lam, w))
+            val = fake_degree(n, r,
+                              lambda key, _: rho_character(lam, reps[key]))
             assert val.has_nonneg_int_coeffs()
             # graded multiplicity of lam in the coinvariant algebra:
             # total multiplicity equals the degree of the character
@@ -406,6 +414,60 @@ class TestOmegaEntries:
         order = default_total_order(0, 3)
         om = omega_matrix(0, 3, order)
         assert om.entries.rows[0][0] == P("1")
+
+
+class TestIntegerKernel:
+    """Each coset entry is the sum over the row types of
+    chi^mu(rows) * R_lam(rows), over Z, divided by L exactly."""
+
+    @pytest.fixture
+    def fresh_kernel(self):
+        def clear():
+            for cached in (omega_entry_cosets, _omega_row, _omega_block):
+                cached.cache_clear()
+        clear()
+        yield
+        clear()
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 5)
+                                     for r in range(1, 4)]
+                             + [(2, 5), (3, 4), (5, 2)])
+    def test_matches_fraction_contraction(self, n, r):
+        """The integer kernel against the per-entry contraction of Q[t]
+        blocks that it replaced."""
+        items = enumerate_rpartitions(n, r)
+        for lam in items:
+            for mu in items:
+                value = omega_entry_cosets(lam, mu, r)
+                assert value == omega_by_fraction_blocks(lam, mu, r)
+                assert all(type(c) is int for c in value.coeffs)
+
+    def test_blocks_share_low_and_length(self):
+        low, den, blocks = _omega_block(Composition((2, 1, 0)),
+                                        Composition((2, 0, 1)), 3)
+        assert den == 2  # the label with h_11 = 2 weighs 1/z_(2) = 1/2
+        assert len({len(cs) for *_, cs in blocks}) == 1
+        assert all(type(c) is int for *_, cs in blocks for c in cs)
+
+    @pytest.mark.parametrize("fault", ["block", "denominator"])
+    def test_inexact_sum_raises(self, monkeypatch, fresh_kernel, fault):
+        """One coefficient of one block raised by 1, or L doubled, leaves L
+        not dividing the sum for the trivial-character entry (whose
+        character is 1 on every block and whose value has coefficient 1):
+        the entry raises and is never rounded."""
+        real = omega_mod._omega_block
+
+        def seeded(m, mp, r):
+            low, den, blocks = real(m, mp, r)
+            if fault == "denominator":
+                return low, 2 * den, blocks
+            (cols, rows, cs), *rest = blocks
+            return low, den, ((cols, rows, (cs[0] + 1,) + cs[1:]), *rest)
+
+        monkeypatch.setattr(omega_mod, "_omega_block", seeded)
+        triv = RP("(2;-;-)")
+        with pytest.raises(OmegaError, match="not integral"):
+            omega_entry_cosets(triv, triv, 3)
 
 
 class TestCosetTable:

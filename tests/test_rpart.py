@@ -4,10 +4,12 @@ import itertools
 import pytest
 
 from wkostka.rpart import (Composition, RPartition, RPartitionError,
-                           default_total_order, dim_x, dim_xm_unip,
-                           dominance_leq, enumerate_contingency,
+                           compositions, default_total_order, dim_x,
+                           dim_xm_unip, dominance_leq, enumerate_contingency,
                            enumerate_rpartitions, n_star,
                            sample_linear_extensions)
+
+from literal_contingency import contingency_by_full_recursion
 
 
 def RP(s):
@@ -176,6 +178,18 @@ class TestContingency:
     def test_mismatched_totals(self):
         with pytest.raises(RPartitionError):
             enumerate_contingency(Composition((1, 0)), Composition((2, 0)))
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(5)
+                                     for r in range(1, 4)]
+                             + [(2, 5), (3, 4)])
+    def test_matches_full_recursion(self, n, r):
+        """Recursing over the nonzero margins only lists the same matrices,
+        in the same order, as the recursion over every row and column."""
+        weights = [Composition(c) for c in compositions(n, r)]
+        for m in weights:
+            for mp in weights:
+                assert enumerate_contingency(m, mp) == \
+                    contingency_by_full_recursion(m, mp)
 
 
 class TestDimensions:
