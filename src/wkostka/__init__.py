@@ -6,6 +6,8 @@ triangular factorization that defines the (modified) Kostka functions, and
 verifies the combinatorial identities tying them to Green-function inner
 products.
 """
+import sys
+
 from .exact import ExactError, LaurentPoly, PolyMatrix, RationalFunction
 from .factor import (FactorizationError, FactorizationResult, IcMatrix,
                      order_sensitivity, solve_factorization, unmodify_kostka)
@@ -24,3 +26,18 @@ from .symgrp import (CharTable, DoubleCoset, SymGrpError, char_perm_det,
                      torus_order, young_character)
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level lru_cache of the loaded wkostka modules.
+
+    The caches keep what one (n, r) needs for the life of the process (at
+    (6,3) the Omega row contractions alone hold about 17 MiB); a long
+    session can drop them between sizes, and later calls recompute what
+    they need."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and \
+                        getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()

@@ -9,7 +9,6 @@ polynomial matrices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import mul
@@ -17,6 +16,7 @@ from operator import mul
 from .exact import (ExactError, LaurentPoly, PolyMatrix, RationalFunction,
                     exact_div)
 from .omega import OmegaMatrix, omega_matrix
+from .record import FrozenRecord
 from .rpart import OrderedIndex, RPartition, dominance_leq
 
 
@@ -24,33 +24,29 @@ class FactorizationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IcMatrix:
+class IcMatrix(FrozenRecord):
     """A rescaled Kostka matrix with per-entry validity flags.
 
     raw holds the rescaled Laurent polynomials in t; where ok is set the
     entry lies in Z>=0[t^r] and in_s carries it rewritten in s = t^r.
+    column_asserted is a tuple or None (the default).
     """
 
-    raw: tuple
-    ok: tuple
-    in_s: tuple
-    column_asserted: tuple | None = None
+    __slots__ = ("raw", "ok", "in_s", "column_asserted")
+    _defaults = {"column_asserted": None}
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    order: OrderedIndex
-    omega: OmegaMatrix
-    p_minus: PolyMatrix
-    p_plus: PolyMatrix
-    lam: tuple                  # diagonal of Lambda, as RationalFunction
-    a_values: tuple
-    theta: tuple                # diagonal of Theta, Laurent monomials
-    lambda_prime: tuple
-    p_plus_modified: PolyMatrix  # P'' = P+ Theta^-1
-    ic_minus: IcMatrix
-    ic_plus: IcMatrix
+class FactorizationResult(FrozenRecord):
+    """order is an OrderedIndex, omega an OmegaMatrix, p_minus, p_plus and
+    p_plus_modified are PolyMatrix, ic_minus and ic_plus IcMatrix."""
+
+    __slots__ = ("order", "omega", "p_minus", "p_plus",
+                 "lam",               # diagonal of Lambda, as RationalFunction
+                 "a_values",
+                 "theta",             # diagonal of Theta, Laurent monomials
+                 "lambda_prime",
+                 "p_plus_modified",   # P'' = P+ Theta^-1
+                 "ic_minus", "ic_plus")
 
 
 def solve_factorization(om: OmegaMatrix, verify: bool = True) -> FactorizationResult:
@@ -257,13 +253,9 @@ def unmodify_kostka(modified: LaurentPoly, a_mu: int) -> LaurentPoly:
 # -- order sensitivity ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderSensitivityReport:
-    n: int
-    r: int
-    orders_used: int
-    comparable_mismatches: tuple
-    incomparable_mismatches: tuple
+class OrderSensitivityReport(FrozenRecord):
+    __slots__ = ("n", "r", "orders_used", "comparable_mismatches",
+                 "incomparable_mismatches")
 
     @property
     def comparable_stable(self) -> bool:

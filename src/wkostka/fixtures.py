@@ -9,7 +9,6 @@ bit-exactly and that erratum cells match their forced values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .exact import LaurentPoly
@@ -17,6 +16,7 @@ from .factor import (FactorizationResult, reconstructed_entries,
                      solve_factorization)
 from .greencheck import VerifyReport
 from .omega import omega_matrix
+from .record import Record
 from .rpart import OrderedIndex, RPartition
 
 FIXTURE_IDS = ("n1r3", "n1rk", "n2r3", "n3r3")
@@ -26,25 +26,19 @@ class FixtureError(ValueError):
     pass
 
 
-@dataclass
-class Fixture:
-    id: str
-    n: int
-    r: int
-    order: OrderedIndex
-    a_values: list
-    p_minus: list | None = None          # lower-triangle rows of LaurentPoly
-    p_plus: list | None = None
-    xi: list | None = None               # diagonal of LaurentPoly
-    omega: list | None = None            # full square of LaurentPoly
-    theta: list | None = None
-    lambda_prime: list | None = None
-    p_plus_modified: list | None = None
-    p_minus_modified: list | None = None
-    ic_minus_printed: list | None = None
-    ic_plus_printed: list | None = None
-    ic_plus_candidate: list | None = None
-    errata: dict = field(default_factory=dict)
+class Fixture(Record):
+    """One fixture: order is an OrderedIndex, the tables are lists of
+    LaurentPoly rows (None where the source prints none), errata a dict."""
+
+    __slots__ = ("id", "n", "r", "order", "a_values",
+                 "p_minus",           # lower-triangle rows of LaurentPoly
+                 "p_plus",
+                 "xi",                # diagonal of LaurentPoly
+                 "omega",             # full square of LaurentPoly
+                 "theta", "lambda_prime", "p_plus_modified",
+                 "p_minus_modified", "ic_minus_printed", "ic_plus_printed",
+                 "ic_plus_candidate", "errata")
+    _defaults = {**dict.fromkeys(__slots__[5:-1]), "errata": {}}
 
 
 def _parse_tri(rows, size) -> list:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .exact import LaurentPoly
 from .omega import (a_O, b_O, bracket, coset_table, omega_entry_cosets,
                     torus_quotient)
+from .record import FrozenRecord, Record
 from .rpart import (Composition, ContingencyMatrix, RPartition, compositions,
                     enumerate_contingency, enumerate_rpartitions, n_star)
 from .symgrp import block_character, torus_order
@@ -55,12 +55,9 @@ def a_exponent(pair: tuple, h: ContingencyMatrix) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class InnerProductValue:
-    value: object              # LaurentPoly (symbolic) or Fraction
-    p_eps: int
-    p_eps_prime: int
-    symbolic: bool
+class InnerProductValue(FrozenRecord):
+    __slots__ = ("value",      # LaurentPoly (symbolic) or Fraction
+                 "p_eps", "p_eps_prime", "symbolic")
 
 
 def _gl_order_numeric(n: int, q: Fraction) -> Fraction:
@@ -118,12 +115,9 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
 # -- verification reports -------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    params: dict
-    violations: list = field(default_factory=list)
-    checked: int = 0
+class VerifyReport(Record):
+    __slots__ = ("suite", "params", "violations", "checked")
+    _defaults = {"violations": [], "checked": 0}
 
     @property
     def passed(self) -> bool:

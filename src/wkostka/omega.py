@@ -22,7 +22,6 @@ Both must agree, entry by entry; the test suite enforces this.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -30,6 +29,7 @@ from types import MappingProxyType
 
 from .exact import (LaurentPoly, PolyMatrix, _dense_divmod, _exact, _laurent,
                     cyclotomic_polynomial, exact_div)
+from .record import FrozenRecord
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     enumerate_contingency, n_star, partitions)
 from .symgrp import (all_perms, block_character, block_cycle_types, block_of,
@@ -49,19 +49,17 @@ class OmegaError(ValueError):
 # -- wreath-product elements --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(FrozenRecord):
     """(sigma, a): the monomial matrix e_i -> zeta^(a_i) e_(sigma(i))."""
 
-    sigma: tuple
-    colors: tuple
-    r: int
+    __slots__ = ("sigma", "colors", "r")
 
-    def __post_init__(self):
-        if len(self.sigma) != len(self.colors):
+    def __init__(self, sigma, colors, r):
+        if len(sigma) != len(colors):
             raise OmegaError("color vector length must match the permutation")
-        object.__setattr__(self, "colors",
-                           tuple(c % self.r for c in self.colors))
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "colors", tuple(c % r for c in colors))
+        object.__setattr__(self, "r", r)
 
     @property
     def n(self) -> int:
@@ -475,15 +473,11 @@ def omega_entry_cosets(lam: RPartition, mu: RPartition, r: int) -> LaurentPoly:
 # -- assembled matrices ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaMatrix:
-    """The scaled fake-degree matrix over a fixed total order."""
+class OmegaMatrix(FrozenRecord):
+    """The scaled fake-degree matrix over a fixed total order: order is an
+    OrderedIndex, entries a PolyMatrix, method the route's name."""
 
-    order: OrderedIndex
-    entries: PolyMatrix
-    n: int
-    r: int
-    method: str
+    __slots__ = ("order", "entries", "n", "r", "method")
 
     def entry(self, lam: RPartition, mu: RPartition) -> LaurentPoly:
         return self.entries.entry(lam, mu)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+
+from .record import FrozenRecord
 
 
 class RPartitionError(ValueError):
@@ -79,16 +80,23 @@ def compositions(n: int, r: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(FrozenRecord):
     """A weight vector m = (m_1, ..., m_r) with sum n."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts or any(x < 0 for x in self.parts):
-            raise RPartitionError(f"invalid composition {self.parts}")
-        object.__setattr__(self, "parts", tuple(int(x) for x in self.parts))
+    def __init__(self, parts):
+        if not parts or any(x < 0 for x in parts):
+            raise RPartitionError(f"invalid composition {parts}")
+        object.__setattr__(self, "parts", tuple(int(x) for x in parts))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def r(self) -> int:
@@ -128,8 +136,7 @@ class Composition:
         return "(" + ",".join(str(x) for x in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class RPartition:
+class RPartition(FrozenRecord):
     """An r-tuple of partitions with total size n.
 
     >>> lam = RPartition.parse("(21;-;1)")
@@ -139,16 +146,24 @@ class RPartition:
     '(21;-;1)'
     """
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(tuple(comp) for comp in self.parts)
+    def __init__(self, parts):
+        parts = tuple(tuple(comp) for comp in parts)
         if not parts:
             raise RPartitionError("an r-partition needs r >= 1 components")
         for comp in parts:
             if not is_partition(comp):
                 raise RPartitionError(f"component {comp} is not a partition")
         object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def r(self) -> int:
@@ -159,7 +174,7 @@ class RPartition:
         return sum(sum(c) for c in self.parts)
 
     def weight(self) -> Composition:
-        return Composition(tuple(sum(c) for c in self.parts))
+        return Composition._unchecked(tuple(sum(c) for c in self.parts))
 
     def n_value(self) -> int:
         return sum(partition_n_value(c) for c in self.parts)
@@ -284,15 +299,15 @@ def enumerate_rpartitions(n: int, r: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class OrderedIndex:
-    """A total order on P_{n,r} refining the dominance order."""
+class OrderedIndex(FrozenRecord):
+    """A total order on P_{n,r} refining the dominance order.  Equality,
+    hash and repr read items only: _pos is the position lookup built from
+    them."""
 
-    items: tuple
-    _pos: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("items", "_pos")
 
-    def __post_init__(self):
-        items = tuple(self.items)
+    def __init__(self, items):
+        items = tuple(items)
         object.__setattr__(self, "items", items)
         pos = {lam: i for i, lam in enumerate(items)}
         if len(pos) != len(items):
@@ -306,6 +321,20 @@ class OrderedIndex:
                 if dominance_leq(mu, lam) and mu != lam:
                     raise RPartitionError(
                         f"order violates dominance: {mu} must precede {lam}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(items={self.items!r})"
+
+    def __reduce__(self):
+        return type(self), (self.items,)
 
     def position(self, lam: RPartition) -> int:
         return self._pos[lam]
@@ -353,23 +382,30 @@ def sample_linear_extensions(n: int, r: int, count: int, seed: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ContingencyMatrix:
+class ContingencyMatrix(FrozenRecord):
     """An r x r matrix of nonnegative integers with prescribed margins.
 
     Rows follow the second composition (m'), columns the first (m), so that
     column j sums to m_j and row i sums to m'_i.
     """
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         r = len(rows)
         if any(len(row) != r for row in rows) or \
                 any(x < 0 for row in rows for x in row):
             raise RPartitionError("contingency matrix must be square and nonnegative")
         object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def r(self) -> int:
@@ -438,7 +474,7 @@ def enumerate_contingency(m: Composition, m_prime: Composition) -> list:
 
     def fill(t: int, caps: tuple, acc: list):
         if t == len(targets):
-            out.append(ContingencyMatrix(tuple(map(tuple, acc))))
+            out.append(ContingencyMatrix._unchecked(tuple(map(tuple, acc))))
             return
         i, target = targets[t]
         for row in row_fill(0, target, caps, [0] * r):

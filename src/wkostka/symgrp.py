@@ -10,11 +10,11 @@ tests as its oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import LaurentPoly
+from .record import FrozenRecord
 from .rpart import Composition, ContingencyMatrix, RPartition
 
 BRUTE_FORCE_N_BOUND = 8
@@ -125,15 +125,10 @@ def centralizer_order(rho: tuple) -> int:
     return z
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(FrozenRecord):
     """Character table of S_n: rows are partitions, columns cycle types."""
 
-    n: int
-    partitions: tuple
-    cycle_types: tuple
-    values: tuple
-    centralizers: tuple
+    __slots__ = ("n", "partitions", "cycle_types", "values", "centralizers")
 
     def value(self, lam: tuple, rho: tuple) -> int:
         return self.values[self.partitions.index(lam)][self.cycle_types.index(rho)]
@@ -221,14 +216,10 @@ def young_subgroup_elements(n: int, mparts: tuple) -> tuple:
 # -- double cosets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(FrozenRecord):
     """One double coset S_m x S_m', labelled by its contingency matrix."""
 
-    label: ContingencyMatrix
-    rep: tuple
-    size: int
-    members: tuple
+    __slots__ = ("label", "rep", "size", "members")
 
 
 def coset_label(x: tuple, m: Composition, m_prime: Composition) -> ContingencyMatrix:
