@@ -21,9 +21,8 @@ from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     RPartitionError, default_total_order, dim_x, dim_xm_unip,
                     dominance_leq, enumerate_contingency,
                     enumerate_rpartitions, n_star, sample_linear_extensions)
-from .symgrp import (CharTable, DoubleCoset, SymGrpError, char_perm_det,
-                     char_table, cycle_type, double_cosets, mn_character,
-                     torus_order, young_character)
+from .symgrp import (DoubleCoset, SymGrpError, cycle_type, double_cosets,
+                     mn_character)
 
 __version__ = "0.1.0"
 

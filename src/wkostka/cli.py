@@ -166,10 +166,18 @@ def omega_to_json(om) -> dict:
             "entries": _matrix_strings(om.entries.rows)}
 
 
+def _bound(value: int, flag: str) -> int:
+    """A guard bound flag's value, which must be at least 1."""
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1")
+    return value
+
+
 def _omega(args, order, method: str):
-    return omega_mod.omega_matrix(args.n, args.r, order, method,
-                                  coset_n_bound=args.coset_bound,
-                                  wreath_bound=args.wreath_bound)
+    return omega_mod.omega_matrix(
+        args.n, args.r, order, method,
+        coset_n_bound=_bound(args.coset_bound, "--coset-bound"),
+        wreath_bound=_bound(args.wreath_bound, "--wreath-bound"))
 
 
 def cmd_omega(args) -> int:
@@ -324,9 +332,10 @@ def _suite_oracle(args) -> greencheck.VerifyReport:
         raise UsageError("the oracle suite needs both --n and --r (or neither)")
     else:
         pairs = ((args.n, args.r),)
+    bound = _bound(args.wreath_bound, "--wreath-bound")
     report = greencheck.VerifyReport("oracle", {"instances": list(map(list, pairs))})
     for n, r in pairs:
-        omega_mod._check_oracle_bound(n, r, args.wreath_bound)
+        omega_mod._check_oracle_bound(n, r, bound)
         items = rpart.enumerate_rpartitions(n, r)
         for lam in items:
             for mu in items:

@@ -197,21 +197,9 @@ class LaurentPoly:
         """Multiply by t^k."""
         return _laurent(self.low + k, self.coeffs)
 
-    def scale_exponents(self, k: int) -> "LaurentPoly":
-        """Substitute t -> t^k (k may be negative but not zero)."""
-        if k == 0:
-            raise ExactError("exponent scale factor must be nonzero")
-        return LaurentPoly({e * k: v for e, v in self.items()})
-
-    def substitute_tr(self, r: int) -> "LaurentPoly":
-        """The polynomial f(t^r) obtained from f(t)."""
-        if r < 1:
-            raise ExactError("substitution power must be >= 1")
-        return self.scale_exponents(r)
-
     def reciprocal_var(self) -> "LaurentPoly":
         """Substitute t -> t^-1."""
-        return self.scale_exponents(-1)
+        return _laurent(1 - self.low - len(self.coeffs), self.coeffs[::-1])
 
     def eval_at(self, q) -> Fraction:
         q = _as_fraction(q)
@@ -225,8 +213,8 @@ class LaurentPoly:
         """True iff every exponent present is nonnegative and divisible by r."""
         return all(e >= 0 and e % r == 0 for e, _ in self.items())
 
-    def descale_exponents(self, r: int) -> "LaurentPoly":
-        """Inverse of substitute_tr; requires is_poly_in_tr(r)."""
+    def root_var(self, r: int) -> "LaurentPoly":
+        """Substitute t -> t^(1/r); requires is_poly_in_tr(r)."""
         if not self.is_poly_in_tr(r):
             raise ExactError(f"not a polynomial in t^{r}")
         return _laurent(self.low // r, self.coeffs[::r])

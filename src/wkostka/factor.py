@@ -49,7 +49,7 @@ class FactorizationResult(FrozenRecord):
                  "ic_minus", "ic_plus")
 
 
-def solve_factorization(om: OmegaMatrix, verify: bool = True) -> FactorizationResult:
+def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
     """Forward elimination in the total order, in the Laurent ring.
 
     Writing M = Lambda * transpose(P+) (upper triangular), row k of M and
@@ -58,6 +58,8 @@ def solve_factorization(om: OmegaMatrix, verify: bool = True) -> FactorizationRe
     uniqueness theorem guarantees to be nonzero.  When every P+- entry is
     a Laurent polynomial, so is every row of M and every xi_k, so each
     division is exact; an inexact one names the entry that leaves the ring.
+    Every result is checked against Omega (_verify_reconstruction) before
+    it is returned.
     """
     order = om.order
     items = order.items
@@ -103,8 +105,7 @@ def solve_factorization(om: OmegaMatrix, verify: bool = True) -> FactorizationRe
 
     pm = PolyMatrix(order, p_minus)
     pp = PolyMatrix(order, p_plus)
-    if verify:
-        _verify_reconstruction(order, pm, tuple(xi), pp, om)
+    _verify_reconstruction(order, pm, tuple(xi), pp, om)
     lam = tuple(RationalFunction(x) for x in xi)
     theta = theta_diag(order)
     return FactorizationResult(
@@ -115,24 +116,22 @@ def solve_factorization(om: OmegaMatrix, verify: bool = True) -> FactorizationRe
         ic_plus=ic_plus_candidate(order, pp, om.r))
 
 
-def reconstructed_entries(p_minus, xi, p_plus):
-    """(i, j, sum_l P-_il xi_l P+_jl) for every cell, row by row, from the
-    rows of the lower-triangular P+- and the diagonal xi."""
-    k = len(xi)
-    for i in range(k):
-        for j in range(k):
-            acc = LaurentPoly.zero()
-            for l in range(min(i, j) + 1):
-                acc = acc + p_minus[i][l] * xi[l] * p_plus[j][l]
-            yield i, j, acc
-
-
 def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
                            om: OmegaMatrix):
-    """Raise FactorizationError at the first cell (i, j), row by row, where
-    sum_l P-_il xi_l P+_jl differs from Omega_ij.  Each cell is one integer
-    identity (Kronecker substitution: Schoenhage, EUROCAM 1982; Harvey,
-    J. Symbolic Comput. 2009).
+    """Raise FactorizationError at the first cell, row by row, where
+    sum_l P-_il xi_l P+_jl differs from Omega_ij."""
+    for i, j in reconstruction_mismatches(pm.rows, xi, pp.rows,
+                                          om.entries.rows):
+        raise FactorizationError(
+            f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
+
+
+def reconstruction_mismatches(p_minus, xi, p_plus, omega):
+    """Each cell (i, j), row by row, where sum_l P-_il xi_l P+_jl differs
+    from omega[i][j], for the rows of the lower-triangular P+- and the
+    diagonal xi.  Each cell is one integer identity (Kronecker
+    substitution: Schoenhage, EUROCAM 1982; Harvey, J. Symbolic Comput.
+    2009).
 
     P-, xi and P+ are each written as t^L times polynomials, with L the
     lowest exponent in that matrix, and Omega about the sum of the three
@@ -151,7 +150,7 @@ def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
     anywhere is first cleared with D, the lcm of all denominators: the check
     then compares D^3 Omega with the sum of (D P-)(D xi)(D P+).
     """
-    mats = [pm.rows, (xi,), pp.rows, om.entries.rows]
+    mats = [p_minus, (xi,), p_plus, omega]
     d = lcm(*(c.denominator for rows in mats for row in rows for p in row
               for c in p.coeffs if type(c) is not int))
     if d != 1:
@@ -177,8 +176,7 @@ def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
         for j in range(k):
             m = min(i, j) + 1
             if sum(map(mul, weighted[:m], packed_pp[j][:m])) != packed_om[i][j]:
-                raise FactorizationError(
-                    f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
+                yield i, j
 
 
 def _packed(p: LaurentPoly, low: int, bits: int) -> int:
@@ -217,7 +215,7 @@ def _ic_matrix(rows, shift, r: int, column_asserted=None) -> IcMatrix:
                        for e in raw_row)
         raw.append(raw_row)
         ok.append(ok_row)
-        in_s.append(tuple(e.descale_exponents(r) if good else None
+        in_s.append(tuple(e.root_var(r) if good else None
                           for e, good in zip(raw_row, ok_row)))
     return IcMatrix(tuple(raw), tuple(ok), tuple(in_s), column_asserted)
 
@@ -271,7 +269,7 @@ def order_sensitivity(n: int, r: int, orders) -> OrderSensitivityReport:
     pairwise; dominance-comparable pairs are reported separately from
     incomparable ones (whose triangular zero pattern depends on the order)."""
     orders = list(orders)
-    results = [solve_factorization(omega_matrix(n, r, order), verify=False)
+    results = [solve_factorization(omega_matrix(n, r, order))
                for order in orders]
 
     items = list(orders[0].items)

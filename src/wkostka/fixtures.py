@@ -12,7 +12,7 @@ import json
 from importlib import resources
 
 from .exact import LaurentPoly
-from .factor import (FactorizationResult, reconstructed_entries,
+from .factor import (FactorizationResult, reconstruction_mismatches,
                      solve_factorization)
 from .greencheck import VerifyReport
 from .omega import omega_matrix
@@ -204,13 +204,13 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
 
 def reconstruction_check(fx: Fixture) -> VerifyReport:
     """Internal transcription guard: P- Lambda tP+ rebuilt from the fixture's
-    own tables must equal the fixture's omega (when printed)."""
+    own tables must equal the fixture's omega (when printed).  Every cell is
+    checked, by the solver's packed identity; each mismatch is reported."""
     report = VerifyReport("fixture-reconstruction", {"id": fx.id})
     if fx.omega is None or fx.p_minus is None or fx.p_plus is None or fx.xi is None:
         return report
-    for i, j, acc in reconstructed_entries(fx.p_minus, fx.xi, fx.p_plus):
-        report.checked += 1
-        if acc != fx.omega[i][j]:
-            report.violations.append(
-                {"at": (i, j), "rebuilt": str(acc), "omega": str(fx.omega[i][j])})
+    report.checked = len(fx.xi) ** 2
+    for i, j in reconstruction_mismatches(fx.p_minus, fx.xi, fx.p_plus,
+                                          fx.omega):
+        report.violations.append({"at": (i, j), "omega": str(fx.omega[i][j])})
     return report

@@ -19,7 +19,7 @@ from .omega import (a_O, b_O, bracket, coset_table, omega_entry_cosets,
 from .record import FrozenRecord, Record
 from .rpart import (Composition, ContingencyMatrix, RPartition, compositions,
                     enumerate_contingency, enumerate_rpartitions, n_star)
-from .symgrp import block_character, torus_order
+from .symgrp import block_character
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
@@ -60,21 +60,16 @@ class InnerProductValue(FrozenRecord):
                  "p_eps", "p_eps_prime", "symbolic")
 
 
-def _gl_order_numeric(n: int, q: Fraction) -> Fraction:
-    out = q ** comb(n, 2)
-    for k in range(1, n + 1):
-        out *= q ** k - 1
-    return out
-
-
 def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
                         q=None, power: int = 1) -> InnerProductValue:
     """The Green-function inner product, evaluated combinatorially.
 
     With q=None the result is symbolic over the base field of order t^power
-    (power > 1 realizes base-field extensions); otherwise q is the actual
-    field order and the result is an exact rational number.  The symbolic
-    value is a Laurent polynomial: each |GL_n| / |T_w| term is one.
+    (power > 1 realizes base-field extensions): a Laurent polynomial, since
+    each |GL_n| / |T_w| term is one, whose coefficients carry the 1/z
+    weights of coset_table and so may be Fractions.  Otherwise q is the
+    actual field order, and the result is the symbolic value over the base
+    field of order t (power 1) evaluated at t = q, an exact rational number.
     """
     if lam.n != mu.n or lam.r != mu.r:
         raise GreenCheckError("indices must share n and r")
@@ -95,21 +90,15 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
             c = weight * block_character(lam, cols) * block_character(mu, rows)
             if c:
                 coefs[a, rho] = coefs.get((a, rho), 0) + c
-    # times |GL_n| / |T_w|
-    if q is None:
-        value = LaurentPoly.zero()
-        for (a, rho), c in coefs.items():
-            value = value + torus_quotient(rho, n, power).shift(
-                power * (a + comb(n, 2))) * c
-        value = value * sign
-    else:
-        q = Fraction(q)
-        gl = _gl_order_numeric(n, q)
-        value = Fraction(0)
-        for (a, rho), c in coefs.items():
-            value += q ** a * c * gl / torus_order(rho, q)
-        value *= sign
-    return InnerProductValue(value, p_eps, p_eps_prime, q is None)
+    # times |GL_n| / |T_w|, over the base field of order t when q is given
+    base = power if q is None else 1
+    value = LaurentPoly.zero()
+    for (a, rho), c in coefs.items():
+        value = value + torus_quotient(rho, n, base).shift(
+            base * (a + comb(n, 2))) * c
+    value = value * sign
+    return InnerProductValue(value if q is None else value.eval_at(q),
+                             p_eps, p_eps_prime, q is None)
 
 
 # -- verification reports -------------------------------------------------------

@@ -34,7 +34,7 @@ from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     enumerate_contingency, n_star, partitions)
 from .symgrp import (all_perms, block_character, block_cycle_types, block_of,
                      centralizer_order, char_perm_det_from_type, cycles,
-                     in_young, inverse, sign)
+                     in_young, inverse)
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
@@ -88,11 +88,6 @@ def wreath_elements(n: int, r: int):
     for sigma in all_perms(n):
         for colors in itertools.product(range(r), repeat=n):
             yield WreathElement(sigma, colors, r)
-
-
-def epsilon_value(w: WreathElement) -> int:
-    """Pull-back of the sign character of S_n."""
-    return sign(w.sigma)
 
 
 def detV_value(key: tuple, r: int) -> tuple:

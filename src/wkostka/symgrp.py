@@ -10,7 +10,6 @@ tests as its oracle.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import LaurentPoly
@@ -125,25 +124,6 @@ def centralizer_order(rho: tuple) -> int:
     return z
 
 
-class CharTable(FrozenRecord):
-    """Character table of S_n: rows are partitions, columns cycle types."""
-
-    __slots__ = ("n", "partitions", "cycle_types", "values", "centralizers")
-
-    def value(self, lam: tuple, rho: tuple) -> int:
-        return self.values[self.partitions.index(lam)][self.cycle_types.index(rho)]
-
-
-@lru_cache(maxsize=None)
-def char_table(n: int) -> CharTable:
-    from .rpart import partitions as _partitions
-    parts = tuple(_partitions(n))
-    values = tuple(tuple(mn_character(lam, rho) for rho in parts)
-                   for lam in parts)
-    return CharTable(n, parts, parts, values,
-                     tuple(centralizer_order(rho) for rho in parts))
-
-
 # -- Young subgroups ---------------------------------------------------------
 
 
@@ -189,13 +169,6 @@ def block_character(blam: RPartition, types: tuple) -> int:
         if value == 0:
             return 0
     return value
-
-
-def young_character(blam: RPartition, w: tuple, m: Composition) -> int:
-    """Value of the outer product character chi^(lambda^(1)) x ... at w."""
-    if blam.weight() != m:
-        raise SymGrpError("r-partition does not lie in P(m)")
-    return block_character(blam, block_cycle_types(w, m))
 
 
 @lru_cache(maxsize=None)
@@ -271,25 +244,11 @@ def intersection_elements(m: Composition, m_prime: Composition, x: tuple) -> lis
 # -- torus data ---------------------------------------------------------------
 
 
-def char_perm_det(y: tuple, r: int) -> LaurentPoly:
-    """det_V(t^r - y) = prod over cycles (t^(r*len) - 1)."""
-    return char_perm_det_from_type(cycle_type(y), r)
-
-
 def char_perm_det_from_type(rho: tuple, r: int) -> LaurentPoly:
+    """det_V(t^r - y) = prod over the cycles of y (t^(r*len) - 1), for y of
+    cycle type rho."""
     out = LaurentPoly.one()
     for length in rho:
         out = out * (LaurentPoly.t_power(r * length) - 1)
     return out
 
-
-def torus_order(rho: tuple, q) -> Fraction:
-    """prod (q^len - 1) over the cycle lengths; zero results are rejected."""
-    q = Fraction(q)
-    total = Fraction(1)
-    for length in rho:
-        factor = q ** length - 1
-        if factor == 0:
-            raise SymGrpError(f"torus order vanishes at q={q}")
-        total *= factor
-    return total

@@ -12,7 +12,8 @@ from functools import lru_cache
 from math import factorial
 
 from wkostka.omega import WreathElement, wreath_elements, zeta_coords
-from wkostka.symgrp import compose, in_young, young_character
+from wkostka.symgrp import (block_character, block_cycle_types, compose,
+                            in_young)
 
 
 def product(a, b):
@@ -36,7 +37,8 @@ def tilde_character(blam, w):
     for i, size in enumerate(m.parts):
         exp += i * sum(w.colors[pos:pos + size])
         pos += size
-    return (0,) * (exp % w.r) + (young_character(blam, w.sigma, m),)
+    return (0,) * (exp % w.r) + \
+        (block_character(blam, block_cycle_types(w.sigma, m)),)
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,12 @@ from wkostka.greencheck import (identity_5113_check, lemma59_check,
                                 thm55_check)
 from wkostka.omega import (omega_entry_bruteforce, omega_entry_cosets,
                            omega_matrix, rho_character, wreath_classes,
-                           epsilon_value, zeta_coords)
+                           zeta_coords)
 from wkostka.rpart import (Composition, RPartition, default_total_order,
                            dim_x, dim_xm_unip, enumerate_contingency,
-                           enumerate_rpartitions)
-from wkostka.symgrp import char_table, double_cosets
+                           enumerate_rpartitions, partitions)
+from wkostka.symgrp import (centralizer_order, double_cosets, mn_character,
+                            sign)
 
 
 class Budget:
@@ -171,16 +172,15 @@ def test_criterion_10_property_suites():
     with Budget("criterion 10: property suites", 300.0):
         # character-table orthogonality, n <= 6
         for n in range(1, 7):
-            table = char_table(n)
-            k = len(table.partitions)
-            for i in range(k):
-                for j in range(k):
+            parts = tuple(partitions(n))
+            for lam in parts:
+                for mu in parts:
                     total = Fraction(0)
-                    for c in range(k):
+                    for rho in parts:
                         total += Fraction(
-                            table.values[i][c] * table.values[j][c],
-                            table.centralizers[c])
-                    assert total == (1 if i == j else 0)
+                            mn_character(lam, rho) * mn_character(mu, rho),
+                            centralizer_order(rho))
+                    assert total == (1 if lam == mu else 0)
         # double-coset completeness and label bijection, n <= 6
         for n in range(1, 7):
             comps = [Composition(c) for c in
@@ -196,7 +196,7 @@ def test_criterion_10_property_suites():
                 for lam in enumerate_rpartitions(n, r):
                     tlam = lam.transpose()
                     for w, _ in wreath_classes(n, r):
-                        twisted = [epsilon_value(w) * c
+                        twisted = [sign(w.sigma) * c
                                    for c in rho_character(lam, w)]
                         assert rho_character(tlam, w) == \
                             zeta_coords(twisted, r)

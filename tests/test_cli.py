@@ -339,6 +339,23 @@ class TestCosetBound:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "K = 5" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        (("omega",), "--coset-bound"), (("omega",), "--wreath-bound"),
+        (("solve",), "--coset-bound"), (("solve",), "--wreath-bound"),
+        (("verify", "oracle"), "--wreath-bound")])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_bound_below_1_is_a_usage_error(self, capsys, command, flag,
+                                            value):
+        code, out, err = run(capsys, *command, "--n", "1", "--r", "3",
+                             flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be at least 1\n"
+
+    def test_bound_of_1_admits_k_1(self, capsys):
+        code, out, _ = run(capsys, "solve", "--n", "0", "--r", "3",
+                           "--coset-bound", "1")
+        assert code == 0 and json.loads(out)["order"] == ["(-;-;-)"]
+
     # K = 15 at (7,1): the default bound admits n = 7.
     @pytest.mark.parametrize("argv", [
         ("solve", "--n", "7", "--r", "1"),

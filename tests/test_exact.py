@@ -15,8 +15,10 @@ def P(s):
 
 
 class TestLaurentPoly:
-    def test_substitute_tr(self):
-        assert P("t^2 - t^-1").substitute_tr(3) == P("t^6 - t^-3")
+    def test_reciprocal_var(self):
+        assert P("t^2 - 3t^-1").reciprocal_var() == P("t^-2 - 3t")
+        assert P("5").reciprocal_var() == P("5")
+        assert LaurentPoly.zero().reciprocal_var().is_zero
 
     def test_eval_at(self):
         assert P("t^4 - t").eval_at(2) == 14
@@ -60,7 +62,7 @@ class TestLaurentPoly:
         assert not P("t^-3").is_poly_in_tr(3)
 
     def test_descale(self):
-        assert P("t^6 + t^3 + 1").descale_exponents(3) == P("t^2 + t + 1")
+        assert P("t^6 + t^3 + 1").root_var(3) == P("t^2 + t + 1")
 
     def test_pow(self):
         assert P("t - 1") ** 3 == P("t^3 - 3t^2 + 3t - 1")

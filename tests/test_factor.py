@@ -213,6 +213,21 @@ class TestOrderSensitivity:
         # pairs did not move on this sample
         assert rep.comparable_stable
 
+    def test_every_order_is_checked(self, monkeypatch):
+        orders = list({tuple(o.items): o for o in
+                       sample_linear_extensions(2, 3, 8, 11)}.values())
+        checked = []
+        check = factor._verify_reconstruction
+
+        def counted(order, *args):
+            checked.append(order)
+            check(order, *args)
+
+        monkeypatch.setattr(factor, "_verify_reconstruction", counted)
+        rep = order_sensitivity(2, 3, orders)
+        assert len(orders) >= 2 and rep.orders_used == len(orders)
+        assert checked == orders
+
 
 class TestSolverErrors:
     def test_reconstruction_guard(self):

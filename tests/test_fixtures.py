@@ -32,6 +32,16 @@ class TestTranscriptionGuards:
         rep = reconstruction_check(load_fixture("n1r3"))
         assert rep.passed and rep.checked == 9
 
+    def test_seeded_omega_cells_are_reported_where_they_are(self):
+        fx = load_fixture("n1r3")
+        fx.omega[1][2] = fx.omega[1][2] + LaurentPoly.t_power(3)
+        rep = reconstruction_check(fx)
+        assert rep.checked == 9
+        assert rep.violations == [{"at": (1, 2), "omega": str(fx.omega[1][2])}]
+        fx.omega[0][1] = fx.omega[0][1] - 1
+        rep = reconstruction_check(fx)
+        assert [v["at"] for v in rep.violations] == [(0, 1), (1, 2)]
+
     def test_fixture_triangles_have_monomial_diagonals(self):
         for fid in ("n1r3", "n2r3", "n3r3"):
             fx = load_fixture(fid)

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wkostka
+import wkostka.greencheck as greencheck
+import wkostka.omega as omega_mod
 from wkostka.exact import RationalFunction
 from wkostka.greencheck import (MINUS, PLUS, GreenCheckError, a_exponent,
                                 green_inner_product, identity_5113_check,
@@ -155,6 +158,43 @@ class TestThm55:
     def test_bad_mode(self):
         with pytest.raises(GreenCheckError):
             thm55_check(1, 2, "approximate")
+
+    @pytest.fixture
+    def seeded_omega(self, monkeypatch):
+        """Every _omega_block with L added to the lowest coefficient of its
+        first block: each Omega entry moves by an integer multiple of a
+        character product, so the division by L stays exact."""
+        block = omega_mod._omega_block
+
+        def seeded(m, m_prime, r):
+            low, den, ((cols, rows, cs), *rest) = block(m, m_prime, r)
+            return low, den, ((cols, rows, (cs[0] + den,) + cs[1:]), *rest)
+
+        wkostka.clear_caches()
+        monkeypatch.setattr(omega_mod, "_omega_block", seeded)
+        yield
+        monkeypatch.undo()
+        wkostka.clear_caches()
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_seeded_omega_fault_fails(self, seeded_omega, mode):
+        # The Green side contracts coset_table itself, so it does not see
+        # the fault: the check compares two computations, not one value.
+        rep = thm55_check(2, 3, mode, (2,))
+        assert rep.checked == 81 and len(rep.violations) == 81
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_seeded_green_fault_fails(self, monkeypatch, mode):
+        # The numeric mode evaluates the symbolic sum, so a fault in that
+        # sum shows in both modes.
+        quotient = greencheck.torus_quotient
+        monkeypatch.setattr(
+            greencheck, "torus_quotient",
+            lambda rho, n, power: quotient(rho, n, power) + (rho == (1, 1)))
+        rep = thm55_check(2, 3, mode, (2, 3))
+        assert rep.violations and rep.checked == 81
+        if mode == "numeric":
+            assert {v["q"] for v in rep.violations} == {"2", "3"}
 
     def test_report_serializes(self):
         import json

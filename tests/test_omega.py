@@ -12,7 +12,7 @@ from wkostka.exact import ExactError, LaurentPoly, cyclotomic_polynomial
 from wkostka.greencheck import thm55_check
 from wkostka.omega import (OmegaError, WreathElement, _class_terms,
                            _omega_block, _omega_row, _zeta_mul, a_O, b_O,
-                           bracket, coset_table, detV_value, epsilon_value,
+                           bracket, coset_table, detV_value,
                            fake_degree, omega_entry_bruteforce,
                            omega_entry_cosets,
                            omega_matrix, rho_character, torus_quotient,
@@ -20,7 +20,7 @@ from wkostka.omega import (OmegaError, WreathElement, _class_terms,
                            zeta_coords)
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            default_total_order, enumerate_rpartitions, n_star)
-from wkostka.symgrp import char_perm_det_from_type, double_cosets
+from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
 
 from literal_cosets import omega_by_literal_cosets
 from literal_omega_block import omega_by_fraction_blocks
@@ -72,10 +72,10 @@ class TestWreathGroup:
 
     def test_linear_characters(self):
         w = WreathElement((0, 1, 2), (1, 0, 0), 3)
-        assert epsilon_value(w) == 1
+        assert sign(w.sigma) == 1
         assert zeta_coords(detV_value(w.colored_cycle_type(), 3), 3) == (0, 1)
         w = WreathElement((1, 0, 2), (1, 1, 0), 3)  # -zeta^2 = 1 + zeta
-        assert epsilon_value(w) == -1
+        assert sign(w.sigma) == -1
         assert zeta_coords(detV_value(w.colored_cycle_type(), 3), 3) == (1, 1)
 
     @pytest.mark.parametrize("n,r", [(2, 3), (2, 4), (3, 3)])
@@ -161,7 +161,7 @@ class TestRhoCharacter:
             assert rho_character(triv, w) == zeta_power(0, r)
             assert rho_character(delt, w) == zeta_power(s, r)
             assert rho_character(det_bar, w) == \
-                zeta_power(2 * s, r, epsilon_value(w))
+                zeta_power(2 * s, r, sign(w.sigma))
 
     def test_slot_characters(self):
         # (5.6.2)-type: the one-row / one-column r-partitions in slot i
@@ -176,14 +176,14 @@ class TestRhoCharacter:
                 s = i * sum(w.colors)
                 assert rho_character(lam, w) == zeta_power(s, r)
                 assert rho_character(mu, w) == \
-                    zeta_power(s, r, epsilon_value(w))
+                    zeta_power(s, r, sign(w.sigma))
 
     def test_transpose_twist(self):
         for n, r in ((1, 3), (2, 3), (3, 3), (2, 2)):
             for lam in enumerate_rpartitions(n, r):
                 tlam = lam.transpose()
                 for w, _ in wreath_classes(n, r):
-                    twisted = [epsilon_value(w) * c
+                    twisted = [sign(w.sigma) * c
                                for c in rho_character(lam, w)]
                     assert rho_character(tlam, w) == zeta_coords(twisted, r)
 
@@ -329,9 +329,9 @@ class TestOmegaEntries:
         """Alternative assembly: per-coset color exponents a_O with one
         overall t^(N*) twist, never touching the a-function or tau."""
         from wkostka.exact import RationalFunction
-        from wkostka.symgrp import (compose, cycle_type, double_cosets,
-                                    intersection_elements, inverse,
-                                    young_character)
+        from wkostka.symgrp import (block_character, block_cycle_types,
+                                    compose, cycle_type, double_cosets,
+                                    intersection_elements, inverse)
         for lam in enumerate_rpartitions(n, r):
             for mu in enumerate_rpartitions(n, r):
                 m, mp = lam.weight(), mu.weight()
@@ -341,8 +341,10 @@ class TestOmegaEntries:
                     for x in dc.members:
                         xinv = inverse(x)
                         for y in intersection_elements(m, mp, x):
-                            c = young_character(lam, y, m) * young_character(
-                                mu, compose(xinv, compose(y, x)), mp)
+                            z = compose(xinv, compose(y, x))
+                            c = block_character(
+                                lam, block_cycle_types(y, m)) * \
+                                block_character(mu, block_cycle_types(z, mp))
                             if c:
                                 total = total + RationalFunction(
                                     LaurentPoly.t_power(tpow, c),

@@ -16,7 +16,7 @@ from wkostka.greencheck import InnerProductValue, VerifyReport, thm55_check
 from wkostka.omega import OmegaMatrix, WreathElement, omega_matrix
 from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
                            RPartition, default_total_order)
-from wkostka.symgrp import CharTable, DoubleCoset
+from wkostka.symgrp import DoubleCoset
 
 SRC = Path(wkostka.__file__).resolve().parents[1]
 
@@ -31,9 +31,6 @@ CASES = [
     (OrderedIndex, ("items",), (ORDER.items,),
      (default_total_order(1, 3).items,)),
     (ContingencyMatrix, ("rows",), (((1, 0), (0, 1)),), (((0, 1), (1, 0)),)),
-    (CharTable, ("n", "partitions", "cycle_types", "values", "centralizers"),
-     (1, ((1,),), ((1,),), ((1,),), (1,)),
-     (1, ((1,),), ((1,),), ((-1,),), (1,))),
     (DoubleCoset, ("label", "rep", "size", "members"),
      (CM, (0, 1), 1, ((0, 1),)), (CM, (1, 0), 1, ((1, 0),))),
     (WreathElement, ("sigma", "colors", "r"),

@@ -8,11 +8,11 @@ import pytest
 from wkostka.exact import LaurentPoly
 from wkostka.rpart import (Composition, RPartition, enumerate_contingency,
                            partitions)
-from wkostka.symgrp import (SymGrpError, all_perms, block_cycle_types,
-                            char_perm_det, char_table, compose, coset_label,
+from wkostka.symgrp import (SymGrpError, all_perms, block_character,
+                            block_cycle_types, centralizer_order,
+                            char_perm_det_from_type, compose, coset_label,
                             cycle_type, double_cosets, intersection_elements,
-                            inverse, mn_character, torus_order,
-                            young_character, young_subgroup_elements)
+                            inverse, mn_character, young_subgroup_elements)
 
 
 class TestPermutations:
@@ -97,25 +97,24 @@ class TestMnCharacter:
 class TestCharTable:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_orthogonality(self, n):
-        table = char_table(n)
-        k = len(table.partitions)
-        for i in range(k):
-            for j in range(k):
+        parts = tuple(partitions(n))
+        for lam in parts:
+            for mu in parts:
                 total = Fraction(0)
-                for c, rho in enumerate(table.cycle_types):
-                    total += Fraction(table.values[i][c] * table.values[j][c],
-                                      table.centralizers[c])
-                assert total == (1 if i == j else 0)
+                for rho in parts:
+                    total += Fraction(mn_character(lam, rho) *
+                                      mn_character(mu, rho),
+                                      centralizer_order(rho))
+                assert total == (1 if lam == mu else 0)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_column_orthogonality(self, n):
-        table = char_table(n)
-        k = len(table.partitions)
-        for c1 in range(k):
-            for c2 in range(k):
-                total = sum(table.values[i][c1] * table.values[i][c2]
-                            for i in range(k))
-                assert total == (table.centralizers[c1] if c1 == c2 else 0)
+        parts = tuple(partitions(n))
+        for rho in parts:
+            for sigma in parts:
+                total = sum(mn_character(lam, rho) * mn_character(lam, sigma)
+                            for lam in parts)
+                assert total == (centralizer_order(rho) if rho == sigma else 0)
 
 
 class TestYoungCharacters:
@@ -123,20 +122,20 @@ class TestYoungCharacters:
         blam = RPartition(((2,), (1,), ()))
         m = Composition((2, 1, 0))
         for w in young_subgroup_elements(3, m.parts):
-            assert young_character(blam, w, m) == 1
+            assert block_character(blam, block_cycle_types(w, m)) == 1
 
     def test_sign_factor(self):
         blam = RPartition(((1, 1), (), ()))
         m = Composition((2, 0, 0))
         swap = (1, 0)
-        assert young_character(blam, swap, m) == -1
+        assert block_character(blam, block_cycle_types(swap, m)) == -1
 
     def test_r1_reduces_to_mn(self):
         m = Composition((3,))
         for w in all_perms(3):
             for lam in partitions(3):
                 blam = RPartition((lam,))
-                assert young_character(blam, w, m) == \
+                assert block_character(blam, block_cycle_types(w, m)) == \
                     mn_character(lam, cycle_type(w))
 
     def test_rejects_non_member(self):
@@ -217,15 +216,8 @@ def _young_order(m):
 
 class TestTorusData:
     def test_char_perm_det(self):
-        assert char_perm_det((1, 2, 0), 3) == LaurentPoly.parse("t^9 - 1")
-        assert char_perm_det((0, 1, 2), 3) == \
-            LaurentPoly.parse("(t^3 - 1)^3")
-        assert char_perm_det((1, 0, 2), 3) == \
-            LaurentPoly.parse("(t^6 - 1)*(t^3 - 1)")
-
-    def test_torus_order(self):
-        assert torus_order((1, 1, 1), Fraction(3)) == 8
-        assert torus_order((3,), Fraction(2)) == 7
-        assert torus_order((2, 1), Fraction(2)) == 3
-        with pytest.raises(SymGrpError):
-            torus_order((2,), Fraction(1))
+        def det(y, r):
+            return char_perm_det_from_type(cycle_type(y), r)
+        assert det((1, 2, 0), 3) == LaurentPoly.parse("t^9 - 1")
+        assert det((0, 1, 2), 3) == LaurentPoly.parse("(t^3 - 1)^3")
+        assert det((1, 0, 2), 3) == LaurentPoly.parse("(t^6 - 1)*(t^3 - 1)")
