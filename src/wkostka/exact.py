@@ -195,7 +195,12 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return _laurent(self.low + k, self.coeffs)
+        if not k or not self.coeffs:
+            return self
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.low = self.low + k
+        out.coeffs = self.coeffs
+        return out
 
     def reciprocal_var(self) -> "LaurentPoly":
         """Substitute t -> t^-1."""
@@ -210,8 +215,13 @@ class LaurentPoly:
     # -- predicates used by the IC transforms ---------------------------
 
     def is_poly_in_tr(self, r: int) -> bool:
-        """True iff every exponent present is nonnegative and divisible by r."""
-        return all(e >= 0 and e % r == 0 for e, _ in self.items())
+        """True iff every exponent present is nonnegative and divisible by r:
+        the low exponent is, and every coefficient off the stride r is zero
+        (the zeros of coeffs are the off-stride slots and the zeros on it)."""
+        cs = self.coeffs
+        on_stride = cs[::r]
+        return self.low >= 0 and self.low % r == 0 and \
+            cs.count(0) == len(cs) - len(on_stride) + on_stride.count(0)
 
     def root_var(self, r: int) -> "LaurentPoly":
         """Substitute t -> t^(1/r); requires is_poly_in_tr(r)."""
@@ -220,7 +230,9 @@ class LaurentPoly:
         return _laurent(self.low // r, self.coeffs[::r])
 
     def has_nonneg_int_coeffs(self) -> bool:
-        return all(v.denominator == 1 and v >= 0 for v in self.coeffs)
+        # A Fraction coefficient is never integral (see the class docstring).
+        return Fraction not in map(type, self.coeffs) and \
+            min(self.coeffs, default=0) >= 0
 
     # -- printing -------------------------------------------------------
 
@@ -754,12 +766,6 @@ class PolyMatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def scale_diag_right(self, diag) -> "PolyMatrix":
-        """Multiply on the right by Diag(diag) (column scaling)."""
-        return PolyMatrix(self.index, tuple(
-            tuple(entry * diag[j] for j, entry in enumerate(row))
-            for row in self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, attrgetter, floordiv, lshift, mul, sub
 
 from .exact import (ExactError, LaurentPoly, PolyMatrix, RationalFunction,
-                    exact_div)
+                    _laurent, exact_div)
 from .omega import OmegaMatrix, omega_matrix
 from .record import FrozenRecord
 from .rpart import OrderedIndex, RPartition, dominance_leq
@@ -58,8 +59,9 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
     uniqueness theorem guarantees to be nonzero.  When every P+- entry is
     a Laurent polynomial, so is every row of M and every xi_k, so each
     division is exact; an inexact one names the entry that leaves the ring.
-    Every result is checked against Omega (_verify_reconstruction) before
-    it is returned.
+    Each inner sum Omega - sum_g P-_kg M_gb is one integer sum of packed
+    values (_packed_sum), decoded once.  Every result is checked against
+    Omega (_verify_reconstruction) before it is returned.
     """
     order = om.order
     items = order.items
@@ -71,6 +73,11 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
     p_minus = [[zero] * k_total for _ in range(k_total)]
     p_plus = [[zero] * k_total for _ in range(k_total)]
     xi = []
+    # The packed P- rows and M columns, each as the four lists of _columns;
+    # at step k a P- row holds its entries g < k and an M column its rows
+    # g < k (the column k also g = k, which the shorter P- row leaves out).
+    pm_packed = [_columns((), _BITS) for _ in range(k_total)]
+    m_packed = [_columns((), _BITS) for _ in range(k_total)]
 
     def divide(num, den, name, i, j):
         try:
@@ -80,12 +87,16 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
                 f"{name} entry ({items[i]}, {items[j]}) is not a "
                 f"Laurent polynomial: {exc}")
 
+    def inner_sum(i, j, k):
+        """Omega_ij - sum_(g<k) P-_ig M_gj."""
+        return _packed_sum(omega[i][j], pm_packed[i], m_packed[j], _BITS,
+                           lambda: (p_minus[i][:k],
+                                    [m_upper[g][j] for g in range(k)]))
+
     for k in range(k_total):
         for b in range(k, k_total):
-            acc = omega[k][b]
-            for g in range(k):
-                acc = acc - p_minus[k][g] * m_upper[g][b]
-            m_upper[k][b] = acc.shift(-a[k])
+            m_upper[k][b] = inner_sum(k, b, k).shift(-a[k])
+            _push(m_packed[b], m_upper[k][b])
         pivot = m_upper[k][k]
         xi_k = pivot.shift(-a[k])
         if xi_k.is_zero:
@@ -95,13 +106,12 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
                 "genuine fake-degree matrix")
         xi.append(xi_k)
         p_minus[k][k] = p_plus[k][k] = LaurentPoly.t_power(a[k])
+        _push(pm_packed[k], p_minus[k][k])
         for b in range(k + 1, k_total):
             p_plus[b][k] = divide(m_upper[k][b], xi_k, "P+", b, k)
         for al in range(k + 1, k_total):
-            acc = omega[al][k]
-            for g in range(k):
-                acc = acc - p_minus[al][g] * m_upper[g][k]
-            p_minus[al][k] = divide(acc, pivot, "P-", al, k)
+            p_minus[al][k] = divide(inner_sum(al, k, k), pivot, "P-", al, k)
+            _push(pm_packed[al], p_minus[al][k])
 
     pm = PolyMatrix(order, p_minus)
     pp = PolyMatrix(order, p_plus)
@@ -114,6 +124,86 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
         p_plus_modified=modified_pplus(pp, theta),
         ic_minus=ic_minus_matrix(order, pm, om.r),
         ic_plus=ic_plus_candidate(order, pp, om.r))
+
+
+# The elimination packs each value at t = 2^_BITS about its own low exponent
+# (_BITS is a default: a sum whose bound needs more repacks at a wider width).
+# A zero value gets the offset _NO_LOW, above every real one, so that it
+# never sets the base of a sum; its packed integer is 0.
+_BITS = 32
+_NO_LOW = 1 << 40
+_denominator = attrgetter("denominator")
+
+
+def _record(p: LaurentPoly, bits: int) -> tuple:
+    """(offset, packed, norm, den) of p: bits times p's low exponent, D p
+    packed at 2^bits about that exponent, the 1-norm of D p, and D, the lcm
+    of p's coefficient denominators."""
+    if not p.coeffs:
+        return _NO_LOW, 0, 0, 1
+    d = lcm(*map(_denominator, p.coeffs))
+    if d != 1:
+        p = p * d
+    return bits * p.low, _packed(p, p.low, bits), sum(map(abs, p.coeffs)), d
+
+
+def _columns(values, bits: int) -> tuple:
+    """The records of values as four lists: offsets, packed, norms, dens."""
+    return tuple(map(list, zip(*(_record(p, bits) for p in values)))) \
+        or ([], [], [], [])
+
+
+def _push(columns: tuple, p: LaurentPoly):
+    """Append p's record at the default width to the lists of columns."""
+    for column, field in zip(columns, _record(p, _BITS)):
+        column.append(field)
+
+
+def _packed_sum(omega: LaurentPoly, row: tuple, col: tuple, bits: int,
+                operands) -> LaurentPoly:
+    """omega - sum_g row_g col_g, for two value lists packed by _columns at
+    2^bits (the shorter list fixes the length), as one integer sum.
+
+    Each product packs about the sum of its factors' lows, so it enters
+    shifted by bits (low_a + low_b - base), with base the least of those
+    sums and of omega's low; every term enters over the lcm D of the
+    terms' denominators.  The total is D (omega - sum) at t = 2^bits about
+    base, and every coefficient of that polynomial is at most
+
+        C = D ||omega||_1 + sum_g (D / (d_a d_b)) ||a_g||_1 ||b_g||_1
+
+    in absolute value (norms and denominators as in _record).  Where
+    2^(bits-1) > C, the balanced base-2^bits digits of the total are its
+    coefficients (_unpacked).  Otherwise operands() returns the two value
+    lists, which are packed again at the least width with 2^(width-1) > C.
+    """
+    offsets_a, packed_a, norms_a, dens_a = row
+    offsets_b, packed_b, norms_b, dens_b = col
+    offset, value, norm, den = _record(omega, bits)
+    offsets = list(map(add, offsets_a, offsets_b))
+    base = min(offset, min(offsets, default=offset))
+    terms = map(mul, packed_a, packed_b)
+    norms = map(mul, norms_a, norms_b)
+    d = 1
+    if den != 1 or dens_a.count(1) < len(dens_a) \
+            or dens_b.count(1) < len(dens_b):
+        d = lcm(den, *map(mul, dens_a, dens_b))
+        scales = list(map(floordiv, itertools.repeat(d),
+                          map(mul, dens_a, dens_b)))
+        terms = map(mul, terms, scales)
+        norms = map(mul, norms, scales)
+        value *= d // den
+        norm *= d // den
+    bound = norm + sum(norms)
+    if bound >> (bits - 1):
+        width = bound.bit_length() + 1
+        a, b = operands()
+        return _packed_sum(omega, _columns(a, width), _columns(b, width),
+                           width, None)
+    total = (value << offset - base) - sum(
+        map(lshift, terms, map(sub, offsets, itertools.repeat(base))))
+    out = _unpacked(total, base // bits, bits)
+    return out if d == 1 else out * Fraction(1, d)
 
 
 def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
@@ -189,6 +279,19 @@ def _packed(p: LaurentPoly, low: int, bits: int) -> int:
     return v << bits * (p.low - low)
 
 
+def _unpacked(v: int, low: int, bits: int) -> LaurentPoly:
+    """The Laurent polynomial t^low * sum c_i t^i whose balanced base-2^bits
+    digits c_i, each in [-2^(bits-1), 2^(bits-1)), make up v."""
+    half = 1 << (bits - 1)
+    mask = (half << 1) - 1
+    cs = []
+    while v:
+        c = ((v + half) & mask) - half
+        cs.append(c)
+        v = (v - c) >> bits
+    return _laurent(low, cs)
+
+
 def theta_diag(order: OrderedIndex) -> tuple:
     """Diagonal of Theta: t^(a(lambda) - a(tau(lambda)))."""
     return tuple(LaurentPoly.t_power(lam.a_value() - lam.tau().a_value())
@@ -202,28 +305,39 @@ def lambda_prime(lam: tuple, theta: tuple) -> tuple:
 
 def modified_pplus(p_plus: PolyMatrix, theta: tuple) -> PolyMatrix:
     """P'' = P+ * Theta^-1 (columns divided by the theta monomials)."""
-    inv = [LaurentPoly.t_power(-th.max_exp) for th in theta]
-    return p_plus.scale_diag_right(inv)
+    shifts = [-th.max_exp for th in theta]
+    return PolyMatrix(p_plus.index, tuple(
+        tuple(map(LaurentPoly.shift, row, shifts)) for row in p_plus.rows))
 
 
-def _ic_matrix(rows, shift, r: int, column_asserted=None) -> IcMatrix:
-    """Entries t^shift(i, j) * rows[i][j]; flagged where they land in Z>=0[t^r]."""
+def _ic_matrix(rows, row_shift, col_shift, r: int,
+               column_asserted=None) -> IcMatrix:
+    """Entries t^(row_shift[i] + col_shift[j]) * rows[i][j]; flagged where
+    they land in Z>=0[t^r]."""
     raw, ok, in_s = [], [], []
-    for i, row in enumerate(rows):
-        raw_row = tuple(e.shift(shift(i, j)) for j, e in enumerate(row))
-        ok_row = tuple(e.is_poly_in_tr(r) and e.has_nonneg_int_coeffs()
-                       for e in raw_row)
+    for row, shift in zip(rows, row_shift):
+        raw_row = tuple(map(LaurentPoly.shift, row,
+                            [shift + c for c in col_shift]))
+        in_s_row = tuple(map(_in_s, raw_row, itertools.repeat(r)))
         raw.append(raw_row)
-        ok.append(ok_row)
-        in_s.append(tuple(e.root_var(r) if good else None
-                          for e, good in zip(raw_row, ok_row)))
+        ok.append(tuple(s is not None for s in in_s_row))
+        in_s.append(in_s_row)
     return IcMatrix(tuple(raw), tuple(ok), tuple(in_s), column_asserted)
+
+
+def _in_s(e: LaurentPoly, r: int):
+    """e rewritten in s = t^r where it lies in Z>=0[t^r], else None."""
+    if not e.coeffs:
+        return e
+    if e.is_poly_in_tr(r) and e.has_nonneg_int_coeffs():
+        return e.root_var(r)
+    return None
 
 
 def ic_minus_matrix(order: OrderedIndex, p_minus: PolyMatrix, r: int) -> IcMatrix:
     """Entries t^(-a(lam)) K~-(lam,mu); flagged where they land in Z>=0[t^r]."""
     a = [lam.a_value() for lam in order.items]
-    return _ic_matrix(p_minus.rows, lambda i, j: -a[i], r)
+    return _ic_matrix(p_minus.rows, [-x for x in a], [0] * len(a), r)
 
 
 def ic_plus_candidate(order: OrderedIndex, p_plus: PolyMatrix, r: int) -> IcMatrix:
@@ -239,8 +353,8 @@ def ic_plus_candidate(order: OrderedIndex, p_plus: PolyMatrix, r: int) -> IcMatr
     for nu in order.items:
         w = nu.weight().parts
         col_ok.append(all(x == 0 for x in w[:max(0, len(w) - 2)]))
-    return _ic_matrix(p_plus.rows, lambda i, j: -a_tau[i] - a[j] + a_tau[j],
-                      r, tuple(col_ok))
+    return _ic_matrix(p_plus.rows, [-x for x in a_tau],
+                      list(map(sub, a_tau, a)), r, tuple(col_ok))
 
 
 def unmodify_kostka(modified: LaurentPoly, a_mu: int) -> LaurentPoly:

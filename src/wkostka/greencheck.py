@@ -64,12 +64,12 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
                         q=None, power: int = 1) -> InnerProductValue:
     """The Green-function inner product, evaluated combinatorially.
 
-    With q=None the result is symbolic over the base field of order t^power
-    (power > 1 realizes base-field extensions): a Laurent polynomial, since
-    each |GL_n| / |T_w| term is one, whose coefficients carry the 1/z
-    weights of coset_table and so may be Fractions.  Otherwise q is the
-    actual field order, and the result is the symbolic value over the base
-    field of order t (power 1) evaluated at t = q, an exact rational number.
+    The value is symbolic over the base field of order t^power (power > 1
+    realizes base-field extensions): a Laurent polynomial, since each
+    |GL_n| / |T_w| term is one, whose coefficients carry the 1/z weights of
+    coset_table and so may be Fractions.  With q given, the result is that
+    value evaluated at t = q, an exact rational number: the inner product
+    over the field of order q^power.
     """
     if lam.n != mu.n or lam.r != mu.r:
         raise GreenCheckError("indices must share n and r")
@@ -90,12 +90,11 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
             c = weight * block_character(lam, cols) * block_character(mu, rows)
             if c:
                 coefs[a, rho] = coefs.get((a, rho), 0) + c
-    # times |GL_n| / |T_w|, over the base field of order t when q is given
-    base = power if q is None else 1
+    # times |GL_n| / |T_w|, over the base field of order t^power
     value = LaurentPoly.zero()
     for (a, rho), c in coefs.items():
-        value = value + torus_quotient(rho, n, base).shift(
-            base * (a + comb(n, 2))) * c
+        value = value + torus_quotient(rho, n, power).shift(
+            power * (a + comb(n, 2))) * c
     value = value * sign
     return InnerProductValue(value if q is None else value.eval_at(q),
                              p_eps, p_eps_prime, q is None)
@@ -170,7 +169,11 @@ def identity_5113_check(n: int, r: int) -> VerifyReport:
 def thm55_check(n: int, r: int, mode: str = "symbolic",
                 q_values=(2, 3, 4)) -> VerifyReport:
     """The bridge identity between the fake-degree matrix and Green-function
-    inner products over the base field of order q^r."""
+    inner products over the base field of order q^r: symbolically in t
+    (mode "symbolic"), or at t = q for each q in q_values ("numeric").
+    Either way each cell takes one symbolic Green value."""
+    if mode not in ("symbolic", "numeric"):
+        raise GreenCheckError(f"unknown mode {mode!r}")
     report = VerifyReport("thm55", {"n": n, "r": r, "mode": mode,
                                     "q_values": list(q_values)
                                     if mode == "numeric" else None})
@@ -180,25 +183,22 @@ def thm55_check(n: int, r: int, mode: str = "symbolic",
         shift = -lam.a_value() - mu.tau().a_value()
         sign = (-1) ** (lam.weight().p_minus() + mu.weight().p_plus())
         scale_exp = -r * (lam.n_value() + mu.n_value())
+        green = green_inner_product(lam, mu, (MINUS, PLUS), power=r).value
         report.checked += 1
         if mode == "symbolic":
             lhs = omega.shift(shift)
-            green = green_inner_product(lam, mu, (MINUS, PLUS), power=r)
-            rhs = green.value.shift(scale_exp) * sign
+            rhs = green.shift(scale_exp) * sign
             if lhs != rhs:
                 report.violations.append(
                     {"lam": str(lam), "mu": str(mu),
                      "lhs": str(lhs), "rhs": str(rhs)})
-        elif mode == "numeric":
-            for q in q_values:
-                q = Fraction(q)
-                lhs = omega.eval_at(q) * q ** shift
-                green = green_inner_product(lam, mu, (MINUS, PLUS), q=q ** r)
-                rhs = green.value * q ** scale_exp * sign
-                if lhs != rhs:
-                    report.violations.append(
-                        {"lam": str(lam), "mu": str(mu), "q": str(q),
-                         "lhs": str(lhs), "rhs": str(rhs)})
-        else:
-            raise GreenCheckError(f"unknown mode {mode!r}")
+            continue
+        for q in q_values:
+            q = Fraction(q)
+            lhs = omega.eval_at(q) * q ** shift
+            rhs = green.eval_at(q) * q ** scale_exp * sign
+            if lhs != rhs:
+                report.violations.append(
+                    {"lam": str(lam), "mu": str(mu), "q": str(q),
+                     "lhs": str(lhs), "rhs": str(rhs)})
     return report

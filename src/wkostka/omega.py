@@ -38,7 +38,7 @@ from .symgrp import (all_perms, block_character, block_cycle_types, block_of,
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
-COSET_K_BOUND = 120
+COSET_K_BOUND = 221
 WREATH_ORACLE_BOUND = 20000
 
 

@@ -72,7 +72,7 @@ def green_by_literal_cosets(lam, mu, pair, q=None, power=1):
     """The Green inner product as sign * |GL_n| / (|S_m| |S_m'|) times
     sum over the cosets h of base^a(pair, h) sum_(x,y) chi^lam(y)
     chi^mu(x^-1 y x) / |T_y|, summed in Q(t) (q=None, base t^power) or
-    in Q (base q)."""
+    in Q (base q^power)."""
     n = lam.n
     m, mp = lam.weight(), mu.weight()
     signs = {MINUS: (m.p_minus(), mp.p_minus()), PLUS: (m.p_plus(), mp.p_plus())}
@@ -86,7 +86,7 @@ def green_by_literal_cosets(lam, mu, pair, q=None, power=1):
             char_perm_det_from_type(rho, power))
         total = RationalFunction.zero()
     else:
-        base = q = Fraction(q)
+        base = q = Fraction(q) ** power
         gl = q ** comb(n, 2)
         for k in range(1, n + 1):
             gl *= q ** k - 1

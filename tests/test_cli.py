@@ -351,6 +351,14 @@ class TestCosetBound:
         assert code == 2 and out == ""
         assert err == f"error: {flag} must be at least 1\n"
 
+    # K = 252 at (5,4) and 300 at (9,2), past the default bound of 221.
+    @pytest.mark.parametrize("n, r, k", [("5", "4", 252), ("9", "2", 300)])
+    def test_k_past_the_default_bound_exits_1(self, capsys, n, r, k):
+        code, out, err = run(capsys, "solve", "--n", n, "--r", r)
+        assert code == 1 and out == ""
+        assert err == ("error: coset route bound exceeded: "
+                       f"K = {k} > 221, where K = |P_{{n,r}}|\n")
+
     def test_bound_of_1_admits_k_1(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "0", "--r", "3",
                            "--coset-bound", "1")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from literal_elimination import literal_elimination
 from literal_reconstruction import check_reconstruction
 from wkostka import factor
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
@@ -246,25 +247,151 @@ class TestSolverErrors:
                 assert recon[i][j] == RationalFunction(om.entries.rows[i][j])
 
     def test_bad_matrix_rejected(self):
-        from wkostka.exact import PolyMatrix
-        order = default_total_order(1, 2)
-        zero = LaurentPoly.zero()
-        bad = OmegaMatrix(order, PolyMatrix(
-            order, [[zero, zero], [zero, zero]]), 1, 2, "test")
-        with pytest.raises(FactorizationError):
-            solve_factorization(bad)
+        om = _vanishing_pivot_omega()
+        pivot = f"vanishing pivot at index 0 ({om.order.items[0]})"
+        with pytest.raises(FactorizationError, match=re.escape(pivot)):
+            solve_factorization(om)
 
     def test_non_laurent_entry_rejected(self):
-        # Omega_(2,1) / pivot = 1 / (t + 1) leaves the Laurent ring
-        from wkostka.exact import PolyMatrix
-        order = default_total_order(1, 2)
-        one = LaurentPoly.one()
-        corner = P("t + 1").shift(order.items[0].a_value())
-        bad = OmegaMatrix(order, PolyMatrix(
-            order, [[corner, LaurentPoly.zero()], [one, one]]), 1, 2, "test")
-        entry = f"P- entry ({order.items[1]}, {order.items[0]})"
+        om = _non_laurent_omega()
+        items = om.order.items
+        entry = f"P- entry ({items[1]}, {items[0]})"
         with pytest.raises(FactorizationError, match=re.escape(entry)):
-            solve_factorization(bad)
+            solve_factorization(om)
+
+
+def _vanishing_pivot_omega():
+    order = default_total_order(1, 2)
+    zero = LaurentPoly.zero()
+    return OmegaMatrix(order, PolyMatrix(
+        order, [[zero, zero], [zero, zero]]), 1, 2, "test")
+
+
+def _non_laurent_omega():
+    # Omega_(2,1) / pivot = 1 / (t + 1) leaves the Laurent ring
+    order = default_total_order(1, 2)
+    one = LaurentPoly.one()
+    corner = P("t + 1").shift(order.items[0].a_value())
+    return OmegaMatrix(order, PolyMatrix(
+        order, [[corner, LaurentPoly.zero()], [one, one]]), 1, 2, "test")
+
+
+# -- the packed elimination and its Laurent-polynomial oracle ------------------
+
+
+def _factors(res):
+    """P- rows, xi and P+ rows of a solved factorization, as lists."""
+    pm, (xi,), pp, _ = _tables(res)
+    return [pm, xi, pp]
+
+
+def _synthetic_omega(order, p_minus, xi, p_plus):
+    """The OmegaMatrix P- diag(xi) transpose(P+) over order."""
+    k = len(xi)
+    rows = [[sum((p_minus[i][l] * xi[l] * p_plus[j][l]
+                  for l in range(min(i, j) + 1)), LaurentPoly.zero())
+             for j in range(k)] for i in range(k)]
+    lam = order.items[0]
+    return OmegaMatrix(order, PolyMatrix(order, rows), lam.n, lam.r, "test")
+
+
+def _unitriangular(order, below):
+    """Lower-triangular rows with diagonal t^a(lambda) and below(i, j)
+    under it."""
+    a = [lam.a_value() for lam in order.items]
+    k = len(a)
+    return [[LaurentPoly.t_power(a[i]) if i == j else
+             below(i, j) if j < i else LaurentPoly.zero()
+             for j in range(k)] for i in range(k)]
+
+
+_SMALL_ORDERS = {(n, r): default_total_order(n, r)
+                 for n, r in ((1, 1), (1, 3), (2, 2), (3, 1), (2, 3))}
+
+
+def _laurent_values(coefficients):
+    return st.builds(
+        lambda low, cs: LaurentPoly({low + i: c for i, c in enumerate(cs)}),
+        st.integers(-6, 6), st.lists(coefficients, max_size=4))
+
+
+class TestPackedElimination:
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(5)
+                                     for r in range(1, 4)]
+                             + [(2, 5), (3, 4), (5, 2), (4, 4)])
+    def test_matches_the_laurent_oracle(self, n, r):
+        om = omega_matrix(n, r, default_total_order(n, r))
+        assert _factors(solve_factorization(om)) == \
+            list(literal_elimination(om))
+
+    @given(st.sampled_from(sorted(_SMALL_ORDERS)), st.data(),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_recovers_synthetic_factors(self, size, data, fractions):
+        order = _SMALL_ORDERS[size]
+        k = len(order)
+        coefficients = st.integers(-9, 9)
+        if fractions:
+            coefficients = st.one_of(coefficients, st.fractions(
+                min_value=-4, max_value=4, max_denominator=6))
+        values = _laurent_values(coefficients)
+        table = data.draw(st.lists(values, min_size=2 * k * k,
+                                   max_size=2 * k * k))
+        xi = data.draw(st.lists(values.filter(lambda p: not p.is_zero),
+                                min_size=k, max_size=k))
+        p_minus = _unitriangular(order, lambda i, j: table[i * k + j])
+        p_plus = _unitriangular(order, lambda i, j: table[k * k + i * k + j])
+        om = _synthetic_omega(order, p_minus, xi, p_plus)
+        assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
+        assert list(literal_elimination(om)) == [p_minus, xi, p_plus]
+
+    @pytest.mark.parametrize("bad", [_vanishing_pivot_omega,
+                                     _non_laurent_omega])
+    def test_oracle_rejects_with_the_same_message(self, bad):
+        messages = []
+        for solve in (solve_factorization, literal_elimination):
+            with pytest.raises(FactorizationError) as exc:
+                solve(bad())
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_sums_past_64_bits_are_repacked_wider(self, monkeypatch):
+        # Coefficients near 2^40 give inner sums whose bound exceeds 2^80,
+        # far beyond the default width: each must be repacked, never cut.
+        order = _SMALL_ORDERS[2, 3]
+        big = 2 ** 40
+        p_minus = _unitriangular(order, lambda i, j: LaurentPoly(
+            {j - i: big + 3 * i, j: -big - j}))
+        p_plus = _unitriangular(order, lambda i, j: LaurentPoly(
+            {i: big - 5 * j, -j: 7}))
+        xi = [LaurentPoly({-i: big + i, 2: 1}) for i in range(len(order))]
+        om = _synthetic_omega(order, p_minus, xi, p_plus)
+        widths = []
+        columns = factor._columns
+
+        def noted(values, bits):
+            widths.append(bits)
+            return columns(values, bits)
+
+        monkeypatch.setattr(factor, "_columns", noted)
+        assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
+        assert max(widths) > 64
+
+    @pytest.mark.parametrize("c", [2 ** 31 - 1, 2 ** 31, -2 ** 31,
+                                   -2 ** 31 - 1, 2 ** 100, Fraction(-2 ** 90, 3)])
+    def test_omega_coefficient_at_the_width_edge(self, c):
+        order = _SMALL_ORDERS[1, 1]
+        om = _synthetic_omega(order, [[P("1")]], [LaurentPoly({-2: c, 3: 1})],
+                              [[P("1")]])
+        assert _factors(solve_factorization(om))[1] == \
+            [LaurentPoly({-2: c, 3: 1})]
+
+    @given(st.integers(-5, 5), st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                        max_size=6), st.integers(42, 70))
+    def test_unpacked_inverts_packed(self, low, cs, bits):
+        p = LaurentPoly({low + i: c for i, c in enumerate(cs)})
+        assert factor._unpacked(factor._packed(p, p.low, bits), p.low,
+                                bits) == p
 
 
 # -- the packed reconstruction check and its polynomial oracle ----------------

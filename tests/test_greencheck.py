@@ -112,6 +112,14 @@ class TestInnerProduct:
         res = green_inner_product(lam, lam, (MINUS, PLUS), power=3)
         assert res.value == RationalFunction.t_power(3)
 
+    def test_numeric_value_keeps_power(self):
+        # Over the field of order q^power: t^power at t = q, not t at t = q.
+        lam = RP("(-;1;-)")
+        res = green_inner_product(lam, lam, (MINUS, PLUS), q=4, power=3)
+        assert res.value == 64 == green_by_literal_cosets(
+            lam, lam, (MINUS, PLUS), q=4, power=3)
+        assert not res.symbolic
+
 
 class TestLemma59:
     @pytest.mark.parametrize("n,r", [(1, 2), (1, 4), (1, 6), (2, 3), (3, 3)])
