@@ -11,9 +11,8 @@ import sys
 from .exact import ExactError, LaurentPoly, PolyMatrix, RationalFunction
 from .factor import (FactorizationError, FactorizationResult, IcMatrix,
                      order_sensitivity, solve_factorization, unmodify_kostka)
-from .greencheck import (InnerProductValue, VerifyReport, a_exponent,
-                         green_inner_product, identity_5113_check,
-                         lemma59_check, thm55_check)
+from .greencheck import (VerifyReport, a_exponent, green_inner_product,
+                         identity_5113_check, lemma59_check, thm55_check)
 from .omega import (OmegaError, OmegaMatrix, WreathElement, a_O, b_O, bracket,
                     fake_degree, omega_entry_bruteforce, omega_entry_cosets,
                     omega_matrix, rho_character, wreath_elements)

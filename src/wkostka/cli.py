@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: enumerate, omega, solve, verify, orders; each accepts only the
-flags it reads.  Exit codes: 0 on success, 1 on verification failure, solver
+Subcommands: enumerate, omega, solve, verify; each accepts only the flags it
+reads.  Exit codes: 0 on success, 1 on verification failure, solver
 error or a tripped guard bound, 2 on usage or input errors.
 """
 from __future__ import annotations
@@ -166,23 +166,18 @@ def omega_to_json(om) -> dict:
             "entries": _matrix_strings(om.entries.rows)}
 
 
-def _bound(value: int, flag: str) -> int:
-    """A guard bound flag's value, which must be at least 1."""
-    if value < 1:
-        raise UsageError(f"{flag} must be at least 1")
-    return value
-
-
-def _omega(args, order, method: str):
+def _omega(args, order):
     return omega_mod.omega_matrix(
-        args.n, args.r, order, method,
-        coset_n_bound=_bound(args.coset_bound, "--coset-bound"),
-        wreath_bound=_bound(args.wreath_bound, "--wreath-bound"))
+        args.n, args.r, order, args.method,
+        coset_n_bound=_size(args.coset_bound, omega_mod.COSET_K_BOUND, 1,
+                            "--coset-bound"),
+        wreath_bound=_size(args.wreath_bound, omega_mod.WREATH_ORACLE_BOUND,
+                           1, "--wreath-bound"))
 
 
 def cmd_omega(args) -> int:
     order = _resolve_order(args)
-    om = _omega(args, order, args.method)
+    om = _omega(args, order)
     if args.format == "json":
         payload = json.dumps(omega_to_json(om), indent=2)
     elif args.format == "csv":
@@ -270,7 +265,7 @@ def cmd_solve(args) -> int:
     for b in blocks:
         if b not in BLOCKS:
             raise UsageError(f"unknown block {b!r}; choose from {', '.join(BLOCKS)}")
-    res = factor.solve_factorization(_omega(args, order, args.method))
+    res = factor.solve_factorization(_omega(args, order))
     if args.format == "json":
         payload = json.dumps(solve_to_json(res, blocks), indent=2)
     else:
@@ -332,7 +327,8 @@ def _suite_oracle(args) -> greencheck.VerifyReport:
         raise UsageError("the oracle suite needs both --n and --r (or neither)")
     else:
         pairs = ((args.n, args.r),)
-    bound = _bound(args.wreath_bound, "--wreath-bound")
+    bound = _size(args.wreath_bound, omega_mod.WREATH_ORACLE_BOUND, 1,
+                  "--wreath-bound")
     report = greencheck.VerifyReport("oracle", {"instances": list(map(list, pairs))})
     for n, r in pairs:
         omega_mod._check_oracle_bound(n, r, bound)
@@ -400,27 +396,24 @@ def _suite_classical(args) -> greencheck.VerifyReport:
     return report
 
 
-def _order_sensitivity(n: int, r: int, args) -> factor.OrderSensitivityReport:
-    """Order sensitivity over the sampled linear extensions, each taken once
-    in order of first draw."""
-    orders = rpart.sample_linear_extensions(n, r, args.samples, args.seed)
-    return factor.order_sensitivity(
-        n, r, {tuple(o.items): o for o in orders}.values())
-
-
 def _suite_orders(args) -> greencheck.VerifyReport:
+    """Order sensitivity over the sampled linear extensions, each taken once
+    in order of first draw.  A mismatch fails the suite only at r <= 2,
+    where P+- cannot depend on the order."""
     n = _size(args.n, 3, 0, "--n")
     r = _size(args.r, 1, 1, "--r")
-    rep = _order_sensitivity(n, r, args)
+    samples = _size(args.samples, 5, 1, "--samples")
+    orders = {tuple(o.items): o for o in
+              rpart.sample_linear_extensions(n, r, samples, args.seed)}
+    comparable, incomparable = factor.order_sensitivity(n, r, orders.values())
     report = greencheck.VerifyReport(
-        "orders", {"n": n, "r": r, "samples": args.samples,
-                   "distinct_orders": rep.orders_used, "seed": args.seed})
-    report.checked = rep.orders_used
-    if r <= 2 and not rep.fully_stable:
-        for v in rep.comparable_mismatches + rep.incomparable_mismatches:
-            report.violations.append(dict(v))
-    report.params["comparable_mismatches"] = list(rep.comparable_mismatches)
-    report.params["incomparable_mismatches"] = list(rep.incomparable_mismatches)
+        "orders", {"n": n, "r": r, "samples": samples,
+                   "distinct_orders": len(orders), "seed": args.seed,
+                   "comparable_mismatches": comparable,
+                   "incomparable_mismatches": incomparable},
+        checked=len(orders))
+    if r <= 2:
+        report.violations = comparable + incomparable
     return report
 
 
@@ -455,21 +448,6 @@ def cmd_verify(args) -> int:
     report = suite(args)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
-
-
-def cmd_orders(args) -> int:
-    n = _size(args.n, 2, 0, "--n")
-    r = _size(args.r, 3, 1, "--r")
-    rep = _order_sensitivity(n, r, args)
-    payload = json.dumps({
-        "n": n, "r": r, "samples": args.samples, "seed": args.seed,
-        "distinct_orders": rep.orders_used,
-        "comparable_mismatches": list(rep.comparable_mismatches),
-        "incomparable_mismatches": list(rep.incomparable_mismatches),
-        "comparable_stable": rep.comparable_stable,
-    }, indent=2)
-    _emit(payload, args.out)
-    return EXIT_OK
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -521,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help=" | ".join(SUITES))
     for flag in _SUITE_FLAGS:
         p_verify.add_argument(flag, **{**_FLAGS[flag], "default": None})
-    command("orders", cmd_orders, "order-sensitivity report",
-            "--n", "--r", "--out", "--seed", "--samples")
     return parser
 
 

@@ -236,7 +236,7 @@ class LaurentPoly:
 
     # -- printing -------------------------------------------------------
 
-    def to_string(self, var: str = "t") -> str:
+    def to_string(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -245,7 +245,7 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                tpart = var if e == 1 else f"{var}^{e}"
+                tpart = "t" if e == 1 else f"t^{e}"
                 if mag == 1:
                     body = tpart
                 elif mag.denominator == 1:
@@ -258,8 +258,8 @@ class LaurentPoly:
                 parts.append((" + " if v > 0 else " - ") + body)
         return "".join(parts)
 
-    def to_latex(self, var: str = "t") -> str:
-        s = self.to_string(var)
+    def to_latex(self) -> str:
+        s = self.to_string()
         return re.sub(r"\^(-?\d+)", r"^{\1}", s)
 
     def __str__(self):
@@ -271,22 +271,21 @@ class LaurentPoly:
     # -- parsing --------------------------------------------------------
 
     @staticmethod
-    def parse(text: str, var: str = "t") -> "LaurentPoly":
+    def parse(text: str) -> "LaurentPoly":
         """Parse the canonical grammar, plus products of parenthesised
         factors for convenience, e.g. "t^-3*(t^9 - 1)".
 
         >>> str(LaurentPoly.parse("t^-3*(t^9 - 1)"))
         't^6 - t^-3'
         """
-        return _PolyParser(text, var).parse()
+        return _PolyParser(text).parse()
 
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[()+\-*/^]|[A-Za-z]+)")
 
 
 class _PolyParser:
-    def __init__(self, text: str, var: str):
-        self.var = var
+    def __init__(self, text: str):
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -336,7 +335,7 @@ class _PolyParser:
         p = self.atom()
         while True:
             nxt = self.peek()
-            if nxt == "(" or nxt == self.var or (nxt is not None and nxt.isdigit()):
+            if nxt == "(" or nxt == "t" or (nxt is not None and nxt.isdigit()):
                 p = p * self.atom()
             else:
                 return p
@@ -368,7 +367,7 @@ class _PolyParser:
                 self.take()
                 return p ** self._exponent()
             return p
-        if tok == self.var:
+        if tok == "t":
             self.take()
             e = 1
             if self.peek() == "^":
@@ -682,24 +681,24 @@ class RationalFunction:
             raise ZeroDivisionError(f"denominator vanishes at {q}")
         return self.num.eval_at(q) / d
 
-    def to_string(self, var: str = "t") -> str:
+    def to_string(self) -> str:
         if self.den.is_one:
-            return self.num.to_string(var)
-        return f"({self.num.to_string(var)})/({self.den.to_string(var)})"
+            return self.num.to_string()
+        return f"({self.num.to_string()})/({self.den.to_string()})"
 
-    def to_latex(self, var: str = "t") -> str:
+    def to_latex(self) -> str:
         if self.den.is_one:
-            return self.num.to_latex(var)
-        return (r"\frac{" + self.num.to_latex(var) + "}{"
-                + self.den.to_latex(var) + "}")
+            return self.num.to_latex()
+        return (r"\frac{" + self.num.to_latex() + "}{"
+                + self.den.to_latex() + "}")
 
     @staticmethod
-    def parse(text: str, var: str = "t") -> "RationalFunction":
+    def parse(text: str) -> "RationalFunction":
         m = re.fullmatch(r"\((.*)\)/\((.*)\)", text.strip())
         if m:
-            return RationalFunction(LaurentPoly.parse(m.group(1), var),
-                                    LaurentPoly.parse(m.group(2), var))
-        return RationalFunction(LaurentPoly.parse(text, var))
+            return RationalFunction(LaurentPoly.parse(m.group(1)),
+                                    LaurentPoly.parse(m.group(2)))
+        return RationalFunction(LaurentPoly.parse(text))
 
     def __str__(self):
         return self.to_string()

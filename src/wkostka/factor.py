@@ -365,23 +365,11 @@ def unmodify_kostka(modified: LaurentPoly, a_mu: int) -> LaurentPoly:
 # -- order sensitivity ---------------------------------------------------------
 
 
-class OrderSensitivityReport(FrozenRecord):
-    __slots__ = ("n", "r", "orders_used", "comparable_mismatches",
-                 "incomparable_mismatches")
-
-    @property
-    def comparable_stable(self) -> bool:
-        return not self.comparable_mismatches
-
-    @property
-    def fully_stable(self) -> bool:
-        return not self.comparable_mismatches and not self.incomparable_mismatches
-
-
-def order_sensitivity(n: int, r: int, orders) -> OrderSensitivityReport:
-    """Solve the factorization under each order and compare Kostka entries
-    pairwise; dominance-comparable pairs are reported separately from
-    incomparable ones (whose triangular zero pattern depends on the order)."""
+def order_sensitivity(n: int, r: int, orders) -> tuple:
+    """Solve the factorization under each order and compare Kostka entries:
+    (comparable, incomparable), the entries whose value differs between
+    orders at dominance-comparable and at incomparable pairs (whose
+    triangular zero pattern depends on the order)."""
     orders = list(orders)
     results = [solve_factorization(omega_matrix(n, r, order))
                for order in orders]
@@ -399,8 +387,7 @@ def order_sensitivity(n: int, r: int, orders) -> OrderSensitivityReport:
                     comparable.append(record)
                 else:
                     incomparable.append(record)
-    return OrderSensitivityReport(n, r, len(orders),
-                                  tuple(comparable), tuple(incomparable))
+    return comparable, incomparable
 
 
 # -- classical r = 1 oracle: charge statistic over semistandard tableaux -------

@@ -16,7 +16,7 @@ from math import comb
 from .exact import LaurentPoly
 from .omega import (a_O, b_O, bracket, coset_table, omega_entry_cosets,
                     torus_quotient)
-from .record import FrozenRecord, Record
+from .record import Record
 from .rpart import (Composition, ContingencyMatrix, RPartition, compositions,
                     enumerate_contingency, enumerate_rpartitions, n_star)
 from .symgrp import block_character
@@ -55,21 +55,15 @@ def a_exponent(pair: tuple, h: ContingencyMatrix) -> int:
     return total
 
 
-class InnerProductValue(FrozenRecord):
-    __slots__ = ("value",      # LaurentPoly (symbolic) or Fraction
-                 "p_eps", "p_eps_prime", "symbolic")
-
-
 def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
-                        q=None, power: int = 1) -> InnerProductValue:
+                        power: int = 1) -> LaurentPoly:
     """The Green-function inner product, evaluated combinatorially.
 
     The value is symbolic over the base field of order t^power (power > 1
     realizes base-field extensions): a Laurent polynomial, since each
     |GL_n| / |T_w| term is one, whose coefficients carry the 1/z weights of
-    coset_table and so may be Fractions.  With q given, the result is that
-    value evaluated at t = q, an exact rational number: the inner product
-    over the field of order q^power.
+    coset_table and so may be Fractions.  Its value at t = q, an exact
+    rational number, is the inner product over the field of order q^power.
     """
     if lam.n != mu.n or lam.r != mu.r:
         raise GreenCheckError("indices must share n and r")
@@ -78,9 +72,7 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
     mp = mu.weight()
     sign_map = {MINUS: m.p_minus(), PLUS: m.p_plus()}
     sign_map_p = {MINUS: mp.p_minus(), PLUS: mp.p_plus()}
-    p_eps = sign_map[pair[0]]
-    p_eps_prime = sign_map_p[pair[1]]
-    sign = (-1) ** (p_eps + p_eps_prime)
+    sign = (-1) ** (sign_map[pair[0]] + sign_map_p[pair[1]])
 
     # chi^lam(w) chi^mu(x^-1 w x) over each coset, by q-exponent and type of w
     coefs: dict = {}
@@ -95,9 +87,7 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
     for (a, rho), c in coefs.items():
         value = value + torus_quotient(rho, n, power).shift(
             power * (a + comb(n, 2))) * c
-    value = value * sign
-    return InnerProductValue(value if q is None else value.eval_at(q),
-                             p_eps, p_eps_prime, q is None)
+    return value * sign
 
 
 # -- verification reports -------------------------------------------------------
@@ -183,7 +173,7 @@ def thm55_check(n: int, r: int, mode: str = "symbolic",
         shift = -lam.a_value() - mu.tau().a_value()
         sign = (-1) ** (lam.weight().p_minus() + mu.weight().p_plus())
         scale_exp = -r * (lam.n_value() + mu.n_value())
-        green = green_inner_product(lam, mu, (MINUS, PLUS), power=r).value
+        green = green_inner_product(lam, mu, (MINUS, PLUS), power=r)
         report.checked += 1
         if mode == "symbolic":
             lhs = omega.shift(shift)

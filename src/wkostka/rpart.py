@@ -184,11 +184,9 @@ class RPartition(FrozenRecord):
         return self.r * self.n_value() + \
             sum(i * sum(c) for i, c in enumerate(self.parts))
 
-    def c_sequence(self, width: int | None = None) -> tuple:
+    def c_sequence(self, width: int) -> tuple:
         """Interleaved part sequence, zero-padded to r*width entries."""
         longest = max((len(c) for c in self.parts), default=0)
-        if width is None:
-            width = max(self.n, longest)
         if width < longest:
             raise RPartitionError(
                 f"width {width} is smaller than a component length {longest}")

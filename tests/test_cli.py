@@ -227,12 +227,31 @@ def test_golden_stdout(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("solve", "--n", "1", "--r", "3"),
+    ("verify", "thm55", "--n", "2", "--r", "2"),
+], ids=" ".join)
+def test_traced_harness_reports_the_cli_digest(capsys, argv):
+    """bench/traced.py wraps names inside src/ by module attribute; a rename
+    there breaks the per-layer benchmark, and this catches it."""
+    root = SRC.parent
+    done = subprocess.run(
+        [sys.executable, "bench/traced.py", *argv], cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(done.stdout)["output_sha256"] == \
+        hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
     ("verify", "lemma59", "--format", "csv"),
     ("verify", "thm55", "--suite", "lemma59"),
     ("solve", "--n", "1", "--r", "3", "--method", "both"),
     ("enumerate", "--n", "1", "--r", "3", "--seed", "1"),
     ("omega", "--n", "1", "--r", "3", "--samples", "3"),
-    ("orders", "--order", "default", "--format", "latex"),
+    ("verify", "orders", "--order", "default"),
 ])
 def test_undeclared_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -294,11 +313,17 @@ class TestVerifyCommand:
         ("symmetry", "--n", "-1", "--r", "1"),
         ("lemma59", "--n", "1", "--r", "0"),
         ("classical-r1", "--n", "0"),
+        ("orders", "--samples", "0"),
     ])
     def test_bad_suite_bounds_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_samples_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "verify", "orders", "--samples", "0")
+        assert code == 2 and out == ""
+        assert err == "error: --samples must be at least 1\n"
 
     @pytest.mark.parametrize("q", ["1", "0", "-1"])
     def test_bad_q_is_a_usage_error(self, capsys, q):
@@ -463,13 +488,24 @@ class TestOrderSources:
 
 
 class TestOrdersCommand:
+    """The order-sensitivity report, which `verify orders` gives."""
+
     def test_report(self, capsys):
-        code, out, _ = run(capsys, "orders", "--n", "2", "--r", "3",
+        code, out, _ = run(capsys, "verify", "orders", "--n", "2", "--r", "3",
                            "--samples", "5", "--seed", "42")
         assert code == 0
         data = json.loads(out)
-        assert data["distinct_orders"] >= 1
-        assert "comparable_mismatches" in data
+        params = data["params"]
+        assert list(params) == ["n", "r", "samples", "distinct_orders", "seed",
+                                "comparable_mismatches",
+                                "incomparable_mismatches"]
+        assert data["checked"] == params["distinct_orders"] >= 1
+        assert params["comparable_mismatches"] == []
+
+    def test_no_orders_subcommand(self, capsys):
+        code, out, err = run(capsys, "orders", "--n", "2", "--r", "3")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'orders'" in err
 
 
 def _readme_flag_table() -> dict:

@@ -188,8 +188,7 @@ class TestClassicalAgreement:
 class TestOrderSensitivity:
     def test_unique_extension_n1(self):
         orders = sample_linear_extensions(1, 3, 3, 7)
-        rep = order_sensitivity(1, 3, orders)
-        assert rep.fully_stable
+        assert order_sensitivity(1, 3, orders) == ([], [])
 
     @pytest.mark.parametrize("n,r,seed", [(2, 1, 1), (3, 1, 2), (4, 1, 3),
                                           (2, 2, 4), (3, 2, 5)])
@@ -201,18 +200,18 @@ class TestOrderSensitivity:
             if tuple(o.items) not in seen:
                 seen.add(tuple(o.items))
                 dedup.append(o)
-        rep = order_sensitivity(n, r, dedup)
-        assert rep.comparable_stable
-        assert rep.fully_stable
+        comparable, incomparable = order_sensitivity(n, r, dedup)
+        assert comparable == []
+        assert incomparable == []
 
     def test_r3_comparable_entries_observed_stable(self):
         orders = sample_linear_extensions(2, 3, 8, 11)
         dedup = {tuple(o.items): o for o in orders}
-        rep = order_sensitivity(2, 3, list(dedup.values()))
-        assert rep.orders_used >= 2
+        comparable, _ = order_sensitivity(2, 3, list(dedup.values()))
+        assert len(dedup) >= 2
         # no claim from the source; record the observation that comparable
         # pairs did not move on this sample
-        assert rep.comparable_stable
+        assert comparable == []
 
     def test_every_order_is_checked(self, monkeypatch):
         orders = list({tuple(o.items): o for o in
@@ -225,9 +224,8 @@ class TestOrderSensitivity:
             check(order, *args)
 
         monkeypatch.setattr(factor, "_verify_reconstruction", counted)
-        rep = order_sensitivity(2, 3, orders)
-        assert len(orders) >= 2 and rep.orders_used == len(orders)
-        assert checked == orders
+        order_sensitivity(2, 3, orders)
+        assert len(orders) >= 2 and checked == orders
 
 
 class TestSolverErrors:

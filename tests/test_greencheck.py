@@ -67,15 +67,14 @@ class TestAExponent:
 class TestInnerProduct:
     def test_diagonal_slot2(self):
         lam = RP("(-;1;-)")
-        res = green_inner_product(lam, lam, (MINUS, PLUS))
-        assert res.value == RationalFunction.t_power(1)
-        assert (res.p_eps, res.p_eps_prime) == (1, 1)
+        assert green_inner_product(lam, lam, (MINUS, PLUS)) == \
+            RationalFunction.t_power(1)
 
     def test_off_diagonal_sign(self):
         # sign (-1)^(p_-(m) + p_+(m')) = -1 here; the a-exponent is 0
         lam, mu = RP("(-;-;1)"), RP("(-;1;-)")
-        res = green_inner_product(lam, mu, (MINUS, PLUS))
-        assert res.value == RationalFunction(-1)
+        assert green_inner_product(lam, mu, (MINUS, PLUS)) == \
+            RationalFunction(-1)
 
     def test_diagonal_minus_minus(self):
         # single coset with h concentrated at (2,2): the block-prefix
@@ -84,15 +83,15 @@ class TestInnerProduct:
             parts = [()] * r
             parts[1] = (1,)
             lam = RPartition(tuple(parts))
-            res = green_inner_product(lam, lam, (MINUS, MINUS))
-            assert res.value == RationalFunction.t_power(r - 2)
+            assert green_inner_product(lam, lam, (MINUS, MINUS)) == \
+                RationalFunction.t_power(r - 2)
 
     def test_symbolic_matches_numeric_at_5(self):
         for lam in (RP("(-;1;1)"), RP("(2;-;-)"), RP("(-;-;11)")):
             for mu in (RP("(1;-;1)"), RP("(-;11;-)")):
-                sym = green_inner_product(lam, mu, (MINUS, PLUS)).value
-                num = green_inner_product(lam, mu, (MINUS, PLUS),
-                                          q=Fraction(5)).value
+                sym = green_inner_product(lam, mu, (MINUS, PLUS))
+                num = green_by_literal_cosets(lam, mu, (MINUS, PLUS),
+                                              q=Fraction(5))
                 assert sym.eval_at(5) == num
 
     @pytest.mark.parametrize("n,r", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
@@ -101,24 +100,23 @@ class TestInnerProduct:
         items = enumerate_rpartitions(n, r)
         for lam, mu in itertools.product(items, repeat=2):
             for pair in itertools.product((MINUS, PLUS), repeat=2):
-                for kw in ({}, {"power": r}, {"q": Fraction(4)}):
-                    got = green_inner_product(lam, mu, pair, **kw)
-                    assert got.value == \
+                for kw in ({}, {"power": r}):
+                    assert green_inner_product(lam, mu, pair, **kw) == \
                         green_by_literal_cosets(lam, mu, pair, **kw)
-                    assert got.symbolic == ("q" not in kw)
+                assert green_inner_product(lam, mu, pair).eval_at(4) == \
+                    green_by_literal_cosets(lam, mu, pair, q=Fraction(4))
 
     def test_power_raises_base(self):
         lam = RP("(-;1;-)")
-        res = green_inner_product(lam, lam, (MINUS, PLUS), power=3)
-        assert res.value == RationalFunction.t_power(3)
+        assert green_inner_product(lam, lam, (MINUS, PLUS), power=3) == \
+            RationalFunction.t_power(3)
 
     def test_numeric_value_keeps_power(self):
         # Over the field of order q^power: t^power at t = q, not t at t = q.
         lam = RP("(-;1;-)")
-        res = green_inner_product(lam, lam, (MINUS, PLUS), q=4, power=3)
-        assert res.value == 64 == green_by_literal_cosets(
+        res = green_inner_product(lam, lam, (MINUS, PLUS), power=3)
+        assert res.eval_at(4) == 64 == green_by_literal_cosets(
             lam, lam, (MINUS, PLUS), q=4, power=3)
-        assert not res.symbolic
 
 
 class TestLemma59:

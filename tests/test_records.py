@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 import wkostka
-from wkostka.factor import (FactorizationResult, IcMatrix,
-                            OrderSensitivityReport)
+from wkostka.factor import FactorizationResult, IcMatrix
 from wkostka.fixtures import Fixture
-from wkostka.greencheck import InnerProductValue, VerifyReport, thm55_check
+from wkostka.greencheck import VerifyReport, thm55_check
 from wkostka.omega import OmegaMatrix, WreathElement, omega_matrix
 from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
                            RPartition, default_total_order)
@@ -43,11 +42,6 @@ CASES = [
      ("order", "omega", "p_minus", "p_plus", "lam", "a_values", "theta",
       "lambda_prime", "p_plus_modified", "ic_minus", "ic_plus"),
      tuple(range(11)), tuple(range(1, 12))),
-    (OrderSensitivityReport,
-     ("n", "r", "orders_used", "comparable_mismatches",
-      "incomparable_mismatches"), (2, 3, 4, (), ()), (2, 3, 4, ((0, 1),), ())),
-    (InnerProductValue, ("value", "p_eps", "p_eps_prime", "symbolic"),
-     (5, 0, 1, False), (5, 1, 0, False)),
     (VerifyReport, ("suite", "params", "violations", "checked"),
      ("lemma59", {"n": 2}, [], 3), ("lemma59", {"n": 2}, ["x"], 3)),
     (Fixture,
