@@ -2,13 +2,15 @@
 
 Subcommands: enumerate, omega, solve, verify; each accepts only the flags it
 reads.  Exit codes: 0 on success, 1 on verification failure, solver
-error or a tripped guard bound, 2 on usage or input errors.
+error or a tripped guard bound, 2 on usage or input errors.  Every error is
+one `error:` line on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import os
 import sys
 
 from . import factor, greencheck, omega as omega_mod, rpart
@@ -26,8 +28,6 @@ class UsageError(ValueError):
 def _resolve_order(args) -> OrderedIndex:
     """The total order on P_{n,r} that --n, --r and --order name."""
     n, r, spec = args.n, args.r, args.order
-    if n is None or r is None:
-        raise UsageError(f"{args.command} needs --n and --r")
     if spec == "default":
         return rpart.default_total_order(n, r)
     if spec.startswith("fixture:"):
@@ -63,15 +63,6 @@ def _load_fixture(fid: str, r):
         raise UsageError(str(exc)) from exc
 
 
-def _size(value, default: int, least: int, flag: str) -> int:
-    """A size flag: default when it is absent, and at least least."""
-    if value is None:
-        return default
-    if value < least:
-        raise UsageError(f"{flag} must be at least {least}")
-    return value
-
-
 def _emit(payload: str, out_path: str | None):
     if out_path:
         try:
@@ -80,10 +71,18 @@ def _emit(payload: str, out_path: str | None):
         except OSError as exc:
             raise UsageError(f"cannot write {out_path!r}: "
                              f"{exc.strerror}") from exc
-    else:
+        return
+    try:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone; stdout now leads to os.devnull, so that the
+        # interpreter's last flush of what is still buffered cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _matrix_strings(rows) -> list:
@@ -167,12 +166,9 @@ def omega_to_json(om) -> dict:
 
 
 def _omega(args, order):
-    return omega_mod.omega_matrix(
-        args.n, args.r, order, args.method,
-        coset_n_bound=_size(args.coset_bound, omega_mod.COSET_K_BOUND, 1,
-                            "--coset-bound"),
-        wreath_bound=_size(args.wreath_bound, omega_mod.WREATH_ORACLE_BOUND,
-                           1, "--wreath-bound"))
+    return omega_mod.omega_matrix(args.n, args.r, order, args.method,
+                                  coset_n_bound=args.coset_bound,
+                                  wreath_bound=args.wreath_bound)
 
 
 def cmd_omega(args) -> int:
@@ -299,11 +295,10 @@ def _suite_fixtures(args) -> greencheck.VerifyReport:
 
 
 def _suite_lemma59(args) -> greencheck.VerifyReport:
-    n_max = _size(args.n, 4, 0, "--n")
-    r_max = _size(args.r, 4, 1, "--r")
-    report = greencheck.VerifyReport("lemma59", {"n_max": n_max, "r_max": r_max})
-    for n in range(0, n_max + 1):
-        for r in range(1, r_max + 1):
+    report = greencheck.VerifyReport("lemma59",
+                                     {"n_max": args.n, "r_max": args.r})
+    for n in range(0, args.n + 1):
+        for r in range(1, args.r + 1):
             for sub in (greencheck.lemma59_check(n, r),
                         greencheck.identity_5113_check(n, r)):
                 report.checked += sub.checked
@@ -312,12 +307,8 @@ def _suite_lemma59(args) -> greencheck.VerifyReport:
 
 
 def _suite_thm55(args) -> greencheck.VerifyReport:
-    if args.q and min(args.q) < 2:
-        raise UsageError("--q takes field orders, each at least 2")
     mode = "numeric" if args.q else "symbolic"
-    return greencheck.thm55_check(_size(args.n, 2, 0, "--n"),
-                                  _size(args.r, 3, 1, "--r"), mode,
-                                  args.q or (2, 3, 4))
+    return greencheck.thm55_check(args.n, args.r, mode, args.q or (2, 3, 4))
 
 
 def _suite_oracle(args) -> greencheck.VerifyReport:
@@ -327,11 +318,9 @@ def _suite_oracle(args) -> greencheck.VerifyReport:
         raise UsageError("the oracle suite needs both --n and --r (or neither)")
     else:
         pairs = ((args.n, args.r),)
-    bound = _size(args.wreath_bound, omega_mod.WREATH_ORACLE_BOUND, 1,
-                  "--wreath-bound")
     report = greencheck.VerifyReport("oracle", {"instances": list(map(list, pairs))})
     for n, r in pairs:
-        omega_mod._check_oracle_bound(n, r, bound)
+        omega_mod._check_oracle_bound(n, r, args.wreath_bound)
         items = rpart.enumerate_rpartitions(n, r)
         for lam in items:
             for mu in items:
@@ -346,12 +335,11 @@ def _suite_oracle(args) -> greencheck.VerifyReport:
 
 
 def _suite_symmetry(args) -> greencheck.VerifyReport:
-    n_max = _size(args.n, 3, 0, "--n")
-    r_max = _size(args.r, 3, 1, "--r")
-    report = greencheck.VerifyReport("symmetry", {"n_max": n_max, "r_max": r_max})
+    report = greencheck.VerifyReport("symmetry",
+                                     {"n_max": args.n, "r_max": args.r})
     entry = omega_mod.omega_entry_cosets
-    for r in range(1, r_max + 1):
-        for n in range(0, n_max + 1):
+    for r in range(1, args.r + 1):
+        for n in range(0, args.n + 1):
             items = rpart.enumerate_rpartitions(n, r)
             for lam in items:
                 for mu in items:
@@ -378,9 +366,8 @@ def _suite_symmetry(args) -> greencheck.VerifyReport:
 
 
 def _suite_classical(args) -> greencheck.VerifyReport:
-    n_max = _size(args.n, 4, 1, "--n")
-    report = greencheck.VerifyReport("classical-r1", {"n_max": n_max})
-    for n in range(1, n_max + 1):
+    report = greencheck.VerifyReport("classical-r1", {"n_max": args.n})
+    for n in range(1, args.n + 1):
         order = rpart.default_total_order(n, 1)
         om = omega_mod.omega_matrix(n, 1, order)
         res = factor.solve_factorization(om)
@@ -400,9 +387,7 @@ def _suite_orders(args) -> greencheck.VerifyReport:
     """Order sensitivity over the sampled linear extensions, each taken once
     in order of first draw.  A mismatch fails the suite only at r <= 2,
     where P+- cannot depend on the order."""
-    n = _size(args.n, 3, 0, "--n")
-    r = _size(args.r, 1, 1, "--r")
-    samples = _size(args.samples, 5, 1, "--samples")
+    n, r, samples = args.n, args.r, args.samples
     orders = {tuple(o.items): o for o in
               rpart.sample_linear_extensions(n, r, samples, args.seed)}
     comparable, incomparable = factor.order_sensitivity(n, r, orders.values())
@@ -417,35 +402,24 @@ def _suite_orders(args) -> greencheck.VerifyReport:
     return report
 
 
-# Suite -> (its function, the flags it reads besides --out).
+# Suite -> (its function, {flag: (default, least)} for each flag it reads
+# besides --out); a least of None takes any value.
 SUITES = {
-    "fixtures": (_suite_fixtures, ()),
-    "lemma59": (_suite_lemma59, ("--n", "--r")),
-    "thm55": (_suite_thm55, ("--n", "--r", "--q")),
-    "oracle": (_suite_oracle, ("--n", "--r", "--wreath-bound")),
-    "symmetry": (_suite_symmetry, ("--n", "--r")),
-    "classical-r1": (_suite_classical, ("--n",)),
-    "orders": (_suite_orders, ("--n", "--r", "--seed", "--samples")),
+    "fixtures": (_suite_fixtures, {}),
+    "lemma59": (_suite_lemma59, {"--n": (4, 0), "--r": (4, 1)}),
+    "thm55": (_suite_thm55, {"--n": (2, 0), "--r": (3, 1), "--q": (None, 2)}),
+    "oracle": (_suite_oracle, {"--n": (None, None), "--r": (None, None),
+                               "--wreath-bound":
+                               (omega_mod.WREATH_ORACLE_BOUND, 1)}),
+    "symmetry": (_suite_symmetry, {"--n": (3, 0), "--r": (3, 1)}),
+    "classical-r1": (_suite_classical, {"--n": (4, 1)}),
+    "orders": (_suite_orders, {"--n": (3, 0), "--r": (2, 1),
+                               "--seed": (0, None), "--samples": (5, 1)}),
 }
-_SUITE_FLAGS = tuple(dict.fromkeys(f for _, reads in SUITES.values()
-                                   for f in reads))
 
 
 def cmd_verify(args) -> int:
-    if not args.suite:
-        raise UsageError("verify needs a suite name")
-    if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; "
-                         f"choose from {', '.join(SUITES)}")
-    suite, reads = SUITES[args.suite]
-    # The parser leaves an absent suite flag None; it takes its default here.
-    for flag in _SUITE_FLAGS:
-        dest = flag[2:].replace("-", "_")
-        if getattr(args, dest) is None:
-            setattr(args, dest, _FLAGS[flag]["default"])
-        elif flag not in reads:
-            raise UsageError(f"verify {args.suite} does not read {flag}")
-    report = suite(args)
+    report = SUITES[args.suite][0](args)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -453,62 +427,85 @@ def cmd_verify(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-# The flags that more than one subcommand reads, and the verify suite flags,
-# each spelled once.
+# The argparse keywords of each flag, spelled once; a verify suite's flag
+# takes its default from SUITES.
 _FLAGS = {
-    "--n": dict(type=int, default=None),
-    "--r": dict(type=int, default=None),
+    "--n": dict(type=int),
+    "--r": dict(type=int),
     "--order": dict(default="default", help="default | fixture:ID | file:PATH"),
     "--format": dict(choices=("json", "csv", "latex"), default="json"),
     "--out": dict(default=None),
     "--coset-bound": dict(type=int, default=omega_mod.COSET_K_BOUND),
     "--wreath-bound": dict(type=int, default=omega_mod.WREATH_ORACLE_BOUND),
     "--method": dict(choices=("cosets", "wreath"), default="cosets"),
-    "--seed": dict(type=int, default=0),
-    "--samples": dict(type=int, default=5),
-    "--q": dict(type=int, nargs="+", default=None),
+    "--seed": dict(type=int),
+    "--samples": dict(type=int),
+    "--q": dict(type=int, nargs="+"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors are UsageErrors: one `error:` line and exit 2, with no
+    usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One sub-parser per command and per verify suite.  Each sets fn, the
+    command to run, and least, {flag: least value} of the flags it checks."""
+    parser = _Parser(
         prog="wkostka",
         description="Exact Kostka functions for the complex reflection "
                     "groups G(r,1,n)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help_text, *flags):
+    def command(name, fn, help_text, least, *flags):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
-        for flag in flags:
+        p.set_defaults(fn=fn, least=least)
+        for flag in ("--n", "--r"):
+            p.add_argument(flag, required=True, **_FLAGS[flag])
+        for flag in ("--order", "--format", "--out", *flags):
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    table = ("--n", "--r", "--order", "--format", "--out")
-    bounds = ("--coset-bound", "--wreath-bound")
-    command("enumerate", cmd_enumerate, "list P_{n,r} with statistics", *table)
-    p_omega = command("omega", cmd_omega, "build the fake-degree matrix",
-                      *table, *bounds, "--method")
-    p_solve = command("solve", cmd_solve, "triangular factorization",
-                      *table, *bounds, "--method")
+    guards = {"--coset-bound": 1, "--wreath-bound": 1}
+    command("enumerate", cmd_enumerate, "list P_{n,r} with statistics", {})
+    command("omega", cmd_omega, "build the fake-degree matrix", guards,
+            "--method", *guards)
+    p_solve = command("solve", cmd_solve, "triangular factorization", guards,
+                      "--method", *guards)
     p_solve.add_argument("--emit", default=None,
                          help="comma list of " + ",".join(BLOCKS))
-    p_verify = command("verify", cmd_verify, "run a verification suite",
-                       "--out")
-    p_verify.add_argument("suite", nargs="?", default=None,
-                          help=" | ".join(SUITES))
-    for flag in _SUITE_FLAGS:
-        p_verify.add_argument(flag, **{**_FLAGS[flag], "default": None})
+    suites = sub.add_parser("verify", help="run a verification suite") \
+        .add_subparsers(dest="suite", required=True)
+    for suite, (_, flags) in SUITES.items():
+        p = suites.add_parser(suite)
+        p.set_defaults(fn=cmd_verify, least={
+            f: least for f, (_, least) in flags.items() if least is not None})
+        p.add_argument("--out", **_FLAGS["--out"])
+        for flag, (default, _) in flags.items():
+            p.add_argument(flag, **{**_FLAGS[flag], "default": default})
     return parser
+
+
+def _check_least(args):
+    """Every value of each flag in args.least is at least its least value."""
+    for flag, least in args.least.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and \
+                min(value if isinstance(value, list) else [value]) < least:
+            raise UsageError(f"{flag} must be at least {least}")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        _check_least(args)
         return args.fn(args)
+    except SystemExit as exc:  # --help; the parser's errors raise UsageError
+        return exc.code
     except (UsageError, rpart.RPartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -245,6 +245,8 @@ def test_traced_harness_reports_the_cli_digest(capsys, argv):
         hashlib.sha256(out.encode()).hexdigest()
 
 
+# The last five rows are argparse's own errors: a bad int, a missing
+# command, a missing suite, an unknown suite and an unknown command.
 @pytest.mark.parametrize("argv", [
     ("verify", "lemma59", "--format", "csv"),
     ("verify", "thm55", "--suite", "lemma59"),
@@ -252,11 +254,31 @@ def test_traced_harness_reports_the_cli_digest(capsys, argv):
     ("enumerate", "--n", "1", "--r", "3", "--seed", "1"),
     ("omega", "--n", "1", "--r", "3", "--samples", "3"),
     ("verify", "orders", "--order", "default"),
+    ("solve", "--n", "x", "--r", "3"),
+    (),
+    ("verify",),
+    ("verify", "nonsense"),
+    ("orders", "--n", "2"),
 ])
 def test_undeclared_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "error:" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe early, as `| head -1` does, is no
+    failure: exit 0 and nothing on stderr.  The 80 kB of stdout exceed the
+    pipe's buffer, so the write meets the closed pipe."""
+    done = subprocess.Popen(
+        [sys.executable, "-m", "wkostka.cli", "solve", "--n", "3", "--r", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.read(1) == b"{"
+    done.stdout.close()
+    err = done.stderr.read()
+    done.stderr.close()
+    assert (done.wait(timeout=120), err) == (0, b"")
 
 
 class TestVerifyCommand:
@@ -281,6 +303,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "orders", "--n", "2", "--r", "2",
                            "--samples", "4", "--seed", "3")
         assert code == 0
+
+    def test_bare_orders_compares_more_than_one_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "orders")
+        params = json.loads(out)["params"]
+        assert code == 0 and (params["n"], params["r"]) == (3, 2)
+        assert params["distinct_orders"] > 1
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")
@@ -519,20 +547,50 @@ def _readme_flag_table() -> dict:
     return table
 
 
+def _subparsers(parser) -> dict:
+    """{name: sub-parser} of parser's sub-command action."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parser_flags() -> dict:
+    """{command: its flags but --help}, verify suites as "verify SUITE"."""
+    parsers = dict(_subparsers(build_parser()))
+    suites = _subparsers(parsers.pop("verify"))
+    parsers.update((f"verify {suite}", p) for suite, p in suites.items())
+    return {name: {s for a in p._actions for s in a.option_strings
+                   if s != "--help" and s.startswith("--")}
+            for name, p in parsers.items()}
+
+
 def test_readme_flag_table_matches_the_parser():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    want = {}
-    for name, parser in sub.choices.items():
-        flags = {s for a in parser._actions for s in a.option_strings
-                 if s != "--help" and s.startswith("--")}
-        if name != "verify":
-            want[name] = flags
-            continue
-        for suite, (_, reads) in SUITES.items():
-            want[f"verify {suite}"] = {"--out", *reads}
-        assert flags == set().union(*(want[f"verify {s}"] for s in SUITES))
+    want = _parser_flags()
+    for suite, (_, flags) in SUITES.items():
+        assert want[f"verify {suite}"] == {"--out", *flags}
     assert _readme_flag_table() == want
+
+
+def _readme_cli_lines() -> list:
+    """The argv of each `wkostka` line in README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("wkostka ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command", ["", "verify"] + sorted(_parser_flags()))
+def test_help_exits_0_and_lists_the_declared_flags(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert set(re.findall(r"--[a-z-]+", out)) == \
+        {"--help", *_parser_flags().get(command, ())}
 
 
 def test_readme_guard_defaults_match_the_parser():
