@@ -165,15 +165,22 @@ def omega_to_json(om) -> dict:
             "entries": _matrix_strings(om.entries.rows)}
 
 
-def _omega(args, order):
-    return omega_mod.omega_matrix(args.n, args.r, order, args.method,
-                                  coset_n_bound=args.coset_bound,
+def _omega(args):
+    """Omega over the order args name.  The guard of the route is checked
+    first, as building an order compares every pair of the K r-partitions."""
+    if args.method == "wreath":
+        omega_mod._check_oracle_bound(args.n, args.r, args.wreath_bound)
+    else:
+        omega_mod._check_coset_bound(
+            len(rpart.enumerate_rpartitions(args.n, args.r)), args.coset_bound)
+    return omega_mod.omega_matrix(args.n, args.r, _resolve_order(args),
+                                  args.method, coset_n_bound=args.coset_bound,
                                   wreath_bound=args.wreath_bound)
 
 
 def cmd_omega(args) -> int:
-    order = _resolve_order(args)
-    om = _omega(args, order)
+    om = _omega(args)
+    order = om.order
     if args.format == "json":
         payload = json.dumps(omega_to_json(om), indent=2)
     elif args.format == "csv":
@@ -256,12 +263,11 @@ def _latex_block(res, name: str, value, heading) -> str:
 
 
 def cmd_solve(args) -> int:
-    order = _resolve_order(args)
     blocks = args.emit.split(",") if args.emit is not None else BLOCKS
     for b in blocks:
         if b not in BLOCKS:
             raise UsageError(f"unknown block {b!r}; choose from {', '.join(BLOCKS)}")
-    res = factor.solve_factorization(_omega(args, order))
+    res = factor.solve_factorization(_omega(args))
     if args.format == "json":
         payload = json.dumps(solve_to_json(res, blocks), indent=2)
     else:
@@ -408,7 +414,7 @@ SUITES = {
     "fixtures": (_suite_fixtures, {}),
     "lemma59": (_suite_lemma59, {"--n": (4, 0), "--r": (4, 1)}),
     "thm55": (_suite_thm55, {"--n": (2, 0), "--r": (3, 1), "--q": (None, 2)}),
-    "oracle": (_suite_oracle, {"--n": (None, None), "--r": (None, None),
+    "oracle": (_suite_oracle, {"--n": (None, 0), "--r": (None, 1),
                                "--wreath-bound":
                                (omega_mod.WREATH_ORACLE_BOUND, 1)}),
     "symmetry": (_suite_symmetry, {"--n": (3, 0), "--r": (3, 1)}),
@@ -463,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, fn, help_text, least, *flags):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn, least=least)
+        p.set_defaults(fn=fn, least={"--n": 0, "--r": 1, **least})
         for flag in ("--n", "--r"):
             p.add_argument(flag, required=True, **_FLAGS[flag])
         for flag in ("--order", "--format", "--out", *flags):

@@ -7,28 +7,20 @@ integral and as a fractions.Fraction otherwise, so the production path
 (whose Omega, P+- and Lambda are integral) computes over Z.  Q(t) only holds
 the Lambda and Lambda' diagonals of a solved factorization and the test
 oracles.  Every polynomial is stored densely, and one dense kernel computes
-in Q[t, t^-1]; the wreath oracle also divides by Phi_r with it.  Values are
-immutable; all operations return new objects and are safe to share between
-threads.
+in Q[t, t^-1]: Q(t)'s gcd runs Euclid's algorithm on its division, and the
+wreath oracle divides by Phi_r with it.  Values are immutable; all
+operations return new objects and are safe to share between threads.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+
 
 class ExactError(ValueError):
     """Raised on impossible exact conversions (e.g. a true rational function
     asked to become a Laurent polynomial)."""
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def _exact(x):
@@ -207,7 +199,7 @@ class LaurentPoly:
         return _laurent(1 - self.low - len(self.coeffs), self.coeffs[::-1])
 
     def eval_at(self, q) -> Fraction:
-        q = _as_fraction(q)
+        q = Fraction(_exact(q))
         if q == 0 and self.coeffs and self.low < 0:
             raise ExactError("cannot evaluate negative exponents at 0")
         return sum((v * q ** e for e, v in self.items()), Fraction(0))
@@ -481,43 +473,12 @@ def _dense_divmod(num, den) -> tuple:
     return _strip(quot), _strip(num[:dn])
 
 
-def _int_primitive(cs: list) -> list:
-    g = 0
-    for c in cs:
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    if g > 1:
-        cs = [c // g for c in cs]
-    if cs and cs[-1] < 0:
-        cs = [-c for c in cs]
-    return cs
-
-
-def _int_pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of integer polynomials (lead(b)^k * a mod b)."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        c = a[-1]
-        a = [v * lead for v in a]
-        for j in range(db + 1):
-            a[shift + j] -= c * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Monic gcd in Q[t] of two polynomials with nonnegative exponents.
 
-    Computed by a primitive pseudo-remainder sequence over Z after clearing
-    denominators, so coefficients never leave the integers mid-stream.
+    Euclid's algorithm on the dense kernel: each remainder comes from
+    _dense_divmod and is scaled to be monic, so an integral divisor keeps
+    the next remainder in Z.
     """
     if p.is_zero:
         return _monic(q)
@@ -525,23 +486,13 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return _monic(p)
     if p.low < 0 or q.low < 0:
         raise ExactError("negative exponents in polynomial context")
-    a = _clear_denominators(_padded(p, 0))
-    b = _clear_denominators(_padded(q, 0))
-    if len(a) < len(b):
-        a, b = b, a
+    a, b = _padded(p, 0), _padded(q, 0)
     while b:
-        r = _int_pseudo_rem(a, b)
-        a, b = b, _int_primitive(r)
-    a = _int_primitive(a)
-    lead = a[-1]
-    return _laurent(0, a if lead == 1 else [Fraction(c, lead) for c in a])
-
-
-def _clear_denominators(cs: list) -> list:
-    denom = 1
-    for c in cs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [int(c * denom) for c in cs]
+        if b[-1] != 1:
+            inv = Fraction(1, b[-1])
+            b = [_exact(c * inv) for c in b]
+        a, b = b, _dense_divmod(a, b)[1]
+    return _laurent(0, a)
 
 
 def _monic(p: LaurentPoly) -> LaurentPoly:

@@ -125,9 +125,18 @@ def _zeta_mul(a, b, r: int) -> list:
     return out
 
 
+def _check_coset_bound(k: int, bound: int):
+    """The coset route's guard, K <= bound for K = |P_{n,r}|.  omega_matrix
+    and the CLI before it builds the order check it before any entry."""
+    if k > bound:
+        raise OmegaError(f"coset route bound exceeded: K = {k} > {bound}, "
+                         f"where K = |P_{{n,r}}|")
+
+
 def _check_oracle_bound(n: int, r: int, bound: int):
-    """The wreath oracle's guard, n*r^n <= bound.  omega_matrix and verify
-    oracle check it once per (n, r), before any entry; no entry reads it."""
+    """The wreath oracle's guard, n*r^n <= bound.  omega_matrix, verify
+    oracle and the CLI before it builds the order check it before any
+    entry; no entry reads it."""
     cost = n * r ** n
     if cost > bound:
         raise OmegaError(
@@ -488,9 +497,7 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
     keyword keeps its old name: bench/traced.py passes it by that name.)
     The wreath route likewise checks n*r^n against wreath_bound once."""
     if method == "cosets":
-        if len(order) > coset_n_bound:
-            raise OmegaError(f"coset route bound exceeded: K = {len(order)} "
-                             f"> {coset_n_bound}, where K = |P_{{n,r}}|")
+        _check_coset_bound(len(order), coset_n_bound)
         entry = lambda a, b: omega_entry_cosets(a, b, r)
     elif method == "wreath":
         _check_oracle_bound(n, r, wreath_bound)

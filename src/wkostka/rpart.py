@@ -184,12 +184,9 @@ class RPartition(FrozenRecord):
         return self.r * self.n_value() + \
             sum(i * sum(c) for i, c in enumerate(self.parts))
 
-    def c_sequence(self, width: int) -> tuple:
-        """Interleaved part sequence, zero-padded to r*width entries."""
-        longest = max((len(c) for c in self.parts), default=0)
-        if width < longest:
-            raise RPartitionError(
-                f"width {width} is smaller than a component length {longest}")
+    def c_sequence(self) -> tuple:
+        """Interleaved part sequence, zero-padded to r*max(n, 1) entries."""
+        width = max(self.n, 1)
         out = []
         for row in range(width):
             for comp in self.parts:
@@ -266,9 +263,8 @@ def dominance_leq(lam: RPartition, mu: RPartition) -> bool:
     """True iff every prefix sum of c(lam) is <= the one of c(mu)."""
     if lam.n != mu.n or lam.r != mu.r:
         raise RPartitionError("dominance needs equal n and r")
-    width = max(lam.n, 1)
-    a = lam.c_sequence(width)
-    b = mu.c_sequence(width)
+    a = lam.c_sequence()
+    b = mu.c_sequence()
     ta = tb = 0
     for x, y in zip(a, b):
         ta += x
@@ -350,7 +346,7 @@ class OrderedIndex(FrozenRecord):
 def default_total_order(n: int, r: int) -> OrderedIndex:
     """Ascending lexicographic order on c-sequences (refines dominance)."""
     items = sorted(enumerate_rpartitions(n, r),
-                   key=lambda lam: lam.c_sequence(max(n, 1)))
+                   key=lambda lam: lam.c_sequence())
     return OrderedIndex(tuple(items))
 
 
@@ -372,7 +368,7 @@ def sample_linear_extensions(n: int, r: int, count: int, seed: int) -> list:
         while remaining:
             ready = sorted((lam for lam in remaining
                             if all(mu not in remaining for mu in below[lam])),
-                           key=lambda lam: lam.c_sequence(max(n, 1)))
+                           key=lambda lam: lam.c_sequence())
             pick = rng.choice(ready)
             order.append(pick)
             remaining.remove(pick)

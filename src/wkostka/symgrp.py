@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial
 
 from .exact import LaurentPoly
 from .record import FrozenRecord
@@ -112,15 +113,10 @@ def mn_character(lam: tuple, rho: tuple) -> int:
 
 
 def centralizer_order(rho: tuple) -> int:
-    mult = {}
-    for k in rho:
-        mult[k] = mult.get(k, 0) + 1
     z = 1
-    for k, m in mult.items():
-        fact = 1
-        for i in range(1, m + 1):
-            fact *= i
-        z *= k ** m * fact
+    for k in set(rho):
+        m = rho.count(k)
+        z *= k ** m * factorial(m)
     return z
 
 
@@ -146,17 +142,8 @@ def block_cycle_types(w: tuple, m: Composition) -> tuple:
         raise SymGrpError(f"{w} does not stabilize the blocks of {m}")
     blocks = block_of(m)
     out = [[] for _ in range(m.r)]
-    seen = [False] * len(w)
-    for start in range(len(w)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            length += 1
-            i = w[i]
-        out[blocks[start]].append(length)
+    for cyc in cycles(w):
+        out[blocks[cyc[0]]].append(len(cyc))
     return tuple(tuple(sorted(c, reverse=True)) for c in out)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import wkostka
+from wkostka import rpart
 from wkostka.cli import _FLAGS, SUITES, build_parser, main, omega_to_json
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
 from wkostka.omega import OmegaMatrix, omega_matrix
@@ -266,6 +267,18 @@ def test_undeclared_flags_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [("enumerate",), ("omega",), ("solve",),
+                                     ("verify", "oracle")], ids=" ".join)
+@pytest.mark.parametrize("n, r, message", [
+    ("-1", "3", "--n must be at least 0"),
+    ("2", "0", "--r must be at least 1"),
+    ("-1", "-1", "--n must be at least 0")])
+def test_n_and_r_ranges_are_checked_with_the_flags(capsys, command, n, r,
+                                                   message):
+    code, out, err = run(capsys, *command, "--n", n, "--r", r)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_closed_stdout_ends_quietly():
     """A reader that closes the pipe early, as `| head -1` does, is no
     failure: exit 0 and nothing on stderr.  The 80 kB of stdout exceed the
@@ -411,6 +424,22 @@ class TestCosetBound:
         assert code == 1 and out == ""
         assert err == ("error: coset route bound exceeded: "
                        f"K = {k} > 221, where K = |P_{{n,r}}|\n")
+
+    # Building an order compares every pair of the K r-partitions, so each
+    # route's guard trips before it: K = 2640 and n*r^n = 590490 at (10,3).
+    @pytest.mark.parametrize("command", ["omega", "solve"])
+    @pytest.mark.parametrize("method, message", [
+        ("cosets", "coset route bound exceeded: K = 2640 > 221, "
+                   "where K = |P_{n,r}|"),
+        ("wreath", "wreath oracle bound exceeded: n*r^n = 590490 > 20000")])
+    def test_guard_trips_before_the_order_is_built(self, capsys, monkeypatch,
+                                                   command, method, message):
+        def refuse(n, r):
+            raise AssertionError("the order was built")
+        monkeypatch.setattr(rpart, "default_total_order", refuse)
+        code, out, err = run(capsys, command, "--n", "10", "--r", "3",
+                             "--method", method)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_bound_of_1_admits_k_1(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "0", "--r", "3",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from literal_gcd import literal_gcd
 from wkostka.exact import (ExactError, LaurentPoly, RationalFunction,
                            cyclotomic_polynomial, exact_div, poly_gcd)
 
@@ -160,6 +161,14 @@ _nonzero_terms = st.dictionaries(st.integers(-8, 8), _coeffs.filter(bool),
                                  min_size=1, max_size=6)
 
 
+# Polynomials of degree <= 4 (products of two, <= 8) over Z or Q, zero
+# among them.
+_factors = st.one_of(
+    st.just({}),
+    st.dictionaries(st.integers(0, 4), st.integers(-9, 9), max_size=5),
+    st.dictionaries(st.integers(0, 4), _coeffs, max_size=5)).map(LaurentPoly)
+
+
 def _is_canonical(p) -> bool:
     """Every coefficient is an int where integral and a Fraction otherwise."""
     return all(type(c) is (int if c.denominator == 1 else Fraction)
@@ -309,6 +318,28 @@ class TestPolyGcd:
         assert poly_gcd(P("2t + 2"), LaurentPoly.zero()) == P("t + 1")
         assert poly_gcd(LaurentPoly.zero(), P("3t^2")) == P("t^2")
         assert poly_gcd(P("4t^2 - 4"), P("6t + 6")) == P("t + 1")
+
+    def test_negative_exponents_are_refused(self):
+        for p, q in ((P("t^-1 + 1"), P("t + 1")), (P("t + 1"), P("2t^-2")),
+                     (P("t^-1"), P("t^-1"))):
+            with pytest.raises(ExactError):
+                poly_gcd(p, q)
+        # A zero argument returns the other one monic, exponents unchecked.
+        assert poly_gcd(LaurentPoly.zero(), P("2t^-1")) == P("t^-1")
+
+    @given(_factors, _factors, _factors, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_pseudo_remainder_oracle(self, a, b, g, plant):
+        p, q = (a * g, b * g) if plant else (a, b)
+        got = poly_gcd(p, q)
+        assert got == literal_gcd(p, q) and _is_canonical(got)
+        assert got.is_zero == (p.is_zero and q.is_zero)
+        if not got.is_zero:
+            assert got.min_exp >= 0 and got.coeffs[-1] == 1
+            exact_div(p, got)
+            exact_div(q, got)
+            if plant and not g.is_zero:
+                exact_div(got, g)
 
     def test_exact_div(self):
         assert exact_div(P("t^6 - t^-3"), P("t^-3")) == P("t^9 - 1")

@@ -36,13 +36,9 @@ class TestEnumeration:
 
 class TestCSequence:
     def test_interleaving(self):
-        assert RP("(1;-;1)").c_sequence(2) == (1, 0, 1, 0, 0, 0)
-        assert RP("(-;11;-)").c_sequence(2) == (0, 1, 0, 0, 1, 0)
-        assert RP("(-;-;-)").c_sequence(1) == (0, 0, 0)
-
-    def test_width_too_small(self):
-        with pytest.raises(RPartitionError):
-            RP("(11;-;-)").c_sequence(1)
+        assert RP("(1;-;1)").c_sequence() == (1, 0, 1, 0, 0, 0)
+        assert RP("(-;11;-)").c_sequence() == (0, 1, 0, 0, 1, 0)
+        assert RP("(-;-;-)").c_sequence() == (0, 0, 0)
 
 
 class TestDominance:
