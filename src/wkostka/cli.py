@@ -392,8 +392,11 @@ def _suite_classical(args) -> greencheck.VerifyReport:
 def _suite_orders(args) -> greencheck.VerifyReport:
     """Order sensitivity over the sampled linear extensions, each taken once
     in order of first draw.  A mismatch fails the suite only at r <= 2,
-    where P+- cannot depend on the order."""
+    where P+- cannot depend on the order.  The coset route's guard is
+    checked before any order is drawn, as in _omega."""
     n, r, samples = args.n, args.r, args.samples
+    omega_mod._check_coset_bound(len(rpart.enumerate_rpartitions(n, r)),
+                                 omega_mod.COSET_K_BOUND)
     orders = {tuple(o.items): o for o in
               rpart.sample_linear_extensions(n, r, samples, args.seed)}
     comparable, incomparable = factor.order_sensitivity(n, r, orders.values())

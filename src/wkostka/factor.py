@@ -126,25 +126,22 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
         ic_plus=ic_plus_candidate(order, pp, om.r))
 
 
-# The elimination packs each value at t = 2^_BITS about its own low exponent
-# (_BITS is a default: a sum whose bound needs more repacks at a wider width).
-# A zero value gets the offset _NO_LOW, above every real one, so that it
-# never sets the base of a sum; its packed integer is 0.
+# The elimination packs each value at t = 2^_BITS (_BITS is a default: a sum
+# whose bound needs more repacks at a wider width).  _packed owns how a value
+# becomes an integer, zero values included: they get the offset _NO_LOW,
+# above every real one, so that they never set the base of a sum.
 _BITS = 32
 _NO_LOW = 1 << 40
 _denominator = attrgetter("denominator")
 
 
 def _record(p: LaurentPoly, bits: int) -> tuple:
-    """(offset, packed, norm, den) of p: bits times p's low exponent, D p
-    packed at 2^bits about that exponent, the 1-norm of D p, and D, the lcm
-    of p's coefficient denominators."""
-    if not p.coeffs:
-        return _NO_LOW, 0, 0, 1
+    """(offset, packed, norm, den) of p: _packed of D p at 2^bits, the
+    1-norm of D p, and D, the lcm of p's coefficient denominators."""
     d = lcm(*map(_denominator, p.coeffs))
     if d != 1:
         p = p * d
-    return bits * p.low, _packed(p, p.low, bits), sum(map(abs, p.coeffs)), d
+    return (*_packed(p, bits), sum(map(abs, p.coeffs)), d)
 
 
 def _columns(values, bits: int) -> tuple:
@@ -223,17 +220,19 @@ def reconstruction_mismatches(p_minus, xi, p_plus, omega):
     substitution: Schoenhage, EUROCAM 1982; Harvey, J. Symbolic Comput.
     2009).
 
-    P-, xi and P+ are each written as t^L times polynomials, with L the
-    lowest exponent in that matrix, and Omega about the sum of the three
-    (or about its own lowest exponent, where that is lower).  Evaluating
-    those polynomials at t = 2^B is a ring map, so the rebuilt cell packs
-    to sum_l P-_il(2^B) xi_l(2^B) P+_jl(2^B).  Every coefficient of either
-    side of a cell is at most
+    Every value packs about its own low exponent (_packed): it is t^L
+    times a polynomial, L its low, and a product of three values is
+    t^(the sum of their lows) times the product of their polynomials.  A
+    cell multiplies both its sides by t^-base, base the least low of its
+    products and of Omega_ij, which moves no coefficient and leaves
+    polynomials; evaluating those at t = 2^B is a ring map, so each side
+    packs to the sum of its terms' integers, each shifted by B (low - base)
+    bits.  Every coefficient of either side is at most
 
         C = K max||P-||_1 max||xi||_1 max||P+||_1 + max||Omega||_1
 
-    in absolute value (||.||_1 sums the absolute coefficients), and B is
-    the least width with 2^(B-1) > C.  Each side's integer is then the
+    in absolute value (||.||_1 sums the absolute coefficients), with B the
+    least width with 2^(B-1) > C.  Each side's integer is then the
     balanced base-2^B expansion of its polynomial, every digit in
     (-2^(B-1), 2^(B-1)), and balanced expansions are unique: the integers
     are equal exactly when the polynomials are.  A non-integral coefficient
@@ -250,33 +249,29 @@ def reconstruction_mismatches(p_minus, xi, p_plus, omega):
     norms = [max(sum(map(abs, p.coeffs)) for row in rows for p in row)
              for rows in mats]
     bits = (k * norms[0] * norms[1] * norms[2] + norms[3]).bit_length() + 1
-    lows = [min((p.low for row in rows for p in row if p.coeffs), default=0)
-            for rows in mats]
-    # Omega packs about base; P- packs about its low less the gap below the
-    # sum of the three lows, so that every product sits about base too.
-    top = lows[0] + lows[1] + lows[2]
-    base = min(top, lows[3])
-    lows[0] -= top - base
-    lows[3] = base
     packed_pm, (packed_xi,), packed_pp, packed_om = (
-        [[_packed(p, low, bits) for p in row] for row in rows]
-        for rows, low in zip(mats, lows))
+        [[_packed(p, bits) for p in row] for row in rows] for rows in mats)
     for i in range(k):
-        weighted = list(map(mul, packed_pm[i][:i + 1], packed_xi))
-        for j in range(k):
-            m = min(i, j) + 1
-            if sum(map(mul, weighted[:m], packed_pp[j][:m])) != packed_om[i][j]:
+        weighted = [(l, o + ox, v * vx) for l, ((o, v), (ox, vx))
+                    in enumerate(zip(packed_pm[i][:i + 1], packed_xi)) if v]
+        for j, row in enumerate(packed_pp):
+            terms = [(o + row[l][0], v * row[l][1])
+                     for l, o, v in weighted if l <= j and row[l][1]]
+            offset, value = packed_om[i][j]
+            base = min([offset] + [o for o, _ in terms])
+            if sum(v << o - base for o, v in terms) != value << offset - base:
                 yield i, j
 
 
-def _packed(p: LaurentPoly, low: int, bits: int) -> int:
-    """p * t^-low at t = 2^bits (low <= p.low unless p is zero)."""
+def _packed(p: LaurentPoly, bits: int) -> tuple:
+    """(offset, v) of p: bits times p's low exponent, and p * t^-low at
+    t = 2^bits.  A zero p packs to (_NO_LOW, 0)."""
     if not p.coeffs:
-        return 0
+        return _NO_LOW, 0
     v = 0
     for c in reversed(p.coeffs):
         v = (v << bits) + c
-    return v << bits * (p.low - low)
+    return bits * p.low, v
 
 
 def _unpacked(v: int, low: int, bits: int) -> LaurentPoly:

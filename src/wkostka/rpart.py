@@ -8,6 +8,8 @@ contingency matrices that label double cosets of Young subgroups.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import re
 from functools import lru_cache
@@ -259,19 +261,19 @@ def n_star(n: int, r: int) -> int:
     return comb(n, 2) * r + (r - 1) * n
 
 
+@lru_cache(maxsize=None)
+def _dominance_key(lam: RPartition) -> tuple:
+    """The prefix sums of c(lam).  Sorting by them sorts by c(lam), as both
+    compare lexicographically at the first entry where the c-sequences
+    differ."""
+    return tuple(itertools.accumulate(lam.c_sequence()))
+
+
 def dominance_leq(lam: RPartition, mu: RPartition) -> bool:
     """True iff every prefix sum of c(lam) is <= the one of c(mu)."""
     if lam.n != mu.n or lam.r != mu.r:
         raise RPartitionError("dominance needs equal n and r")
-    a = lam.c_sequence()
-    b = mu.c_sequence()
-    ta = tb = 0
-    for x, y in zip(a, b):
-        ta += x
-        tb += y
-        if ta > tb:
-            return False
-    return True
+    return all(map(operator.le, _dominance_key(lam), _dominance_key(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -310,9 +312,10 @@ class OrderedIndex(FrozenRecord):
         expect = set(enumerate_rpartitions(items[0].n, items[0].r)) if items else set()
         if set(items) != expect:
             raise RPartitionError("total order does not cover P_{n,r} exactly")
-        for i, lam in enumerate(items):
-            for mu in items[i + 1:]:
-                if dominance_leq(mu, lam) and mu != lam:
+        keys = list(map(_dominance_key, items))
+        for i, (lam, key) in enumerate(zip(items, keys)):
+            for mu, later in zip(items[i + 1:], keys[i + 1:]):
+                if all(map(operator.le, later, key)):
                     raise RPartitionError(
                         f"order violates dominance: {mu} must precede {lam}")
 
@@ -345,8 +348,7 @@ class OrderedIndex(FrozenRecord):
 
 def default_total_order(n: int, r: int) -> OrderedIndex:
     """Ascending lexicographic order on c-sequences (refines dominance)."""
-    items = sorted(enumerate_rpartitions(n, r),
-                   key=lambda lam: lam.c_sequence())
+    items = sorted(enumerate_rpartitions(n, r), key=_dominance_key)
     return OrderedIndex(tuple(items))
 
 
@@ -368,7 +370,7 @@ def sample_linear_extensions(n: int, r: int, count: int, seed: int) -> list:
         while remaining:
             ready = sorted((lam for lam in remaining
                             if all(mu not in remaining for mu in below[lam])),
-                           key=lambda lam: lam.c_sequence())
+                           key=_dominance_key)
             pick = rng.choice(ready)
             order.append(pick)
             remaining.remove(pick)

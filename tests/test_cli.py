@@ -441,6 +441,17 @@ class TestCosetBound:
                              "--method", method)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_orders_guard_trips_before_the_orders_are_drawn(self, capsys,
+                                                           monkeypatch):
+        def refuse(n, r, count, seed):
+            raise AssertionError("the orders were drawn")
+        monkeypatch.setattr(rpart, "sample_linear_extensions", refuse)
+        code, out, err = run(capsys, "verify", "orders", "--n", "10",
+                             "--r", "3")
+        assert (code, out, err) == (
+            1, "", "error: coset route bound exceeded: K = 2640 > 221, "
+                   "where K = |P_{n,r}|\n")
+
     def test_bound_of_1_admits_k_1(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "0", "--r", "3",
                            "--coset-bound", "1")

@@ -1,15 +1,15 @@
 """Triangular factorization, IC transforms, order sensitivity, charge oracle,
-and the packed reconstruction check against its polynomial oracle."""
+and the packed reconstruction check against its two oracles."""
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from literal_elimination import literal_elimination
-from literal_reconstruction import check_reconstruction
+from literal_reconstruction import laurent_mismatches, matrix_low_mismatches
 from wkostka import factor
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
 from wkostka.factor import (FactorizationError, charge,
@@ -386,13 +386,18 @@ class TestPackedElimination:
 
     @given(st.integers(-5, 5), st.lists(st.integers(-2 ** 40, 2 ** 40),
                                         max_size=6), st.integers(42, 70))
+    @example(3, [], 42)
     def test_unpacked_inverts_packed(self, low, cs, bits):
         p = LaurentPoly({low + i: c for i, c in enumerate(cs)})
-        assert factor._unpacked(factor._packed(p, p.low, bits), p.low,
-                                bits) == p
+        offset, v = factor._packed(p, bits)
+        if p.is_zero:
+            assert (offset, v) == (factor._NO_LOW, 0)
+        else:
+            assert offset == bits * p.low
+            assert factor._unpacked(v, p.low, bits) == p
 
 
-# -- the packed reconstruction check and its polynomial oracle ----------------
+# -- the packed reconstruction check and its two oracles ----------------------
 
 
 @lru_cache(maxsize=None)
@@ -408,26 +413,32 @@ def _tables(res):
             [list(row) for row in res.omega.entries.rows]]
 
 
-def _outcomes(res, tables):
-    """What the packed check and the oracle say about tables: None where
-    the check accepts, its error message where it rejects."""
-    order, om = res.order, res.omega
+def _outcomes(tables):
+    """The cells, row by row, that the packed check, the matrix-low check
+    and the Laurent loop each reject in tables."""
     pm, (xi,), pp, omega = tables
+    return [list(route(pm, xi, pp, omega))
+            for route in (factor.reconstruction_mismatches,
+                          matrix_low_mismatches, laurent_mismatches)]
+
+
+def _rejected(order, tables):
+    """The cells the three routes of _outcomes reject, after asserting that
+    they agree and that _verify_reconstruction raises at the first."""
+    packed, matrix_low, loop = _outcomes(tables)
+    assert packed == matrix_low == loop
+    pm, (xi,), pp, omega = tables
+    lam = order.items[0]
     args = (order, PolyMatrix(order, pm), tuple(xi), PolyMatrix(order, pp),
-            OmegaMatrix(order, PolyMatrix(order, omega), om.n, om.r,
-                        om.method))
-    out = []
-    for check in (factor._verify_reconstruction, check_reconstruction):
-        try:
-            check(*args)
-            out.append(None)
-        except FactorizationError as exc:
-            out.append(str(exc))
-    return out
-
-
-def _rejected_at(res, i, j):
-    return f"reconstruction failed at ({res.order.items[i]}, {res.order.items[j]})"
+            OmegaMatrix(order, PolyMatrix(order, omega), lam.n, lam.r, "test"))
+    if not packed:
+        factor._verify_reconstruction(*args)
+        return packed
+    i, j = packed[0]
+    message = f"reconstruction failed at ({order.items[i]}, {order.items[j]})"
+    with pytest.raises(FactorizationError, match=re.escape(message)):
+        factor._verify_reconstruction(*args)
+    return packed
 
 
 def _bump(p, e, delta=1):
@@ -439,7 +450,7 @@ class TestReconstructionCheck:
                                      (3, 3)])
     def test_both_accept_the_solved_tables(self, n, r):
         res = _solved(n, r)
-        assert _outcomes(res, _tables(res)) == [None, None]
+        assert _rejected(res.order, _tables(res)) == []
 
     def test_perturbed_p_plus_coefficient(self):
         res = _solved(3, 3)
@@ -449,14 +460,26 @@ class TestReconstructionCheck:
         row = next(b for b in range(col + 1, len(pp)) if not pp[b][col].is_zero)
         pp[row][col] = _bump(pp[row][col], pp[row][col].min_exp)
         # P+_(row,col) first enters the cell (col, row), through l = col
-        assert _outcomes(res, tables) == [_rejected_at(res, col, row)] * 2
+        assert _rejected(res.order, tables)[0] == (col, row)
+
+    def test_perturbed_p_minus_entry_far_above_the_lowest(self):
+        # P-_(3,0) starts at t^12 and every P- entry at t^0 or above: the
+        # check packs it about its own low, where a matrix-low packing
+        # carries twelve zero digits into each of its products.
+        res = _solved(3, 3)
+        tables = _tables(res)
+        pm = tables[0]
+        lowest = min(p.min_exp for row in pm for p in row if not p.is_zero)
+        assert pm[3][0].min_exp - lowest >= 10
+        pm[3][0] = _bump(pm[3][0], pm[3][0].min_exp, -1)
+        assert _rejected(res.order, tables)[0] == (3, 0)
 
     def test_perturbed_xi_coefficient(self):
         res = _solved(3, 3)
         tables = _tables(res)
         xi = tables[1][0]
         xi[7] = _bump(xi[7], xi[7].max_exp, -1)
-        assert _outcomes(res, tables) == [_rejected_at(res, 7, 7)] * 2
+        assert _rejected(res.order, tables)[0] == (7, 7)
 
     def test_perturbed_top_omega_coefficient(self):
         res = _solved(3, 3)
@@ -465,7 +488,7 @@ class TestReconstructionCheck:
         i, j = 4, 9
         assert not omega[i][j].is_zero
         omega[i][j] = _bump(omega[i][j], omega[i][j].max_exp)
-        assert _outcomes(res, tables) == [_rejected_at(res, i, j)] * 2
+        assert _rejected(res.order, tables) == [(i, j)]
 
     def test_omega_term_below_every_product(self):
         res = _solved(3, 3)
@@ -473,7 +496,21 @@ class TestReconstructionCheck:
         omega = tables[3]
         lowest = min(p.min_exp for row in omega for p in row if not p.is_zero)
         omega[6][2] = _bump(omega[6][2], lowest - 5)
-        assert _outcomes(res, tables) == [_rejected_at(res, 6, 2)] * 2
+        assert _rejected(res.order, tables) == [(6, 2)]
+
+    def test_a_zero_omega_cell_made_nonzero(self):
+        # With P+- the identity pattern t^a on the diagonal, every cell off
+        # it has no nonzero product and a zero Omega.
+        order = _SMALL_ORDERS[2, 2]
+        diagonal = _unitriangular(order, lambda i, j: LaurentPoly.zero())
+        xi = [LaurentPoly({-1: 2, 4: -3})] * len(order)
+        om = _synthetic_omega(order, diagonal, xi, diagonal)
+        omega = [list(row) for row in om.entries.rows]
+        assert omega[3][1].is_zero
+        tables = [diagonal, [xi], diagonal, omega]
+        assert _rejected(order, tables) == []
+        omega[3][1] = LaurentPoly.t_power(5)
+        assert _rejected(order, tables) == [(3, 1)]
 
     def test_a_carry_between_digits_is_caught(self):
         # t^(e+1) - 2^w t^e vanishes at t = 2^w.  The packing width grows
@@ -484,7 +521,7 @@ class TestReconstructionCheck:
             p = tables[3][2][5]
             tables[3][2][5] = p + LaurentPoly({p.min_exp + 1: 1,
                                                p.min_exp: -2 ** w})
-            assert _outcomes(res, tables) == [_rejected_at(res, 2, 5)] * 2
+            assert _rejected(res.order, tables) == [(2, 5)]
 
     def test_non_integral_tables(self):
         res = _solved(2, 3)
@@ -492,9 +529,9 @@ class TestReconstructionCheck:
         scales = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 1), Fraction(1, 3))
         tables = [[[p * s for p in row] for row in rows]
                   for rows, s in zip((pm, [xi], pp, omega), scales)]
-        assert _outcomes(res, tables) == [None, None]
+        assert _rejected(res.order, tables) == []
         tables[3][3][1] = _bump(tables[3][3][1], 2, Fraction(1, 5))
-        assert _outcomes(res, tables) == [_rejected_at(res, 3, 1)] * 2
+        assert _rejected(res.order, tables) == [(3, 1)]
 
     @given(st.integers(0, 3), st.integers(0, 8), st.integers(0, 8),
            st.integers(-14, 14), st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)]))
@@ -506,5 +543,4 @@ class TestReconstructionCheck:
         if which == 1:
             i = 0
         rows[i][j] = _bump(rows[i][j], e, delta)
-        packed, oracle = _outcomes(res, tables)
-        assert packed == oracle
+        _rejected(res.order, tables)

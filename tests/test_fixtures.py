@@ -7,6 +7,8 @@ from wkostka.fixtures import (FixtureError, check_fixture, load_fixture,
                               reconstruction_check)
 from wkostka.omega import omega_matrix
 
+from literal_reconstruction import laurent_mismatches, matrix_low_mismatches
+
 
 class TestLoading:
     def test_ids(self):
@@ -41,6 +43,22 @@ class TestTranscriptionGuards:
         fx.omega[0][1] = fx.omega[0][1] - 1
         rep = reconstruction_check(fx)
         assert [v["at"] for v in rep.violations] == [(0, 1), (1, 2)]
+
+    def test_seeded_n2r3_cells_match_both_oracles(self):
+        # The source prints no Omega for n = 2, so the fixture's own tables
+        # are checked against the solver's.
+        fx = load_fixture("n2r3")
+        fx.omega = [list(row) for row in
+                    omega_matrix(2, 3, fx.order).entries.rows]
+        assert reconstruction_check(fx).passed
+        fx.p_minus[5][0] = fx.p_minus[5][0] - LaurentPoly.t_power(5)
+        fx.xi[7] = fx.xi[7] + LaurentPoly.t_power(-3)
+        fx.omega[2][6] = fx.omega[2][6] + LaurentPoly.t_power(40, 2)
+        cells = [v["at"] for v in reconstruction_check(fx).violations]
+        tables = (fx.p_minus, fx.xi, fx.p_plus, fx.omega)
+        assert len(cells) > 3
+        assert cells == list(laurent_mismatches(*tables)) == \
+            list(matrix_low_mismatches(*tables))
 
     def test_fixture_triangles_have_monomial_diagonals(self):
         for fid in ("n1r3", "n2r3", "n3r3"):

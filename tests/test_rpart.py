@@ -65,6 +65,21 @@ class TestDominance:
         with pytest.raises(RPartitionError):
             dominance_leq(RP("(1;-)"), RP("(1;1)"))
 
+    @pytest.mark.parametrize("n,r", [(3, 3), (4, 2), (2, 4)])
+    def test_matches_the_literal_prefix_sum_loop(self, n, r):
+        def literal(lam, mu):
+            ta = tb = 0
+            for x, y in zip(lam.c_sequence(), mu.c_sequence()):
+                ta += x
+                tb += y
+                if ta > tb:
+                    return False
+            return True
+
+        items = enumerate_rpartitions(n, r)
+        for lam, mu in itertools.product(items, repeat=2):
+            assert dominance_leq(lam, mu) == literal(lam, mu)
+
 
 class TestStatistics:
     def test_n_value(self):
