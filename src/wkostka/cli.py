@@ -340,10 +340,17 @@ def _suite_oracle(args) -> greencheck.VerifyReport:
     return report
 
 
+def _rotated(lam: RPartition) -> RPartition:
+    """lam tensored with delta: component j moves to position j + 1 mod r."""
+    return RPartition(lam.parts[-1:] + lam.parts[:-1])
+
+
 def _suite_symmetry(args) -> greencheck.VerifyReport:
     report = greencheck.VerifyReport("symmetry",
                                      {"n_max": args.n, "r_max": args.r})
-    entry = omega_mod.omega_entry_cosets
+    # The direct route on both sides: omega_entry_cosets maps both to one
+    # orbit representative, so it would make every twist check vacuous.
+    entry = omega_mod._omega_entry_direct
     for r in range(1, args.r + 1):
         for n in range(0, args.n + 1):
             items = rpart.enumerate_rpartitions(n, r)
@@ -354,6 +361,12 @@ def _suite_symmetry(args) -> greencheck.VerifyReport:
                         report.violations.append(
                             {"kind": "transpose", "n": n, "r": r,
                              "lam": str(lam), "mu": str(mu)})
+                    if r > 1:
+                        report.checked += 1
+                        if entry(lam, mu, r) != entry(_rotated(lam), _rotated(mu), r):
+                            report.violations.append(
+                                {"kind": "rotation", "n": n, "r": r,
+                                 "lam": str(lam), "mu": str(mu)})
                     if r <= 2:
                         report.checked += 1
                         if entry(lam, mu, r) != entry(mu, lam, r):

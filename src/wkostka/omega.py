@@ -18,6 +18,17 @@ Two independent routes compute each entry:
   the coset route.
 
 Both must agree, entry by entry; the test suite enforces this.
+
+The coset route computes one entry per orbit of the linear characters.
+Omega_(lam,mu) = t^(N*) R(rho^lam x conj(rho^mu) x conj(det_V)) is unchanged
+when lam and mu are both tensored with one linear character epsilon, since
+epsilon takes root-of-unity values and so epsilon * conj(epsilon) = 1.
+Tensoring with sgn conjugates every component of an r-partition; tensoring
+with delta = zeta^(sum of colors) raises each block's delta-grading by one,
+so component j moves to position j + 1 mod r.  The 2r twists (_twist) act on
+the pairs, and omega_entry_cosets reads each pair off the one whose first
+index is the least of its orbit (_orbit_twist).  The wreath oracle computes
+every entry on its own and never twists.
 """
 from __future__ import annotations
 
@@ -31,7 +42,8 @@ from .exact import (LaurentPoly, PolyMatrix, _dense_divmod, _exact, _laurent,
                     cyclotomic_polynomial, exact_div)
 from .record import FrozenRecord
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
-                    enumerate_contingency, n_star, partitions)
+                    conjugate_partition, enumerate_contingency, n_star,
+                    partitions)
 from .symgrp import (all_perms, block_character, block_cycle_types, block_of,
                      centralizer_order, char_perm_det_from_type, cycles,
                      in_young, inverse)
@@ -438,7 +450,39 @@ def _shift_shares(lam: RPartition) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _twist(lam: RPartition, k: int, conj: bool) -> RPartition:
+    """lam tensored with delta^k, and with sgn when conj, for 0 <= k < r:
+    component j moves to position j + k mod r, and every component is
+    conjugated if conj."""
+    p = lam.parts
+    if conj:
+        p = tuple(conjugate_partition(c) for c in p)
+    return RPartition._unchecked(p[len(p) - k:] + p[:len(p) - k])
+
+
+@lru_cache(maxsize=None)
+def _orbit_twist(lam: RPartition) -> tuple:
+    """The twist (k, conj) whose image of lam has the least parts tuple; on
+    a tie, the first in the order (0, False), (1, False), ..., (r-1, True)."""
+    return min(((k, conj) for conj in (False, True) for k in range(lam.r)),
+               key=lambda g: _twist(lam, *g).parts)
+
+
+@lru_cache(maxsize=None)
 def omega_entry_cosets(lam: RPartition, mu: RPartition, r: int) -> LaurentPoly:
+    """omega_(lam,mu), read off its orbit's representative: the twist g that
+    takes lam to the least member of its orbit (_orbit_twist) leaves the
+    entry unchanged (module docstring), so this is the coset route's
+    _omega_entry_direct(g lam, g mu, r), which each orbit computes once."""
+    if lam.n != mu.n or lam.r != r or mu.r != r:
+        raise OmegaError("index mismatch")
+    k, conj = _orbit_twist(lam)
+    return _omega_entry_direct(_twist(lam, k, conj), _twist(mu, k, conj), r)
+
+
+@lru_cache(maxsize=None)
+def _omega_entry_direct(lam: RPartition, mu: RPartition,
+                        r: int) -> LaurentPoly:
     """omega_(lam,mu) through the double-coset expansion of the fake degree:
 
         t^(a(lam) + a(tau mu)) sum_h t^(r b_O(lam,mu,h)) sum_(x,y)
@@ -491,9 +535,10 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
                  method: str = "cosets",
                  coset_n_bound: int = COSET_K_BOUND,
                  wreath_bound: int = WREATH_ORACLE_BOUND) -> OmegaMatrix:
-    """Omega over order.  The coset route computes K^2 entries for
-    K = |P_{n,r}| = len(order), and the solver then eliminates in order K^3,
-    so it refuses K > coset_n_bound before it computes any entry.  (The
+    """Omega over order.  The coset route asks omega_entry_cosets for all
+    K^2 entries, K = |P_{n,r}| = len(order), and computes one per orbit of
+    the 2r twists; the solver then eliminates in order K^3, so it refuses
+    K > coset_n_bound before it computes any entry.  (The
     keyword keeps its old name: bench/traced.py passes it by that name.)
     The wreath route likewise checks n*r^n against wreath_bound once."""
     if method == "cosets":

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wkostka
-from wkostka import rpart
+from wkostka import omega as omega_mod, rpart
 from wkostka.cli import _FLAGS, SUITES, build_parser, main, omega_to_json
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
 from wkostka.omega import OmegaMatrix, omega_matrix
@@ -348,6 +348,28 @@ class TestVerifyCommand:
                            "--r", "1")
         assert code == 0
         assert json.loads(out)["params"] == {"n_max": 0, "r_max": 1}
+
+    def test_symmetry_catches_a_seeded_asymmetric_entry(self, capsys,
+                                                         monkeypatch):
+        """One direct entry off by 1 at a pair whose first index is not its
+        orbit's representative breaks the transpose and rotation checks."""
+        argv = ("verify", "symmetry", "--n", "2", "--r", "3")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["violations"] == []
+        real = omega_mod._omega_entry_direct
+        seeded_pair = (RPartition.parse("(2;-;-)"), RPartition.parse("(1;1;-)"))
+
+        def seeded(lam, mu, r):
+            value = real(lam, mu, r)
+            return value + 1 if (lam, mu) == seeded_pair else value
+
+        monkeypatch.setattr(omega_mod, "_omega_entry_direct", seeded)
+        code, out, _ = run(capsys, *argv)
+        found = json.loads(out)["violations"]
+        assert code == 1
+        assert {"transpose", "rotation"} <= {v["kind"] for v in found}
+        assert all(v["r"] == 3 for v in found)
+        assert ("(2;-;-)", "(1;1;-)") in {(v["lam"], v["mu"]) for v in found}
 
     @pytest.mark.parametrize("argv", [
         ("symmetry", "--n", "1", "--r", "0"),

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import wkostka.omega as omega_mod
 from wkostka.exact import ExactError, LaurentPoly, cyclotomic_polynomial
 from wkostka.greencheck import thm55_check
+import wkostka
 from wkostka.omega import (OmegaError, WreathElement, _class_terms,
-                           _omega_block, _omega_row, _zeta_mul, a_O, b_O,
+                           _omega_block, _omega_entry_direct, _omega_row,
+                           _orbit_twist, _twist, _zeta_mul, a_O, b_O,
                            bracket, coset_table, detV_value,
                            fake_degree, omega_entry_bruteforce,
                            omega_entry_cosets,
@@ -295,6 +297,33 @@ class TestOmegaEntries:
                 assert omega_entry_cosets(lam, mu, 3) == want
                 assert omega_entry_bruteforce(lam, mu, 3) == want
 
+    @pytest.mark.parametrize("n,r", [(0, 3), (1, 4), (4, 1), (3, 2), (4, 2),
+                                     (2, 3), (3, 3), (2, 4), (2, 5), (3, 4),
+                                     (4, 3)])
+    def test_reuse_matches_the_direct_route(self, n, r):
+        """Every entry read off its orbit's representative equals the one
+        computed for the pair itself."""
+        items = enumerate_rpartitions(n, r)
+        for lam in items:
+            for mu in items:
+                assert omega_entry_cosets(lam, mu, r) == \
+                    _omega_entry_direct(lam, mu, r)
+
+    @pytest.mark.parametrize("n,r", [(3, 1), (3, 2), (2, 3), (3, 4)])
+    def test_orbit_representative(self, n, r):
+        """The chosen twist gives the least image of the 2r, and the
+        representative is its own representative."""
+        for lam in enumerate_rpartitions(n, r):
+            images = [_twist(lam, k, conj).parts
+                      for conj in (False, True) for k in range(r)]
+            rep = _twist(lam, *_orbit_twist(lam))
+            assert rep.parts == min(images)
+            assert _twist(rep, *_orbit_twist(rep)) == rep
+        lam = RP("(2;-;-)")
+        assert [_twist(lam, k, False) for k in range(3)] == \
+            [lam, RP("(-;2;-)"), RP("(-;-;2)")]
+        assert _twist(lam, *_orbit_twist(lam)) == RP("(-;-;11)")
+
     @pytest.mark.parametrize("n,r", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_dual_route(self, n, r):
         for lam in enumerate_rpartitions(n, r):
@@ -322,7 +351,7 @@ class TestOmegaEntries:
         mu = data.draw(st.sampled_from(items), label="mu")
         value = omega_entry_cosets(lam, mu, r)
         assert value == omega_by_literal_cosets(lam, mu, r)
-        assert value == omega_entry_cosets(lam.transpose(), mu.transpose(), r)
+        assert value == _omega_entry_direct(lam.transpose(), mu.transpose(), r)
 
     @pytest.mark.parametrize("n,r", [(1, 2), (2, 2), (1, 3), (2, 3)])
     def test_via_a_O_exponent(self, n, r):
@@ -363,18 +392,31 @@ class TestOmegaEntries:
                 assert total.try_to_laurent() == omega_entry_cosets(lam, mu, r)
 
     def test_transpose_symmetry(self):
+        """On the direct route: the reusing one maps both sides to one
+        representative, so it could not see a broken symmetry."""
         for n, r in ((2, 2), (2, 3), (3, 2)):
             for lam in enumerate_rpartitions(n, r):
                 for mu in enumerate_rpartitions(n, r):
-                    assert omega_entry_cosets(lam, mu, r) == \
-                        omega_entry_cosets(lam.transpose(), mu.transpose(), r)
+                    assert _omega_entry_direct(lam, mu, r) == \
+                        _omega_entry_direct(lam.transpose(), mu.transpose(), r)
+
+    def test_rotation_symmetry(self):
+        """Tensoring with delta moves component j to j + 1 mod r, written
+        out here apart from _twist."""
+        for n, r in ((2, 2), (2, 3), (3, 3), (2, 4)):
+            for lam in enumerate_rpartitions(n, r):
+                for mu in enumerate_rpartitions(n, r):
+                    assert _omega_entry_direct(lam, mu, r) == \
+                        _omega_entry_direct(
+                            RPartition(lam.parts[-1:] + lam.parts[:-1]),
+                            RPartition(mu.parts[-1:] + mu.parts[:-1]), r)
 
     def test_symmetric_for_small_r(self):
         for n, r in ((2, 1), (3, 1), (2, 2), (3, 2)):
             for lam in enumerate_rpartitions(n, r):
                 for mu in enumerate_rpartitions(n, r):
-                    assert omega_entry_cosets(lam, mu, r) == \
-                        omega_entry_cosets(mu, lam, r)
+                    assert _omega_entry_direct(lam, mu, r) == \
+                        _omega_entry_direct(mu, lam, r)
 
     def test_matrix_builder_and_both_methods(self):
         order = default_total_order(1, 3)
@@ -412,6 +454,16 @@ class TestOmegaEntries:
         omega_matrix(1, 3, order, "wreath", wreath_bound=20001)
         assert omega_entry_bruteforce.cache_info().currsize == 9
 
+    def test_one_direct_entry_per_orbit(self):
+        """At (2,5) the 20 r-partitions fall into 3 orbits of the 10 twists,
+        so Omega computes 3 * 20 entries and 45 weight-pair blocks, not 400
+        and 225, while omega_entry_cosets still answers all 400."""
+        wkostka.clear_caches()
+        omega_matrix(2, 5, default_total_order(2, 5))
+        assert omega_entry_cosets.cache_info().currsize == 400
+        assert _omega_entry_direct.cache_info().currsize == 60
+        assert _omega_block.cache_info().currsize == 45
+
     def test_n0_matrix(self):
         order = default_total_order(0, 3)
         om = omega_matrix(0, 3, order)
@@ -424,12 +476,9 @@ class TestIntegerKernel:
 
     @pytest.fixture
     def fresh_kernel(self):
-        def clear():
-            for cached in (omega_entry_cosets, _omega_row, _omega_block):
-                cached.cache_clear()
-        clear()
+        wkostka.clear_caches()
         yield
-        clear()
+        wkostka.clear_caches()
 
     @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 5)
                                      for r in range(1, 4)]
@@ -469,7 +518,7 @@ class TestIntegerKernel:
         monkeypatch.setattr(omega_mod, "_omega_block", seeded)
         triv = RP("(2;-;-)")
         with pytest.raises(OmegaError, match="not integral"):
-            omega_entry_cosets(triv, triv, 3)
+            _omega_entry_direct(triv, triv, 3)
 
 
 class TestCosetTable:
