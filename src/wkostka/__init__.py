@@ -5,32 +5,55 @@ S_n x (Z/rZ)^n over exact Laurent-polynomial arithmetic, solves the unique
 triangular factorization that defines the (modified) Kostka functions, and
 verifies the combinatorial identities tying them to Green-function inner
 products.
+
+Importing the package loads none of its modules: each public name loads
+its defining module on first use (PEP 562).
 """
 import sys
 
-from .exact import ExactError, LaurentPoly, PolyMatrix, RationalFunction
-from .factor import (FactorizationError, FactorizationResult, IcMatrix,
-                     order_sensitivity, solve_factorization, unmodify_kostka)
-from .greencheck import (VerifyReport, a_exponent, green_inner_product,
-                         identity_5113_check, lemma59_check, thm55_check)
-from .omega import (OmegaError, OmegaMatrix, WreathElement, a_O, b_O, bracket,
-                    fake_degree, omega_entry_bruteforce, omega_entry_cosets,
-                    omega_matrix, rho_character, wreath_elements)
-from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
-                    RPartitionError, default_total_order, dim_x, dim_xm_unip,
-                    dominance_leq, enumerate_contingency,
-                    enumerate_rpartitions, n_star, sample_linear_extensions)
-from .symgrp import (DoubleCoset, SymGrpError, cycle_type, double_cosets,
-                     mn_character)
+# Defining module -> the public names the package re-exports from it.
+_EXPORTS = {
+    "exact": ("ExactError", "LaurentPoly", "PolyMatrix", "RationalFunction"),
+    "factor": ("FactorizationError", "FactorizationResult", "IcMatrix",
+               "order_sensitivity", "solve_factorization"),
+    "charge": ("unmodify_kostka",),
+    "greencheck": ("VerifyReport", "a_exponent", "green_inner_product",
+                   "identity_5113_check", "lemma59_check", "thm55_check"),
+    "omega": ("OmegaError", "OmegaMatrix", "a_O", "b_O", "bracket",
+              "omega_entry_cosets", "omega_matrix"),
+    "wreath": ("WreathElement", "fake_degree", "omega_entry_bruteforce",
+               "rho_character", "wreath_elements"),
+    "rpart": ("Composition", "ContingencyMatrix", "OrderedIndex", "RPartition",
+              "RPartitionError", "default_total_order", "dim_x",
+              "dim_xm_unip", "dominance_leq", "enumerate_contingency",
+              "enumerate_rpartitions", "n_star", "sample_linear_extensions"),
+    "symgrp": ("DoubleCoset", "SymGrpError", "cycle_type", "double_cosets",
+               "mn_character"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted([*_HOME, "clear_caches"])
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{_HOME[name]}"
+    __import__(module)
+    value = globals()[name] = getattr(sys.modules[module], name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_HOME))
 
 
 def clear_caches() -> None:
     """Empty every module-level lru_cache of the loaded wkostka modules.
 
     The caches keep what one (n, r) needs for the life of the process
-    (Omega at (6,3) leaves about 20 MiB in them, 4.4 MiB of it the row
+    (Omega at (6,3) leaves about 10 MiB in them, 4.4 MiB of it the row
     contractions); a long session can drop them between sizes, and later
     calls recompute what they need."""
     for name, module in list(sys.modules.items()):

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: enumerate, omega, solve, verify; each accepts only the flags it
-reads.  Exit codes: 0 on success, 1 on verification failure, solver
-error or a tripped guard bound, 2 on usage or input errors.  Every error is
-one `error:` line on stderr.
+reads and loads only the modules it runs.  Exit codes: 0 on success, 1 on
+verification failure, solver error or a tripped guard bound, 2 on usage or
+input errors.  Every error is one `error:` line on stderr.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import factor, greencheck, omega as omega_mod, rpart
+from . import omega as omega_mod, rpart
 from .rpart import OrderedIndex, RPartition
 
 EXIT_OK = 0
@@ -231,11 +231,12 @@ def _ic_block(ic) -> dict:
 
 
 def solve_to_json(res, blocks) -> dict:
+    from .factor import IcMatrix
     data = {"n": res.omega.n, "r": res.omega.r,
             "order": [str(lam) for lam in res.order.items],
             "a_values": list(res.a_values)}
     for name, value, heading in _selected(res, blocks):
-        if isinstance(value, factor.IcMatrix):
+        if isinstance(value, IcMatrix):
             value = _ic_block(value)
         elif heading:
             value = [str(x) for x in value]
@@ -263,6 +264,7 @@ def _latex_block(res, name: str, value, heading) -> str:
 
 
 def cmd_solve(args) -> int:
+    from . import factor
     blocks = args.emit.split(",") if args.emit is not None else BLOCKS
     for b in blocks:
         if b not in BLOCKS:
@@ -283,8 +285,8 @@ def cmd_solve(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _suite_fixtures(args) -> greencheck.VerifyReport:
-    from . import fixtures
+def _suite_fixtures(args):
+    from . import fixtures, greencheck
     report = greencheck.VerifyReport("fixtures", {})
     jobs = [("n1r3", None), ("n2r3", None), ("n3r3", None)] + \
         [("n1rk", r) for r in range(2, 7)]
@@ -300,7 +302,8 @@ def _suite_fixtures(args) -> greencheck.VerifyReport:
     return report
 
 
-def _suite_lemma59(args) -> greencheck.VerifyReport:
+def _suite_lemma59(args):
+    from . import greencheck
     report = greencheck.VerifyReport("lemma59",
                                      {"n_max": args.n, "r_max": args.r})
     for n in range(0, args.n + 1):
@@ -312,12 +315,14 @@ def _suite_lemma59(args) -> greencheck.VerifyReport:
     return report
 
 
-def _suite_thm55(args) -> greencheck.VerifyReport:
+def _suite_thm55(args):
+    from . import greencheck
     mode = "numeric" if args.q else "symbolic"
     return greencheck.thm55_check(args.n, args.r, mode, args.q or (2, 3, 4))
 
 
-def _suite_oracle(args) -> greencheck.VerifyReport:
+def _suite_oracle(args):
+    from . import greencheck, wreath
     if args.n is None and args.r is None:
         pairs = ((1, 3), (1, 4), (2, 3), (2, 4), (3, 3))
     elif args.n is None or args.r is None:
@@ -331,7 +336,7 @@ def _suite_oracle(args) -> greencheck.VerifyReport:
         for lam in items:
             for mu in items:
                 a = omega_mod.omega_entry_cosets(lam, mu, r)
-                b = omega_mod.omega_entry_bruteforce(lam, mu, r)
+                b = wreath.omega_entry_bruteforce(lam, mu, r)
                 report.checked += 1
                 if a != b:
                     report.violations.append(
@@ -345,7 +350,8 @@ def _rotated(lam: RPartition) -> RPartition:
     return RPartition(lam.parts[-1:] + lam.parts[:-1])
 
 
-def _suite_symmetry(args) -> greencheck.VerifyReport:
+def _suite_symmetry(args):
+    from . import factor, greencheck
     report = greencheck.VerifyReport("symmetry",
                                      {"n_max": args.n, "r_max": args.r})
     # The direct route on both sides: omega_entry_cosets maps both to one
@@ -384,7 +390,8 @@ def _suite_symmetry(args) -> greencheck.VerifyReport:
     return report
 
 
-def _suite_classical(args) -> greencheck.VerifyReport:
+def _suite_classical(args):
+    from . import charge, factor, greencheck
     report = greencheck.VerifyReport("classical-r1", {"n_max": args.n})
     for n in range(1, args.n + 1):
         order = rpart.default_total_order(n, 1)
@@ -392,7 +399,7 @@ def _suite_classical(args) -> greencheck.VerifyReport:
         res = factor.solve_factorization(om)
         for i, lam in enumerate(order.items):
             for j, mu in enumerate(order.items):
-                want = factor.classical_modified_kostka(lam, mu)
+                want = charge.classical_modified_kostka(lam, mu)
                 report.checked += 1
                 if res.p_minus.rows[i][j] != want:
                     report.violations.append(
@@ -402,11 +409,12 @@ def _suite_classical(args) -> greencheck.VerifyReport:
     return report
 
 
-def _suite_orders(args) -> greencheck.VerifyReport:
+def _suite_orders(args):
     """Order sensitivity over the sampled linear extensions, each taken once
     in order of first draw.  A mismatch fails the suite only at r <= 2,
     where P+- cannot depend on the order.  The coset route's guard is
     checked before any order is drawn, as in _omega."""
+    from . import factor, greencheck
     n, r, samples = args.n, args.r, args.samples
     omega_mod._check_coset_bound(len(rpart.enumerate_rpartitions(n, r)),
                                  omega_mod.COSET_K_BOUND)
@@ -424,8 +432,9 @@ def _suite_orders(args) -> greencheck.VerifyReport:
     return report
 
 
-# Suite -> (its function, {flag: (default, least)} for each flag it reads
-# besides --out); a least of None takes any value.
+# Suite -> (its function, which returns a greencheck.VerifyReport, and
+# {flag: (default, least)} for each flag it reads besides --out); a least of
+# None takes any value.
 SUITES = {
     "fixtures": (_suite_fixtures, {}),
     "lemma59": (_suite_lemma59, {"--n": (4, 0), "--r": (4, 1)}),
@@ -521,6 +530,15 @@ def _check_least(args):
             raise UsageError(f"{flag} must be at least {least}")
 
 
+def _failures() -> tuple:
+    """The error types that exit 1, read off the loaded modules, as one that
+    never loaded raised nothing (under `python -m`, this module is __main__)."""
+    errors = (("omega", "OmegaError"), ("factor", "FactorizationError"),
+              ("greencheck", "GreenCheckError"))
+    loaded = ((sys.modules.get(f"{__package__}.{m}"), e) for m, e in errors)
+    return tuple(getattr(module, e) for module, e in loaded if module)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -531,8 +549,7 @@ def main(argv=None) -> int:
     except (UsageError, rpart.RPartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (omega_mod.OmegaError, factor.FactorizationError,
-            greencheck.GreenCheckError) as exc:
+    except _failures() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -1,17 +1,17 @@
 """The wreath product's group law and the literal induction by conjugation,
-kept as the oracle of omega._induced.
+kept as the oracle of wreath._induced.
 
 rho_by_conjugation evaluates the induced character at w as
 (1/|H|) sum over every g in W with g^-1 w g in the block subgroup H of
 chi~^lambda(g^-1 w g), walking the whole group once per value, and reduces
 the sum to canonical coordinates (zeta_coords) so that it compares with
-omega.rho_character.
+wreath.rho_character.
 """
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from wkostka.omega import WreathElement, wreath_elements, zeta_coords
+from wkostka.wreath import WreathElement, wreath_elements, zeta_coords
 from wkostka.symgrp import (block_character, block_cycle_types, compose,
                             in_young)
 

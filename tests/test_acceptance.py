@@ -7,20 +7,22 @@ from math import factorial
 
 import pytest
 
+from wkostka.charge import classical_modified_kostka
 from wkostka.exact import LaurentPoly
-from wkostka.factor import (classical_modified_kostka, solve_factorization)
+from wkostka.factor import solve_factorization
 from wkostka.fixtures import (check_fixture, load_fixture,
                               reconstruction_check)
 from wkostka.greencheck import (identity_5113_check, lemma59_check,
                                 thm55_check)
-from wkostka.omega import (_omega_entry_direct, omega_entry_bruteforce,
-                           omega_entry_cosets, omega_matrix, rho_character,
-                           wreath_classes, zeta_coords)
+from wkostka.omega import (_omega_entry_direct, omega_entry_cosets,
+                           omega_matrix)
 from wkostka.rpart import (Composition, RPartition, default_total_order,
                            dim_x, dim_xm_unip, enumerate_contingency,
                            enumerate_rpartitions, partitions)
 from wkostka.symgrp import (centralizer_order, double_cosets, mn_character,
                             sign)
+from wkostka.wreath import (omega_entry_bruteforce, rho_character,
+                            wreath_classes, zeta_coords)
 
 
 class Budget:

@@ -294,6 +294,38 @@ def test_closed_stdout_ends_quietly():
     assert (done.wait(timeout=120), err) == (0, b"")
 
 
+@pytest.mark.parametrize("module, error, name, argv", [
+    ("factor", "FactorizationError", "solve_factorization",
+     ("solve", "--n", "1", "--r", "2")),
+    ("greencheck", "GreenCheckError", "thm55_check",
+     ("verify", "thm55", "--n", "1", "--r", "2")),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_errors_of_modules_loaded_by_a_command_exit_1(module, error, name,
+                                                      argv):
+    """Run as `python -m wkostka.cli`, the CLI is __main__ and loads factor
+    and greencheck inside its commands; their errors still exit 1."""
+    probe = "\n".join((
+        f"import runpy, sys, wkostka.{module} as m",
+        f"def seeded(*args): raise m.{error}('seeded')",
+        f"m.{name} = seeded",
+        f"sys.argv = ['wkostka', *{list(argv)!r}]",
+        "runpy.run_module('wkostka.cli', run_name='__main__')"))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (1, "", "error: seeded\n")
+
+
+def test_omega_bound_exits_1_with_neither_factor_nor_greencheck_loaded():
+    done = subprocess.run(
+        [sys.executable, "-m", "wkostka.cli", "omega", "--n", "1", "--r", "5",
+         "--coset-bound", "4"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("error: coset route bound exceeded: K = 5 > 4, "
+                           "where K = |P_{n,r}|\n")
+
+
 class TestVerifyCommand:
     def test_fixtures_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "fixtures")

@@ -12,11 +12,11 @@ from literal_elimination import literal_elimination
 from literal_reconstruction import laurent_mismatches, matrix_low_mismatches
 from wkostka import factor
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
-from wkostka.factor import (FactorizationError, charge,
-                            classical_kostka_polynomial,
-                            classical_modified_kostka, order_sensitivity,
-                            semistandard_tableaux, solve_factorization,
+from wkostka.charge import (charge, classical_kostka_polynomial,
+                            classical_modified_kostka, semistandard_tableaux,
                             unmodify_kostka)
+from wkostka.factor import (FactorizationError, order_sensitivity,
+                            solve_factorization)
 from wkostka.omega import OmegaMatrix, omega_matrix
 from wkostka.rpart import (RPartition, default_total_order,
                            sample_linear_extensions)

@@ -18,7 +18,9 @@ from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            compositions, enumerate_contingency,
                            enumerate_rpartitions, n_star, partitions)
 
+import literal_green
 from literal_cosets import green_by_literal_cosets
+from literal_green import green_by_fraction_sum
 
 
 def RP(s):
@@ -105,6 +107,42 @@ class TestInnerProduct:
                         green_by_literal_cosets(lam, mu, pair, **kw)
                 assert green_inner_product(lam, mu, pair).eval_at(4) == \
                     green_by_literal_cosets(lam, mu, pair, q=Fraction(4))
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3), (3, 3), (1, 4),
+                                     (4, 2), (2, 4)])
+    def test_integer_sum_matches_the_fraction_sum(self, n, r):
+        """The sum over Z divided once equals the sum in Q[t, t^-1], value
+        and coefficient types both: an int where a coefficient is integral,
+        a Fraction otherwise."""
+        items = enumerate_rpartitions(n, r)
+        for lam, mu in itertools.product(items, repeat=2):
+            for pair in itertools.product((MINUS, PLUS), repeat=2):
+                for power in {1, 2, r}:
+                    got = green_inner_product(lam, mu, pair, power)
+                    want = green_by_fraction_sum(lam, mu, pair, power)
+                    assert (got.low, got.coeffs) == (want.low, want.coeffs)
+                    assert list(map(type, got.coeffs)) == \
+                        list(map(type, want.coeffs))
+
+    def test_integer_sum_keeps_fractions(self, monkeypatch):
+        """With a 'character' that is 1 on the types with at most one cycle
+        per block and 0 elsewhere, the sums are partial sums of 1/z weights,
+        which need not be integral: both routes give the same Fractions."""
+
+        def cycles_only(lam, types):
+            return int(all(len(rho) <= 1 for rho in types))
+
+        for module in (greencheck, literal_green):
+            monkeypatch.setattr(module, "block_character", cycles_only)
+        fractions = 0
+        for lam, mu in itertools.product(enumerate_rpartitions(3, 2),
+                                         repeat=2):
+            got = green_inner_product(lam, mu, (MINUS, PLUS), 2)
+            want = green_by_fraction_sum(lam, mu, (MINUS, PLUS), 2)
+            assert (got.low, got.coeffs) == (want.low, want.coeffs)
+            assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+            fractions += Fraction in map(type, got.coeffs)
+        assert fractions
 
     def test_power_raises_base(self):
         lam = RP("(-;1;-)")

@@ -1,8 +1,15 @@
-"""Source hygiene: every import in the package's modules is read, the
-reconstruction check stays independent of the elimination it checks, and
-the checks of Omega's symmetries never go through the twisted entry."""
+"""Source hygiene: every import in the package's modules is read, each
+command loads only the modules it runs, the reconstruction check stays
+independent of the elimination it checks, the Green inner product shares
+no code with the Omega entries it is checked against, and the checks of
+Omega's symmetries never go through the twisted entry."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import wkostka
 
@@ -30,6 +37,64 @@ def test_no_module_has_an_unused_import():
     assert unused == []
 
 
+# Every name the package re-exported when it imported each of its modules.
+EXPORTS = (
+    "ExactError", "LaurentPoly", "PolyMatrix", "RationalFunction",
+    "FactorizationError", "FactorizationResult", "IcMatrix",
+    "order_sensitivity", "solve_factorization", "unmodify_kostka",
+    "VerifyReport", "a_exponent", "green_inner_product",
+    "identity_5113_check", "lemma59_check", "thm55_check",
+    "OmegaError", "OmegaMatrix", "WreathElement", "a_O", "b_O", "bracket",
+    "fake_degree", "omega_entry_bruteforce", "omega_entry_cosets",
+    "omega_matrix", "rho_character", "wreath_elements",
+    "Composition", "ContingencyMatrix", "OrderedIndex", "RPartition",
+    "RPartitionError", "default_total_order", "dim_x", "dim_xm_unip",
+    "dominance_leq", "enumerate_contingency", "enumerate_rpartitions",
+    "n_star", "sample_linear_extensions",
+    "DoubleCoset", "SymGrpError", "cycle_type", "double_cosets",
+    "mn_character",
+)
+
+
+def test_every_export_is_its_defining_modules_object():
+    for name in EXPORTS:
+        obj = getattr(wkostka, name)
+        assert obj.__module__.startswith("wkostka."), name
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert set(EXPORTS) <= set(dir(wkostka)) and \
+        set(EXPORTS) <= set(wkostka.__all__)
+    with pytest.raises(AttributeError):
+        wkostka.no_such_name
+
+
+def _loaded(*statements: str) -> set:
+    """The wkostka.* modules a fresh interpreter holds after statements."""
+    probe = "\n".join(("import sys", *statements, "print(' '.join(m for m in "
+                        "sys.modules if m.startswith('wkostka.')))"))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    return set(done.stdout.split())
+
+
+def test_import_wkostka_loads_no_module():
+    assert _loaded("import wkostka") == set()
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("solve", "--n", "2", "--r", "3"),
+     {"greencheck", "fixtures", "wreath", "charge"}),
+    (("verify", "thm55", "--n", "2", "--r", "2"),
+     {"factor", "wreath", "charge"}),
+], ids=" ".join)
+def test_each_command_loads_only_its_modules(argv, unused):
+    loaded = _loaded("import io, contextlib, wkostka.cli",
+                     "with contextlib.redirect_stdout(io.StringIO()):",
+                     f"    assert wkostka.cli.main({list(argv)!r}) == 0")
+    assert "wkostka.omega" in loaded
+    assert loaded & {f"wkostka.{m}" for m in unused} == set()
+
+
 def _names_in(module: str, function: str) -> set:
     """Every name and attribute that the body of module.function reads."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
@@ -49,6 +114,14 @@ def test_the_reconstruction_check_shares_only_the_packing():
         == set()
 
 
+def test_the_green_inner_product_shares_no_omega_kernel():
+    """thm55 compares Omega with the Green side; an Omega helper used on
+    both sides would make the comparison check nothing."""
+    assert _names_in("greencheck.py", "green_inner_product") & {
+        "_omega_block", "_omega_row", "_omega_entry_direct",
+        "omega_entry_cosets", "_axpy"} == set()
+
+
 def test_the_symmetry_suite_checks_the_direct_entries():
     """omega_entry_cosets maps (lam, mu) and its twist to one representative,
     so a symmetry check through it would compare an entry with itself."""
@@ -60,5 +133,5 @@ def test_the_symmetry_suite_checks_the_direct_entries():
 def test_the_wreath_oracle_never_twists():
     """The oracle computes every entry on its own."""
     for function in ("omega_entry_bruteforce", "_induced", "fake_degree"):
-        assert _names_in("omega.py", function) & {"_twist", "_orbit_twist"} \
+        assert _names_in("wreath.py", function) & {"_twist", "_orbit_twist"} \
             == set()

@@ -11,18 +11,17 @@ import wkostka.omega as omega_mod
 from wkostka.exact import ExactError, LaurentPoly, cyclotomic_polynomial
 from wkostka.greencheck import thm55_check
 import wkostka
-from wkostka.omega import (OmegaError, WreathElement, _class_terms,
-                           _omega_block, _omega_entry_direct, _omega_row,
-                           _orbit_twist, _twist, _zeta_mul, a_O, b_O,
-                           bracket, coset_table, detV_value,
-                           fake_degree, omega_entry_bruteforce,
-                           omega_entry_cosets,
-                           omega_matrix, rho_character, torus_quotient,
-                           wreath_classes, wreath_elements, wreath_order,
-                           zeta_coords)
+from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
+                           _omega_row, _orbit_twist, _twist, a_O, b_O,
+                           bracket, coset_table, omega_entry_cosets,
+                           omega_matrix, torus_quotient)
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            default_total_order, enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
+from wkostka.wreath import (WreathElement, _class_terms, _zeta_mul,
+                            detV_value, fake_degree, omega_entry_bruteforce,
+                            rho_character, wreath_classes, wreath_elements,
+                            wreath_order, zeta_coords)
 
 from literal_cosets import omega_by_literal_cosets
 from literal_omega_block import omega_by_fraction_blocks
@@ -430,20 +429,21 @@ class TestOmegaEntries:
         """The coset route compares K = |P_{n,r}| (5 at (1,5)) with the
         bound once, before it computes any entry."""
         order = default_total_order(1, 5)
-        omega_entry_cosets.cache_clear()
+        _omega_entry_direct.cache_clear()
         with pytest.raises(OmegaError):
             omega_matrix(1, 5, order, coset_n_bound=4)
-        assert omega_entry_cosets.cache_info().currsize == 0
+        assert _omega_entry_direct.cache_info().currsize == 0
         assert len(omega_matrix(1, 5, order, coset_n_bound=5).order) == 5
 
     def test_one_cache_entry_per_omega_entry(self):
         """The entry cache is keyed by (lam, mu, r) alone, so Omega and the
-        Theorem 5.5 check share every entry."""
-        omega_entry_cosets.cache_clear()
+        Theorem 5.5 check share every entry: at (2,3) the 9 r-partitions
+        fall into 2 orbits of the 6 twists, and both leave 2 * 9 entries."""
+        _omega_entry_direct.cache_clear()
         omega_matrix(2, 3, default_total_order(2, 3))
         thm55_check(2, 3)
         k = len(enumerate_rpartitions(2, 3))
-        assert omega_entry_cosets.cache_info().currsize == 81 == k * k
+        assert _omega_entry_direct.cache_info().currsize == 18 == 2 * k
 
     def test_one_cache_entry_per_oracle_entry(self):
         """The oracle's entry cache is keyed by (lam, mu, r) alone: a second
@@ -457,10 +457,9 @@ class TestOmegaEntries:
     def test_one_direct_entry_per_orbit(self):
         """At (2,5) the 20 r-partitions fall into 3 orbits of the 10 twists,
         so Omega computes 3 * 20 entries and 45 weight-pair blocks, not 400
-        and 225, while omega_entry_cosets still answers all 400."""
+        and 225."""
         wkostka.clear_caches()
         omega_matrix(2, 5, default_total_order(2, 5))
-        assert omega_entry_cosets.cache_info().currsize == 400
         assert _omega_entry_direct.cache_info().currsize == 60
         assert _omega_block.cache_info().currsize == 45
 

@@ -12,10 +12,11 @@ import wkostka
 from wkostka.factor import FactorizationResult, IcMatrix
 from wkostka.fixtures import Fixture
 from wkostka.greencheck import VerifyReport, thm55_check
-from wkostka.omega import OmegaMatrix, WreathElement, omega_matrix
+from wkostka.omega import OmegaMatrix, omega_matrix
 from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
                            RPartition, default_total_order)
 from wkostka.symgrp import DoubleCoset
+from wkostka.wreath import WreathElement
 
 SRC = Path(wkostka.__file__).resolve().parents[1]
 

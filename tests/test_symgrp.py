@@ -30,7 +30,7 @@ class TestPermutations:
 
 
 def _kostka_number(lam, mu):
-    from wkostka.factor import semistandard_tableaux
+    from wkostka.charge import semistandard_tableaux
     return sum(1 for _ in semistandard_tableaux(lam, mu))
 
 
