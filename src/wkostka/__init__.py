@@ -21,8 +21,7 @@ _EXPORTS = {
                    "identity_5113_check", "lemma59_check", "thm55_check"),
     "omega": ("OmegaError", "OmegaMatrix", "a_O", "b_O", "bracket",
               "omega_entry_cosets", "omega_matrix"),
-    "wreath": ("WreathElement", "fake_degree", "omega_entry_bruteforce",
-               "rho_character", "wreath_elements"),
+    "wreath": ("fake_degree", "omega_entry_bruteforce", "rho_character"),
     "rpart": ("Composition", "ContingencyMatrix", "OrderedIndex", "RPartition",
               "RPartitionError", "default_total_order", "dim_x",
               "dim_xm_unip", "dominance_leq", "enumerate_contingency",

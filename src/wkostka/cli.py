@@ -324,7 +324,8 @@ def _suite_thm55(args):
 def _suite_oracle(args):
     from . import greencheck, wreath
     if args.n is None and args.r is None:
-        pairs = ((1, 3), (1, 4), (2, 3), (2, 4), (3, 3))
+        pairs = ((1, 3), (1, 4), (2, 3), (2, 4), (3, 3), (3, 4), (4, 3),
+                 (6, 2), (3, 5))
     elif args.n is None or args.r is None:
         raise UsageError("the oracle suite needs both --n and --r (or neither)")
     else:

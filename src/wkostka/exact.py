@@ -144,7 +144,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -596,7 +596,7 @@ class RationalFunction:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = _coerce_rf(other)
@@ -615,7 +615,8 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _coerce_rf(other) / self
+        other = _coerce_rf(other)
+        return other if other is NotImplemented else other / self
 
     def __eq__(self, other):
         other = _coerce_rf(other)

@@ -63,10 +63,10 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
 
     The value is symbolic over the base field of order t^power (power > 1
     realizes base-field extensions): a Laurent polynomial, since each
-    |GL_n| / |T_w| term is one, whose coefficients carry the 1/z weights of
-    coset_table and so may be Fractions.  Its value at t = q, an exact
-    rational number, is the inner product over the field of order q^power.
-    """
+    |GL_n| / |T_w| term is one.  Its coefficients carry the 1/z weights of
+    coset_table, yet on characters none has been seen to be a Fraction (not
+    proved); a class function that is no character can give one.  Its value
+    at t = q is the inner product over the field of order q^power."""
     if lam.n != mu.n or lam.r != mu.r:
         raise GreenCheckError("indices must share n and r")
     n = lam.n

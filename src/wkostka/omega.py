@@ -34,13 +34,14 @@ from math import comb, lcm
 from .exact import LaurentPoly, PolyMatrix, _laurent, exact_div
 from .record import FrozenRecord
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
-                    conjugate_partition, enumerate_contingency, partitions)
+                    conjugate_partition, enumerate_contingency,
+                    enumerate_rpartitions, partitions)
 from .symgrp import block_character, centralizer_order, char_perm_det_from_type
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
 COSET_K_BOUND = 221
-WREATH_ORACLE_BOUND = 20000
+WREATH_ORACLE_BOUND = 80_000_000
 
 
 class OmegaError(ValueError):
@@ -56,13 +57,14 @@ def _check_coset_bound(k: int, bound: int):
 
 
 def _check_oracle_bound(n: int, r: int, bound: int):
-    """The wreath oracle's guard, n*r^n <= bound.  omega_matrix, verify
-    oracle and the CLI before it builds the order check it before any
-    entry; no entry reads it."""
-    cost = n * r ** n
+    """The wreath oracle's guard, K^3 r^2 n <= bound for K = |P_{n,r}|: K^3 r^2
+    products of packed quotients that lengthen with n.  omega_matrix, verify
+    oracle and the CLI before it builds the order check it first."""
+    cost = len(enumerate_rpartitions(n, r)) ** 3 * r ** 2 * n
     if cost > bound:
         raise OmegaError(
-            f"wreath oracle bound exceeded: n*r^n = {cost} > {bound}")
+            f"wreath oracle bound exceeded: K^3*r^2*n = {cost} > {bound}, "
+            f"where K = |P_{{n,r}}|")
 
 
 # -- exponents attached to a double coset -------------------------------------
@@ -299,7 +301,7 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
     the 2r twists; the solver then eliminates in order K^3, so it refuses
     K > coset_n_bound before it computes any entry.  (The
     keyword keeps its old name: bench/traced.py passes it by that name.)
-    The wreath route likewise checks n*r^n against wreath_bound once."""
+    The wreath route likewise checks K^3 r^2 n against wreath_bound once."""
     if method == "cosets":
         _check_coset_bound(len(order), coset_n_bound)
         entry = lambda a, b: omega_entry_cosets(a, b, r)

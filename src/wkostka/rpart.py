@@ -125,15 +125,6 @@ class Composition(FrozenRecord):
         """p_(r-1), or 0 when r = 1."""
         return 0 if self.r == 1 else self.p_values()[-2]
 
-    def blocks(self) -> tuple:
-        """0-based index blocks of {0..n-1} cut by the composition."""
-        out = []
-        start = 0
-        for m in self.parts:
-            out.append(tuple(range(start, start + m)))
-            start += m
-        return tuple(out)
-
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.parts) + ")"
 

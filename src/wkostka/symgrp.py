@@ -2,7 +2,8 @@
 
 Permutations are tuples over {0..n-1} in one-line notation (serialized
 1-based).  Irreducible character values come from the Murnaghan-Nakayama
-recursion on beta-sets.  Double cosets of Young subgroups are enumerated by
+recursion, whose rim-hook step (rim_hooks, on beta-sets) the wreath oracle
+shares.  Double cosets of Young subgroups are enumerated by
 brute force and labelled by contingency matrices; the library computes with
 their labels alone (omega.coset_table), and these permutations serve the
 tests as its oracle.
@@ -78,8 +79,25 @@ def sign(p: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
+def rim_hooks(lam: tuple, k: int) -> tuple:
+    """(mu, height) for each rim hook of length k of the partition lam: mu is
+    lam less the hook, height its number of rows less one.  On lam's
+    beta-set, a hook moves a bead b to the free b - k past height beads."""
+    ell = len(lam)
+    beta = [part + ell - 1 - i for i, part in enumerate(lam)]
+    out = []
+    for b in beta:
+        if b >= k and b - k not in beta:
+            new = sorted([c for c in beta if c != b] + [b - k], reverse=True)
+            mu = (c - ell + 1 + i for i, c in enumerate(new))
+            out.append((tuple(x for x in mu if x > 0),
+                        sum(b - k < c < b for c in beta)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def mn_character(lam: tuple, rho: tuple) -> int:
-    """chi^lam(rho) by the border-strip (Murnaghan-Nakayama) recursion.
+    """chi^lam(rho) by the Murnaghan-Nakayama rule on the first cycle.
 
     >>> mn_character((2, 1), (3,))
     -1
@@ -90,26 +108,8 @@ def mn_character(lam: tuple, rho: tuple) -> int:
         raise SymGrpError("partition and cycle type must have equal size")
     if not rho:
         return 1
-    k = rho[0]
-    rest = rho[1:]
-    ell = len(lam)
-    beta = tuple(lam[i] + (ell - 1 - i) for i in range(ell))
-    total = 0
-    beta_set = set(beta)
-    for b in beta:
-        low = b - k
-        if low < 0 or low in beta_set:
-            continue
-        height = sum(1 for c in beta if low < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(low)
-        new_beta.sort(reverse=True)
-        # strip trailing staircase to renormalize into a partition
-        m = len(new_beta)
-        new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
-        new_lam = tuple(x for x in new_lam if x > 0)
-        total += (-1) ** height * mn_character(new_lam, rest)
-    return total
+    return sum((-1) ** height * mn_character(mu, rho[1:])
+               for mu, height in rim_hooks(lam, rho[0]))
 
 
 def centralizer_order(rho: tuple) -> int:
@@ -136,17 +136,6 @@ def in_young(w: tuple, m: Composition) -> bool:
     return all(blocks[w[p]] == blocks[p] for p in range(len(w)))
 
 
-def block_cycle_types(w: tuple, m: Composition) -> tuple:
-    """Per-block cycle types of a block-stabilizing permutation."""
-    if not in_young(w, m):
-        raise SymGrpError(f"{w} does not stabilize the blocks of {m}")
-    blocks = block_of(m)
-    out = [[] for _ in range(m.r)]
-    for cyc in cycles(w):
-        out[blocks[cyc[0]]].append(len(cyc))
-    return tuple(tuple(sorted(c, reverse=True)) for c in out)
-
-
 def block_character(blam: RPartition, types: tuple) -> int:
     """The outer product character chi^(lambda^(1)) x ... at an element of
     its Young subgroup whose per-block cycle types are types."""
@@ -162,15 +151,7 @@ def block_character(blam: RPartition, types: tuple) -> int:
 def young_subgroup_elements(n: int, mparts: tuple) -> tuple:
     """All elements of the Young subgroup S_m inside S_n."""
     m = Composition(mparts)
-    blocks = m.blocks()
-    out = []
-    for pieces in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        w = [0] * n
-        for block, image in zip(blocks, pieces):
-            for src, dst in zip(block, image):
-                w[src] = dst
-        out.append(tuple(w))
-    return tuple(out)
+    return tuple(w for w in all_perms(n) if in_young(w, m))
 
 
 # -- double cosets ------------------------------------------------------------

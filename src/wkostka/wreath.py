@@ -1,75 +1,34 @@
-"""The wreath oracle, the route to Omega that omega.py's coset route is
-checked against: characters induced by brute force (one pass over each block
-subgroup) and the defining fake-degree sum in the group ring Q[C_r][t].
-Every zeta-valued quantity is a zeta-power vector v, worth
-sum_k v[k] zeta^(k mod r), products are cyclic convolutions, and each value
-is reduced modulo Phi_r once, at the end; Q[C_r] -> Q(zeta_r) is a ring map,
-so this is exact.
-"""
+"""The wreath oracle, which the coset route of omega.py is checked against,
+on the conjugacy classes of W = S_n x (Z/rZ)^n alone: a class is a colored
+cycle type, an r-partition rho whose rho^(s) lists the lengths of the cycles
+of color sum s mod r, and the characters follow from the wreath
+Murnaghan-Nakayama rule (Macdonald; Stembridge, Pacific J. Math. 140, 1989).
+A zeta-valued quantity is a zeta-power vector v of ints, worth
+sum_k v[k] zeta^(k mod r), multiplied by cyclic convolution in Z[C_r] and
+reduced modulo Phi_r once, at the end (a ring map onto Z[zeta_r]).  The
+fake-degree sums run on integers packed at t = 2^bits by factor's codec,
+which the coset route does not use."""
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from types import MappingProxyType
+from operator import mul
 
-from .exact import (LaurentPoly, _dense_divmod, _exact, cyclotomic_polynomial,
-                    exact_div)
+from .exact import (LaurentPoly, _dense_divmod, _exact, _laurent,
+                    cyclotomic_polynomial, exact_div)
+from .factor import _packed, _unpacked
 from .omega import OmegaError
-from .record import FrozenRecord
-from .rpart import RPartition, n_star
-from .symgrp import (all_perms, block_character, block_cycle_types, block_of,
-                     cycles, in_young, inverse)
+from .rpart import RPartition, enumerate_rpartitions, n_star
+from .symgrp import centralizer_order, rim_hooks
 
 
-class WreathElement(FrozenRecord):
-    """(sigma, a): the monomial matrix e_i -> zeta^(a_i) e_(sigma(i))."""
-
-    __slots__ = ("sigma", "colors", "r")
-
-    def __init__(self, sigma, colors, r):
-        if len(sigma) != len(colors):
-            raise OmegaError("color vector length must match the permutation")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "colors", tuple(c % r for c in colors))
-        object.__setattr__(self, "r", r)
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    def inv(self) -> "WreathElement":
-        sig_inv = inverse(self.sigma)
-        colors = tuple((-self.colors[sig_inv[i]]) % self.r
-                       for i in range(self.n))
-        return WreathElement(sig_inv, colors, self.r)
-
-    def colored_cycle_type(self) -> tuple:
-        """Multiset of (cycle length, color sum mod r): the conjugacy class."""
-        out = []
-        for cyc in cycles(self.sigma):
-            out.append((len(cyc), sum(self.colors[i] for i in cyc) % self.r))
-        return tuple(sorted(out, reverse=True))
-
-
-def wreath_order(n: int, r: int) -> int:
-    return factorial(n) * r ** n
-
-
-def wreath_elements(n: int, r: int):
-    """Iterate over all of S_n x (Z/rZ)^n."""
-    for sigma in all_perms(n):
-        for colors in itertools.product(range(r), repeat=n):
-            yield WreathElement(sigma, colors, r)
-
-
-def detV_value(key: tuple, r: int) -> tuple:
+def detV_value(rho: RPartition) -> tuple:
     """det on the reflection representation, epsilon * delta, on the class
-    of colored cycle type key, as the zeta-power vector
-    epsilon zeta^(sum of colors)."""
-    sgn = -1 if sum(length - 1 for length, _ in key) % 2 else 1
-    return (0,) * (sum(s for _, s in key) % r) + (sgn,)
+    rho, as the zeta-power vector epsilon zeta^(sum of colors)."""
+    colors = sum(s * len(part) for s, part in enumerate(rho.parts))
+    return (0,) * (colors % rho.r) + \
+        ((-1) ** (rho.n - sum(map(len, rho.parts))),)
 
 
 def zeta_coords(v, r: int) -> tuple:
@@ -88,7 +47,7 @@ def zeta_coords(v, r: int) -> tuple:
 
 
 def _zeta_mul(a, b, r: int) -> list:
-    """The product of two zeta-power vectors in the group ring Q[C_r]: a
+    """The product of two zeta-power vectors in the group ring Z[C_r]: a
     cyclic convolution, with nothing reduced modulo Phi_r."""
     out = [0] * r
     for i, x in enumerate(a):
@@ -100,147 +59,157 @@ def _zeta_mul(a, b, r: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def wreath_classes(n: int, r: int) -> tuple:
-    """Conjugacy classes as (representative, size), keyed by colored type."""
-    buckets: dict = {}
-    for w in wreath_elements(n, r):
-        key = w.colored_cycle_type()
-        if key in buckets:
-            buckets[key][1] += 1
-        else:
-            buckets[key] = [w, 1]
-    return tuple((rep, size) for rep, size in
-                 (buckets[k] for k in sorted(buckets)))
+def _mn(parts: tuple, rho: tuple) -> tuple:
+    """The character indexed by the r-partition parts on the class rho, as a
+    zeta-power vector, by the wreath Murnaghan-Nakayama rule (Macdonald,
+    App. B): a rim hook of a longest cycle's length removed from component j
+    contributes (-1)^height zeta^(j s), for the cycle's color s."""
+    r = len(parts)
+    out = [0] * r
+    if not any(rho):
+        out[0] = 1
+        return tuple(out)
+    s = max(range(r), key=lambda c: rho[c][:1])
+    rest = rho[:s] + (rho[s][1:],) + rho[s + 1:]
+    for j, comp in enumerate(parts):
+        for smaller, height in rim_hooks(comp, rho[s][0]):
+            sub = _mn(parts[:j] + (smaller,) + parts[j + 1:], rest)
+            for k, c in enumerate(sub):
+                out[(k + j * s) % r] += (-1) ** height * c
+    return tuple(out)
+
+
+def rho_character(blam: RPartition, rho: RPartition) -> tuple:
+    """The irreducible character indexed by blam on the class rho, in
+    canonical coordinates (zeta_coords), so that equal values compare equal."""
+    if rho.n != blam.n or rho.r != blam.r:
+        raise OmegaError("class does not match the r-partition")
+    return zeta_coords(_mn(blam.parts, rho.parts), blam.r)
 
 
 @lru_cache(maxsize=None)
-def _induced(blam: RPartition, r: int) -> MappingProxyType:
-    """rho^blam on every class of W, keyed by colored cycle type.
-
-    rho^blam is induced from chi~^lambda on the block subgroup
-    H = S_m x (Z/rZ)^n (the Young character twisted by the block-graded
-    powers of delta).  By Frobenius's formula its value on a class C is
-    |W| / (|H| |C|) times the sum of chi~^lambda over H meet C, so one pass
-    over H sums chi~^lambda by colored cycle type, as integer counts per
-    power of zeta, and each class's counts are reduced modulo Phi_r once.
-    The twist of (sigma, a) is zeta^(sum_p block(p) a_p)."""
-    n, m = blam.n, blam.weight()
-    blocks = block_of(m)
-    counts = {rep.colored_cycle_type(): [0] * r
-              for rep, _ in wreath_classes(n, r)}
-    for sigma in all_perms(n):
-        if not in_young(sigma, m):
-            continue
-        value = block_character(blam, block_cycle_types(sigma, m))
-        if not value:
-            continue
-        for colors in itertools.product(range(r), repeat=n):
-            key = WreathElement(sigma, colors, r).colored_cycle_type()
-            twist = sum(b * c for b, c in zip(blocks, colors))
-            counts[key][twist % r] += value
-    order_h = r ** n
-    for size in m.parts:
-        order_h *= factorial(size)
-    out = {}
-    for rep, size in wreath_classes(n, r):
-        key = rep.colored_cycle_type()
-        scale = Fraction(wreath_order(n, r), order_h * size)
-        out[key] = tuple(_exact(c * scale)
-                         for c in zeta_coords(counts[key], r))
-    return MappingProxyType(out)
-
-
-def rho_character(blam: RPartition, w: WreathElement) -> tuple:
-    """Value at w of the irreducible character indexed by blam, computed by
-    brute-force induction from the block subgroup, in canonical coordinates
-    (zeta_coords), so that equal values compare equal."""
-    if w.n != blam.n or w.r != blam.r:
-        raise OmegaError("element does not match the r-partition")
-    return _induced(blam, w.r)[w.colored_cycle_type()]
-
-
-@lru_cache(maxsize=None)
-def _class_terms(n: int, r: int) -> tuple:
-    """(key, inverse key, size, prod_i (t^(ir) - 1) / det_V(t - w)) per
-    class, where key is the colored cycle type of w and the inverse key that
-    of w^-1 (each cycle's color sum negated), and the quotient is r
-    LaurentPolys, the k-th the coefficient of zeta^k.
-
-    det_V(t - w) is the product over the cycles of w of t^l - zeta^s, for
-    the cycle's length l and color sum s, and the telescoping identity
-
-        (t^(rl) - 1) / (t^l - zeta^s) = sum_(k<r) t^(lk) zeta^(s(r-1-k))
-
-    holds already in Z[x]/(x^r - 1).  So each quotient is the integer
-    polynomial prod_(i<=n) (t^(ir) - 1) / prod_cycles (t^(rl) - 1) times
-    those sums, and nothing is divided by a value with zeta in it."""
+def _classes(n: int, r: int) -> tuple:
+    """(rho, its inverse, |W| / prod_s z_(rho^(s)) r^(l(rho^(s))), and
+    prod_i (t^(ir) - 1) / det_V(t - w) as r LaurentPolys, the k-th the
+    coefficient of zeta^k) per class rho.  A cycle of length l and color s
+    adds t^l - zeta^s to det_V, and (t^(rl) - 1) / (t^l - zeta^s) is
+    sum_(k<r) t^(lk) zeta^(s(r-1-k)) in Z[x]/(x^r - 1)."""
     top = LaurentPoly.one()
     for i in range(1, n + 1):
         top = top * (LaurentPoly.t_power(i * r) - 1)
     out = []
-    for rep, size in wreath_classes(n, r):
-        key = rep.colored_cycle_type()
-        inv_key = tuple(sorted(((length, -s % r) for length, s in key),
-                               reverse=True))
-        den = LaurentPoly.one()
+    for rho in enumerate_rpartitions(n, r):
+        z, den = 1, LaurentPoly.one()
         quot = [LaurentPoly.one()] + [LaurentPoly.zero()] * (r - 1)
-        for length, s in key:
-            den = den * (LaurentPoly.t_power(r * length) - 1)
-            quot = [sum((quot[(m - s * (r - 1 - k)) % r].shift(length * k)
-                         for k in range(r)), LaurentPoly.zero())
-                    for m in range(r)]
+        for s, part in enumerate(rho.parts):
+            z *= centralizer_order(part) * r ** len(part)
+            for length in part:
+                den = den * (LaurentPoly.t_power(r * length) - 1)
+                quot = [sum((quot[(m - s * (r - 1 - k)) % r].shift(length * k)
+                             for k in range(r)), LaurentPoly.zero())
+                        for m in range(r)]
         base = exact_div(top, den)
-        out.append((key, inv_key, size, tuple(base * q for q in quot)))
+        inv = RPartition._unchecked(rho.parts[:1] + rho.parts[:0:-1])
+        out.append((rho, inv, factorial(n) * r ** n // z,
+                    tuple(base * q for q in quot)))
     return tuple(out)
+
+
+def _height(quot) -> int:
+    return max(abs(c) for q in quot for c in q.coeffs)
+
+
+def _width(r: int, bound: int) -> int:
+    """The least width at which a sum with coefficients at most bound in
+    absolute value decodes once reduced modulo Phi_r: the reduction grows a
+    coefficient at most reach-fold, reach the largest sum over k < r of the
+    absolute values of one coordinate of zeta^k."""
+    units = (zeta_coords((0,) * k + (1,), r) for k in range(r))
+    reach = max(sum(map(abs, row)) for row in zip(*units))
+    return (reach * bound).bit_length() + 1
+
+
+@lru_cache(maxsize=None)
+def _packed_quotients(n: int, r: int, bits: int) -> tuple:
+    """Each class quotient's r components packed at t = 2^bits, about t^0."""
+    return tuple(tuple(v << offset if v else 0 for offset, v in
+                       (_packed(q, bits) for q in quot))
+                 for *_, quot in _classes(n, r))
+
+
+def _columns(vectors, r: int) -> tuple:
+    """Zeta-power vectors, one per class, as r columns, one per power."""
+    return tuple(zip(*(tuple(v) + (0,) * (r - len(v)) for v in vectors)))
+
+
+def _fake_degree_sum(n: int, r: int, left: tuple, right: tuple,
+                     bits: int) -> LaurentPoly:
+    """(1/|W|) sum_C left_C right_C from the _columns of left's ints and of
+    right's values packed at 2^bits (_width): r dot products per power of
+    zeta, reduced modulo Phi_r; an irrational result raises OmegaError."""
+    totals = [sum(sum(map(mul, left[i], right[(m - i) % r]))
+                  for i in range(r)) for m in range(r)]
+    _, rem = _dense_divmod(totals, cyclotomic_polynomial(r))
+    if any(rem[1:]):
+        raise OmegaError("fake degree is irrational, on 1, zeta, ...: " +
+                         ", ".join(str(_unpacked(v, 0, bits)) for v in rem))
+    value = _unpacked(rem[0] if rem else 0, 0, bits)
+    order = factorial(n) * r ** n
+    return _laurent(value.low, [Fraction(c, order) if c % order
+                                else c // order for c in value.coeffs])
 
 
 def fake_degree(n: int, r: int, chi) -> LaurentPoly:
     """The graded multiplicity generating polynomial of the class function
-    chi, a callable on (class key, inverse class key) whose values are
-    zeta-power vectors:
+    chi, a callable on (class, inverse class) whose values are zeta-power
+    vectors of ints: R(chi) = prod_i (t^(ir) - 1) / |W| *
+    sum_w det(w) chi(w) / det(t - w), which must be rational."""
+    classes = _classes(n, r)
+    scalars = [[size * c for c in _zeta_mul(detV_value(rho), chi(rho, inv), r)]
+               for rho, inv, size, _ in classes]
+    bits = _width(r, sum(sum(map(abs, s)) * _height(quot)
+                         for s, (*_, quot) in zip(scalars, classes)))
+    return _fake_degree_sum(n, r, _columns(scalars, r),
+                            _columns(_packed_quotients(n, r, bits), r), bits)
 
-        R(chi) = prod_i (t^(ir) - 1) / |W| * sum_w det(w) chi(w) / det(t - w)
 
-    The sum runs in the group ring Q[C_r][t], each class adding its
-    quotient times |C| det(w) chi(w), and each coefficient of t is reduced
-    modulo Phi_r once, at the end.  The result must be a polynomial with
-    rational coefficients; anything else signals a bug in the caller's
-    character values.
-    """
-    acc = [LaurentPoly.zero()] * r
-    for key, inv_key, size, quot in _class_terms(n, r):
-        scalar = _zeta_mul(detV_value(key, r), chi(key, inv_key), r)
-        for i, c in enumerate(scalar):
-            if c:
-                for j, q in enumerate(quot):
-                    k = (i + j) % r
-                    acc[k] = acc[k] + q * (c * size)
-    order = wreath_order(n, r)
-    coeffs = {}
-    for e in range(max(p.low + len(p.coeffs) for p in acc)):
-        coords = zeta_coords([p.coeff(e) for p in acc], r)
-        if any(coords[1:]):
-            raise OmegaError(f"fake degree has the irrational coefficient "
-                             f"{coords} (on 1, zeta, ...) at t^{e}")
-        coeffs[e] = Fraction(coords[0], order)
-    return LaurentPoly(coeffs)
+@lru_cache(maxsize=None)
+def _entry_bits(n: int, r: int) -> int:
+    """The entries' packing width: rho^mu(C^-1) is rho^mu(C) with the powers
+    of zeta negated, so with A_C the largest sum of |v_k| over the character
+    vectors v on C, sum_C |C| A_C^2 height(C) bounds every coefficient."""
+    items = enumerate_rpartitions(n, r)
+    return _width(r, sum(
+        size * _height(quot) *
+        max(sum(map(abs, _mn(lam.parts, rho.parts))) for lam in items) ** 2
+        for rho, _, size, quot in _classes(n, r)))
+
+
+@lru_cache(maxsize=None)
+def _halves(lam: RPartition) -> tuple:
+    """lam's halves of the entries in its row and in its column, as _columns:
+    rho^lam(C), and |C| rho^lam(C^-1) times C's packed quotient."""
+    n, r = lam.n, lam.r
+    classes = _classes(n, r)
+    packed = _packed_quotients(n, r, _entry_bits(n, r))
+    return (_columns((_mn(lam.parts, rho.parts) for rho, *_ in classes), r),
+            _columns((_zeta_mul([size * c for c in _mn(lam.parts, inv.parts)],
+                                q, r)
+                      for (_, inv, size, _), q in zip(classes, packed)), r))
 
 
 @lru_cache(maxsize=None)
 def omega_entry_bruteforce(lam: RPartition, mu: RPartition,
                            r: int) -> LaurentPoly:
-    """omega_(lam,mu) = t^(N*) R(rho^lam x conj(rho^mu) x conj(det_V))."""
+    """omega_(lam,mu) = t^(N*) R(rho^lam x conj(rho^mu) x conj(det_V)): as
+    det_V conj(det_V) is 1 in Z[C_r], the sum over C of |C| rho^lam(C)
+    rho^mu(C^-1) times C's quotient, lam's row half by mu's column half."""
     if lam.n != mu.n or lam.r != r or mu.r != r:
         raise OmegaError("index mismatch")
     n = lam.n
-    rho_lam, rho_mu = _induced(lam, r), _induced(mu, r)
-
-    def chi(key: tuple, inv_key: tuple) -> list:
-        return _zeta_mul(_zeta_mul(rho_lam[key], rho_mu[inv_key], r),
-                         detV_value(inv_key, r), r)
-
     try:
-        value = fake_degree(n, r, chi).shift(n_star(n, r))
+        value = _fake_degree_sum(n, r, _halves(lam)[0], _halves(mu)[1],
+                                 _entry_bits(n, r)).shift(n_star(n, r))
     except OmegaError as exc:
         raise OmegaError(f"oracle entry ({lam}, {mu}): {exc}") from None
     if not value.has_nonneg_int_coeffs():

@@ -2,6 +2,8 @@
 
 Both sums run over every member x of every double coset S_m x S_m' and
 every y in S_m meet x S_m' x^-1, as brute-force permutations from symgrp.
+A summand reads y and x^-1 y x through their cycle types on the blocks
+(block_cycle_types).
 """
 from collections import Counter
 from fractions import Fraction
@@ -11,9 +13,21 @@ from math import comb, factorial
 from wkostka.exact import LaurentPoly, RationalFunction
 from wkostka.greencheck import MINUS, PLUS, a_exponent
 from wkostka.omega import b_O
-from wkostka.symgrp import (block_cycle_types, char_perm_det_from_type,
-                            compose, cycle_type, double_cosets,
-                            intersection_elements, inverse, mn_character)
+from wkostka.symgrp import (SymGrpError, block_of, char_perm_det_from_type,
+                            compose, cycle_type, cycles, double_cosets,
+                            in_young, intersection_elements, inverse,
+                            mn_character)
+
+
+def block_cycle_types(w, m):
+    """Per-block cycle types of a block-stabilizing permutation."""
+    if not in_young(w, m):
+        raise SymGrpError(f"{w} does not stabilize the blocks of {m}")
+    blocks = block_of(m)
+    out = [[] for _ in range(m.r)]
+    for cyc in cycles(w):
+        out[blocks[cyc[0]]].append(len(cyc))
+    return tuple(tuple(sorted(c, reverse=True)) for c in out)
 
 
 @lru_cache(maxsize=None)

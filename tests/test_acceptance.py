@@ -19,10 +19,8 @@ from wkostka.omega import (_omega_entry_direct, omega_entry_cosets,
 from wkostka.rpart import (Composition, RPartition, default_total_order,
                            dim_x, dim_xm_unip, enumerate_contingency,
                            enumerate_rpartitions, partitions)
-from wkostka.symgrp import (centralizer_order, double_cosets, mn_character,
-                            sign)
-from wkostka.wreath import (omega_entry_bruteforce, rho_character,
-                            wreath_classes, zeta_coords)
+from wkostka.symgrp import centralizer_order, double_cosets, mn_character
+from wkostka.wreath import omega_entry_bruteforce, rho_character, zeta_coords
 
 
 class Budget:
@@ -96,7 +94,8 @@ def test_criterion_4_section_7_4_exact():
 
 
 @pytest.mark.parametrize("n,r", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3),
-                                 (3, 2), (4, 2), (2, 5)])
+                                 (3, 2), (4, 2), (2, 5), (3, 4), (4, 3),
+                                 (6, 2), (3, 5)])
 def test_criterion_5_dual_route_oracle(n, r):
     with Budget(f"criterion 5: dual-route oracle ({n},{r})", 600.0):
         for lam in enumerate_rpartitions(n, r):
@@ -197,12 +196,14 @@ def test_criterion_10_property_suites():
         # transpose twist of the irreducible characters, n <= 3, r <= 3
         for n in range(1, 4):
             for r in range(1, 4):
-                for lam in enumerate_rpartitions(n, r):
+                classes = enumerate_rpartitions(n, r)
+                for lam in classes:
                     tlam = lam.transpose()
-                    for w, _ in wreath_classes(n, r):
-                        twisted = [sign(w.sigma) * c
-                                   for c in rho_character(lam, w)]
-                        assert rho_character(tlam, w) == \
+                    for rho in classes:
+                        # sgn on the class: (-1)^(n - number of cycles)
+                        eps = (-1) ** (n - sum(map(len, rho.parts)))
+                        twisted = [eps * c for c in rho_character(lam, rho)]
+                        assert rho_character(tlam, rho) == \
                             zeta_coords(twisted, r)
         # dimension-gap identity, exhaustive n <= 4, r <= 4
         for n in range(0, 5):

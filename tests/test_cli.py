@@ -443,12 +443,25 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bound_violation_is_exit_1(self, capsys):
-        for n, r, bound, cost in (("2", "3", "1", 18), ("1", "3", "2", 3)):
+        for n, r, bound, cost in (("2", "3", "13121", 13122),
+                                  ("1", "3", "2", 243)):
             code, out, err = run(capsys, "verify", "oracle", "--n", n,
                                  "--r", r, "--wreath-bound", bound)
             assert code == 1 and out == ""
             assert err == ("error: wreath oracle bound exceeded: "
-                           f"n*r^n = {cost} > {bound}\n")
+                           f"K^3*r^2*n = {cost} > {bound}, "
+                           "where K = |P_{n,r}|\n")
+
+    # K^3 r^2 n is 81776640 at (15,1) and 110480986 at (2,11), past the
+    # default bound, which admits (4,4) at 74088000.
+    @pytest.mark.parametrize("n, r, cost", [("15", "1", 81776640),
+                                            ("2", "11", 110480986)])
+    def test_size_past_the_default_bound_exits_1(self, capsys, n, r, cost):
+        code, out, err = run(capsys, "verify", "oracle", "--n", n, "--r", r)
+        assert code == 1 and out == ""
+        assert err == ("error: wreath oracle bound exceeded: "
+                       f"K^3*r^2*n = {cost} > 80000000, "
+                       "where K = |P_{n,r}|\n")
 
 
 class TestCosetBound:
@@ -480,12 +493,14 @@ class TestCosetBound:
                        f"K = {k} > 221, where K = |P_{{n,r}}|\n")
 
     # Building an order compares every pair of the K r-partitions, so each
-    # route's guard trips before it: K = 2640 and n*r^n = 590490 at (10,3).
+    # route's guard trips before it: K = 2640 at (10,3).
     @pytest.mark.parametrize("command", ["omega", "solve"])
     @pytest.mark.parametrize("method, message", [
         ("cosets", "coset route bound exceeded: K = 2640 > 221, "
                    "where K = |P_{n,r}|"),
-        ("wreath", "wreath oracle bound exceeded: n*r^n = 590490 > 20000")])
+        ("wreath", "wreath oracle bound exceeded: "
+                   "K^3*r^2*n = 1655976960000 > 80000000, "
+                   "where K = |P_{n,r}|")])
     def test_guard_trips_before_the_order_is_built(self, capsys, monkeypatch,
                                                    command, method, message):
         def refuse(n, r):

@@ -301,6 +301,33 @@ class TestRationalFunction:
         assert RationalFunction.parse(f.to_string()) == f
 
 
+class TestForeignOperands:
+    """A reflected operator returns NotImplemented for an operand it cannot
+    coerce, so Python raises its standard TypeError naming the operator."""
+
+    @pytest.mark.parametrize("value", [LaurentPoly.one(),
+                                       RationalFunction.one()],
+                             ids=["LaurentPoly", "RationalFunction"])
+    def test_float_minus_a_value(self, value):
+        name = type(value).__name__
+        with pytest.raises(TypeError, match=rf"for -: 'float' and '{name}'"):
+            2.5 - value
+
+    def test_float_over_a_rational_function(self):
+        with pytest.raises(TypeError,
+                           match=r"for /: 'float' and 'RationalFunction'"):
+            2.5 / RationalFunction.one()
+
+    def test_exact_operands_still_coerce(self):
+        f = RationalFunction(P("t"), P("t + 1"))
+        assert 1 - P("t") == P("1 - t")
+        assert Fraction(1, 2) - P("t") == P("1/2 - t")
+        assert 1 - f == RationalFunction(P("1"), P("t + 1"))
+        assert P("t") - f == RationalFunction(P("t^2"), P("t + 1"))
+        assert 2 / f == RationalFunction(P("2t + 2"), P("t"))
+        assert P("t + 1") / f == RationalFunction(P("t^2 + 2t + 1"), P("t"))
+
+
 def _nonzero(rng):
     while True:
         p = _random_poly(rng)

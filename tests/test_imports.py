@@ -1,8 +1,9 @@
 """Source hygiene: every import in the package's modules is read, each
 command loads only the modules it runs, the reconstruction check stays
-independent of the elimination it checks, the Green inner product shares
-no code with the Omega entries it is checked against, and the checks of
-Omega's symmetries never go through the twisted entry."""
+independent of the elimination it checks, the Green inner product and the
+wreath oracle share no code with the coset entries they are checked
+against, and the checks of Omega's symmetries never go through the twisted
+entry."""
 import ast
 import os
 import subprocess
@@ -37,16 +38,16 @@ def test_no_module_has_an_unused_import():
     assert unused == []
 
 
-# Every name the package re-exported when it imported each of its modules.
+# Every name the package re-exports.
 EXPORTS = (
     "ExactError", "LaurentPoly", "PolyMatrix", "RationalFunction",
     "FactorizationError", "FactorizationResult", "IcMatrix",
     "order_sensitivity", "solve_factorization", "unmodify_kostka",
     "VerifyReport", "a_exponent", "green_inner_product",
     "identity_5113_check", "lemma59_check", "thm55_check",
-    "OmegaError", "OmegaMatrix", "WreathElement", "a_O", "b_O", "bracket",
+    "OmegaError", "OmegaMatrix", "a_O", "b_O", "bracket",
     "fake_degree", "omega_entry_bruteforce", "omega_entry_cosets",
-    "omega_matrix", "rho_character", "wreath_elements",
+    "omega_matrix", "rho_character",
     "Composition", "ContingencyMatrix", "OrderedIndex", "RPartition",
     "RPartitionError", "default_total_order", "dim_x", "dim_xm_unip",
     "dominance_leq", "enumerate_contingency", "enumerate_rpartitions",
@@ -95,11 +96,13 @@ def test_each_command_loads_only_its_modules(argv, unused):
     assert loaded & {f"wkostka.{m}" for m in unused} == set()
 
 
-def _names_in(module: str, function: str) -> set:
-    """Every name and attribute that the body of module.function reads."""
+def _names_in(module: str, function: str = None) -> set:
+    """Every name and attribute that the body of module.function reads, or
+    that the whole module reads when function is None."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                and node.name == function)
+    body = tree if function is None else next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef)
+        and node.name == function)
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     return named | {node.attr for node in ast.walk(body)
                     if isinstance(node, ast.Attribute)}
@@ -130,8 +133,17 @@ def test_the_symmetry_suite_checks_the_direct_entries():
     assert "omega_entry_cosets" not in named
 
 
+def test_the_wreath_oracle_shares_no_omega_kernel():
+    """verify oracle compares the oracle with the coset route; a coset-route
+    helper on both sides would make the comparison check nothing."""
+    assert _names_in("wreath.py") & {
+        "coset_table", "torus_quotient", "_omega_block", "_omega_row",
+        "_omega_entry_direct", "omega_entry_cosets", "_axpy"} == set()
+
+
 def test_the_wreath_oracle_never_twists():
     """The oracle computes every entry on its own."""
-    for function in ("omega_entry_bruteforce", "_induced", "fake_degree"):
+    for function in ("omega_entry_bruteforce", "_fake_degree_sum", "_halves",
+                     "_classes", "_mn", "fake_degree"):
         assert _names_in("wreath.py", function) & {"_twist", "_orbit_twist"} \
             == set()

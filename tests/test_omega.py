@@ -1,5 +1,6 @@
 """Fake-degree matrix: wreath characters, both entry routes, symmetries."""
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -18,14 +19,14 @@ from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            default_total_order, enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
-from wkostka.wreath import (WreathElement, _class_terms, _zeta_mul,
-                            detV_value, fake_degree, omega_entry_bruteforce,
-                            rho_character, wreath_classes, wreath_elements,
-                            wreath_order, zeta_coords)
+from wkostka.wreath import (_classes, _zeta_mul, detV_value, fake_degree,
+                            omega_entry_bruteforce, rho_character,
+                            zeta_coords)
 
 from literal_cosets import omega_by_literal_cosets
 from literal_omega_block import omega_by_fraction_blocks
-from literal_wreath import identity, product, rho_by_conjugation
+from literal_wreath import (WreathElement, identity, product,
+                            rho_by_conjugation, wreath_elements)
 
 
 def P(s):
@@ -41,9 +42,27 @@ def zeta_power(k, r, c=1):
     return zeta_coords((0,) * (k % r) + (c,), r)
 
 
+def wreath_order(n, r):
+    return factorial(n) * r ** n
+
+
+def representatives(n, r):
+    """One element of each class, keyed by its colored cycle type."""
+    return {w.colored_cycle_type(): w for w in wreath_elements(n, r)}
+
+
+def identity_class(n, r):
+    return RPartition(((1,) * n,) + ((),) * (r - 1))
+
+
+def sign_of(rho):
+    """epsilon on the class rho: (-1)^(n - number of cycles)."""
+    return (-1) ** (rho.n - sum(map(len, rho.parts)))
+
+
 class TestWreathGroup:
     """The group law lives in tests/literal_wreath.py, with the conjugation
-    walk that needs it; the library only inverts."""
+    walk that needs it; the oracle works with the classes alone."""
 
     def test_identity_and_inverse(self):
         rng = random.Random(1)
@@ -66,18 +85,27 @@ class TestWreathGroup:
         assert len(list(wreath_elements(2, 4))) == 32
 
     def test_class_count_matches_rpartitions(self):
-        for n, r in ((1, 3), (2, 3), (3, 3), (2, 4)):
-            assert len(wreath_classes(n, r)) == len(enumerate_rpartitions(n, r))
-            assert sum(size for _, size in wreath_classes(n, r)) == \
-                wreath_order(n, r)
+        """Each element's colored cycle type is one r-partition, and the
+        centralizer formula gives the number of elements of each."""
+        for n, r in ((0, 3), (1, 3), (2, 3), (3, 3), (2, 4), (3, 2), (4, 1)):
+            counts = Counter(w.colored_cycle_type()
+                             for w in wreath_elements(n, r))
+            assert counts == {rho: size for rho, _, size, _ in _classes(n, r)}
+
+    @pytest.mark.parametrize("n,r", [(2, 3), (3, 3), (2, 4)])
+    def test_inverse_classes(self, n, r):
+        inverse = {rho: inv for rho, inv, *_ in _classes(n, r)}
+        for w in wreath_elements(n, r):
+            assert inverse[w.colored_cycle_type()] == \
+                w.inv().colored_cycle_type()
 
     def test_linear_characters(self):
         w = WreathElement((0, 1, 2), (1, 0, 0), 3)
         assert sign(w.sigma) == 1
-        assert zeta_coords(detV_value(w.colored_cycle_type(), 3), 3) == (0, 1)
+        assert zeta_coords(detV_value(w.colored_cycle_type()), 3) == (0, 1)
         w = WreathElement((1, 0, 2), (1, 1, 0), 3)  # -zeta^2 = 1 + zeta
         assert sign(w.sigma) == -1
-        assert zeta_coords(detV_value(w.colored_cycle_type(), 3), 3) == (1, 1)
+        assert zeta_coords(detV_value(w.colored_cycle_type()), 3) == (1, 1)
 
     @pytest.mark.parametrize("n,r", [(2, 3), (2, 4), (3, 3)])
     def test_class_quotient_times_charpoly(self, n, r):
@@ -88,17 +116,13 @@ class TestWreathGroup:
         for i in range(1, n + 1):
             top = top * (LaurentPoly.t_power(i * r) - 1)
         want = [top] + [LaurentPoly.zero()] * (r - 1)
-        terms = _class_terms(n, r)
-        assert len(terms) == len(wreath_classes(n, r))
-        for (rep, _), (key, inv_key, _, quot) in zip(wreath_classes(n, r),
-                                                     terms):
-            assert key == rep.colored_cycle_type()
-            assert inv_key == rep.inv().colored_cycle_type()
+        for rho, _, _, quot in _classes(n, r):
             prod = list(quot)
-            for length, s in key:
-                prod = [prod[k].shift(length) - prod[(k - s) % r]
-                        for k in range(r)]
-            assert prod == want, rep
+            for s, part in enumerate(rho.parts):
+                for length in part:
+                    prod = [prod[k].shift(length) - prod[(k - s) % r]
+                            for k in range(r)]
+            assert prod == want, rho
 
 
 class TestZetaCoords:
@@ -136,21 +160,24 @@ class TestZetaCoords:
 
 
 class TestRhoCharacter:
-    @pytest.mark.parametrize("n,r", [(1, 3), (2, 3), (2, 4), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 4)
+                                     for r in range(1, 5)])
     def test_matches_conjugation_walk(self, n, r):
-        """One pass over the block subgroup (Frobenius) against the literal
-        walk over W, on every r-partition and every class."""
+        """The Murnaghan-Nakayama characters against the literal walk over
+        W, on every r-partition and every class."""
+        reps = representatives(n, r)
+        assert len(reps) == len(enumerate_rpartitions(n, r))
         for lam in enumerate_rpartitions(n, r):
-            for w, _ in wreath_classes(n, r):
-                assert rho_character(lam, w) == rho_by_conjugation(lam, w)
-                assert len(rho_character(lam, w)) == \
+            for rho, w in reps.items():
+                assert rho_character(lam, rho) == rho_by_conjugation(lam, w)
+                assert len(rho_character(lam, rho)) == \
                     len(cyclotomic_polynomial(r)) - 1
 
-    def test_element_must_match(self):
+    def test_class_must_match(self):
         with pytest.raises(OmegaError):
-            rho_character(RP("(1;-;-)"), identity(1, 2))
+            rho_character(RP("(1;-;-)"), RP("(1;-)"))
         with pytest.raises(OmegaError):
-            rho_character(RP("(1;-;-)"), identity(2, 3))
+            rho_character(RP("(1;-;-)"), RP("(2;-;-)"))
 
     def test_one_dimensionals(self):
         n, r = 2, 3
@@ -159,9 +186,10 @@ class TestRhoCharacter:
         det_bar = RP("(-;-;11)")
         for w in wreath_elements(n, r):
             s = sum(w.colors)
-            assert rho_character(triv, w) == zeta_power(0, r)
-            assert rho_character(delt, w) == zeta_power(s, r)
-            assert rho_character(det_bar, w) == \
+            rho = w.colored_cycle_type()
+            assert rho_character(triv, rho) == zeta_power(0, r)
+            assert rho_character(delt, rho) == zeta_power(s, r)
+            assert rho_character(det_bar, rho) == \
                 zeta_power(2 * s, r, sign(w.sigma))
 
     def test_slot_characters(self):
@@ -173,72 +201,116 @@ class TestRhoCharacter:
             mu_parts = [()] * r
             mu_parts[i] = (1,) * n
             lam, mu = RPartition(tuple(lam_parts)), RPartition(tuple(mu_parts))
-            for w, _ in wreath_classes(n, r):
+            for rho, w in representatives(n, r).items():
                 s = i * sum(w.colors)
-                assert rho_character(lam, w) == zeta_power(s, r)
-                assert rho_character(mu, w) == \
+                assert rho_character(lam, rho) == zeta_power(s, r)
+                assert rho_character(mu, rho) == \
                     zeta_power(s, r, sign(w.sigma))
 
     def test_transpose_twist(self):
         for n, r in ((1, 3), (2, 3), (3, 3), (2, 2)):
             for lam in enumerate_rpartitions(n, r):
                 tlam = lam.transpose()
-                for w, _ in wreath_classes(n, r):
-                    twisted = [sign(w.sigma) * c
-                               for c in rho_character(lam, w)]
-                    assert rho_character(tlam, w) == zeta_coords(twisted, r)
+                for rho in enumerate_rpartitions(n, r):
+                    twisted = [sign_of(rho) * c
+                               for c in rho_character(lam, rho)]
+                    assert rho_character(tlam, rho) == zeta_coords(twisted, r)
 
     def test_conjugate_is_slot_reversal(self):
         # conj(rho^lam)(w) = rho^lam(w^-1) matches the slot-reversed index
         n, r = 2, 3
         for lam in enumerate_rpartitions(n, r):
             rev = RPartition((lam.parts[0],) + tuple(reversed(lam.parts[1:])))
-            for w, _ in wreath_classes(n, r):
-                assert rho_character(lam, w.inv()) == rho_character(rev, w)
+            for w in wreath_elements(n, r):
+                assert rho_character(lam, w.inv().colored_cycle_type()) == \
+                    rho_character(rev, w.colored_cycle_type())
 
     def test_degree_sum_of_squares(self):
-        n, r = 3, 3
-        e = identity(n, r)
-        total = Fraction(0)
-        for lam in enumerate_rpartitions(n, r):
-            d, *rest = rho_character(lam, e)
-            assert not any(rest)
-            total += d * d
-        assert total == wreath_order(n, r)
+        for n, r in ((3, 3), (4, 2), (2, 5)):
+            total = 0
+            for lam in enumerate_rpartitions(n, r):
+                d, *rest = rho_character(lam, identity_class(n, r))
+                assert not any(rest)
+                total += d * d
+            assert total == wreath_order(n, r)
+
+    def test_column_orthogonality(self):
+        """sum_lam |rho^lam(C)|^2 = |W| / |C|, on zeta-power vectors: the
+        product with the conjugate, rho^lam(C^-1), reduced modulo Phi_r."""
+        for n, r in ((3, 3), (2, 4), (2, 5)):
+            for rho, inv, size, _ in _classes(n, r):
+                total = [0] * r
+                for lam in enumerate_rpartitions(n, r):
+                    a = [0] * r
+                    b = [0] * r
+                    for k, c in enumerate(rho_character(lam, rho)):
+                        a[k] = c
+                    for k, c in enumerate(rho_character(lam, inv)):
+                        b[k] = c
+                    total = [x + y for x, y in zip(total, _zeta_mul(a, b, r))]
+                want = wreath_order(n, r) // size
+                assert zeta_coords(total, r) == zeta_power(0, r, want)
 
 
 class TestFakeDegree:
     def test_trivial_character(self):
         for n, r in ((1, 3), (2, 3), (2, 2)):
-            assert fake_degree(n, r, lambda key, inv_key: (1,)) == P("1")
+            assert fake_degree(n, r, lambda rho, inv: (1,)) == P("1")
 
     def test_irrational_values_raise(self):
         """The constant zeta is no rational class function: its fake degree
         is zeta, which the Phi_r reduction leaves non-constant."""
         with pytest.raises(OmegaError, match="irrational"):
-            fake_degree(2, 3, lambda key, inv_key: (0, 1))
+            fake_degree(2, 3, lambda rho, inv: (0, 1))
 
     def test_nonnegative_integer_coefficients(self):
         n, r = 2, 3
-        reps = {w.colored_cycle_type(): w for w, _ in wreath_classes(n, r)}
         for lam in enumerate_rpartitions(n, r):
-            val = fake_degree(n, r,
-                              lambda key, _: rho_character(lam, reps[key]))
+            val = fake_degree(n, r, lambda rho, _: rho_character(lam, rho))
             assert val.has_nonneg_int_coeffs()
             # graded multiplicity of lam in the coinvariant algebra:
             # total multiplicity equals the degree of the character
-            e = identity(n, r)
-            assert (val.eval_at(1), 0) == rho_character(lam, e)
+            assert (val.eval_at(1), 0) == \
+                rho_character(lam, identity_class(n, r))
+
+    def test_fraction_coefficients(self):
+        """A class function that is no character: the trivial one on the
+        identity class alone, 0 elsewhere, has fake degree
+        prod_i (t^(ir) - 1) / ((t - 1)^n |W|): at (2,2), (t + 1)^2 (t^2 + 1)
+        / 8."""
+        n, r = 2, 2
+        e = identity_class(n, r)
+        val = fake_degree(n, r, lambda rho, _: (int(rho == e),))
+        want = LaurentPoly({0: Fraction(1, 8), 1: Fraction(1, 4),
+                            2: Fraction(1, 4), 3: Fraction(1, 4),
+                            4: Fraction(1, 8)})
+        assert val == want
+
+    @pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4), (1, 5)])
+    def test_entries_through_the_class_function(self, n, r):
+        """Each entry, formed from mu's folded half, against the fake degree
+        of the class function rho^lam x conj(rho^mu) x conj(det_V)."""
+        items = enumerate_rpartitions(n, r)
+        for lam in items:
+            for mu in items:
+                def chi(rho, inv):
+                    a = _zeta_mul(rho_character(lam, rho),
+                                  rho_character(mu, inv), r)
+                    return _zeta_mul(a, detV_value(inv), r)
+                assert omega_entry_bruteforce(lam, mu, r) == \
+                    fake_degree(n, r, chi).shift(n_star(n, r))
 
     def test_oracle_bound(self):
-        """The wreath route compares n*r^n (3 at (1,3)) with the bound once,
-        before it computes any entry; fake_degree itself takes no bound."""
+        """The wreath route compares K^3 r^2 n (243 at (1,3)) with the bound
+        once, before it computes any entry; fake_degree itself takes no
+        bound."""
         order = default_total_order(1, 3)
         omega_entry_bruteforce.cache_clear()
-        with pytest.raises(OmegaError, match=r"n\*r\^n = 3 > 2"):
-            omega_matrix(1, 3, order, "wreath", wreath_bound=2)
+        with pytest.raises(OmegaError, match=r"K\^3\*r\^2\*n = 243 > 242"):
+            omega_matrix(1, 3, order, "wreath", wreath_bound=242)
         assert omega_entry_bruteforce.cache_info().currsize == 0
-        assert len(omega_matrix(1, 3, order, "wreath", wreath_bound=3).order) == 3
+        assert len(omega_matrix(1, 3, order, "wreath",
+                                wreath_bound=243).order) == 3
 
 
 class TestBracketExponents:
@@ -357,9 +429,10 @@ class TestOmegaEntries:
         """Alternative assembly: per-coset color exponents a_O with one
         overall t^(N*) twist, never touching the a-function or tau."""
         from wkostka.exact import RationalFunction
-        from wkostka.symgrp import (block_character, block_cycle_types,
-                                    compose, cycle_type, double_cosets,
-                                    intersection_elements, inverse)
+        from wkostka.symgrp import (block_character, compose, cycle_type,
+                                    double_cosets, intersection_elements,
+                                    inverse)
+        from literal_cosets import block_cycle_types
         for lam in enumerate_rpartitions(n, r):
             for mu in enumerate_rpartitions(n, r):
                 m, mp = lam.weight(), mu.weight()
@@ -451,7 +524,7 @@ class TestOmegaEntries:
         order = default_total_order(1, 3)
         omega_entry_bruteforce.cache_clear()
         omega_matrix(1, 3, order, "wreath")
-        omega_matrix(1, 3, order, "wreath", wreath_bound=20001)
+        omega_matrix(1, 3, order, "wreath", wreath_bound=243)
         assert omega_entry_bruteforce.cache_info().currsize == 9
 
     def test_one_direct_entry_per_orbit(self):

@@ -16,7 +16,8 @@ from wkostka.omega import OmegaMatrix, omega_matrix
 from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
                            RPartition, default_total_order)
 from wkostka.symgrp import DoubleCoset
-from wkostka.wreath import WreathElement
+
+from literal_wreath import WreathElement
 
 SRC = Path(wkostka.__file__).resolve().parents[1]
 

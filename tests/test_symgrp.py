@@ -9,10 +9,12 @@ from wkostka.exact import LaurentPoly
 from wkostka.rpart import (Composition, RPartition, enumerate_contingency,
                            partitions)
 from wkostka.symgrp import (SymGrpError, all_perms, block_character,
-                            block_cycle_types, centralizer_order,
-                            char_perm_det_from_type, compose, coset_label,
-                            cycle_type, double_cosets, intersection_elements,
-                            inverse, mn_character, young_subgroup_elements)
+                            centralizer_order, char_perm_det_from_type,
+                            compose, coset_label, cycle_type, double_cosets,
+                            intersection_elements, inverse, mn_character,
+                            rim_hooks, young_subgroup_elements)
+
+from literal_cosets import block_cycle_types
 
 
 class TestPermutations:
@@ -92,6 +94,33 @@ class TestMnCharacter:
     def test_size_mismatch(self):
         with pytest.raises(SymGrpError):
             mn_character((2,), (3,))
+
+
+class TestRimHooks:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_one_hook_per_cell_of_hook_length_k(self, n):
+        """The rim hooks of length k match the cells of hook length k: the
+        hook's height is the cell's leg, and the hook is the skew shape
+        lam / mu of k cells inside lam."""
+        for lam in partitions(n):
+            conj = [sum(1 for part in lam if part > j)
+                    for j in range(lam[0] if lam else 0)]
+            for k in range(1, n + 1):
+                legs = sorted(conj[j] - i - 1
+                              for i, part in enumerate(lam)
+                              for j in range(part)
+                              if part - j + conj[j] - i - 1 == k)
+                hooks = rim_hooks(lam, k)
+                assert sorted(h for _, h in hooks) == legs, (lam, k)
+                for mu, _ in hooks:
+                    assert sum(mu) == n - k
+                    assert all(a <= b for a, b in
+                               itertools.zip_longest(mu, lam, fillvalue=0))
+
+    def test_examples(self):
+        assert rim_hooks((3, 1), 2) == (((1, 1), 0),)
+        assert rim_hooks((2, 1), 3) == (((), 1),)
+        assert rim_hooks((2, 1), 2) == ()
 
 
 class TestCharTable:
