@@ -171,8 +171,8 @@ def _omega(args):
     if args.method == "wreath":
         omega_mod._check_oracle_bound(args.n, args.r, args.wreath_bound)
     else:
-        omega_mod._check_coset_bound(
-            len(rpart.enumerate_rpartitions(args.n, args.r)), args.coset_bound)
+        omega_mod._check_coset_bound(rpart.count_rpartitions(args.n, args.r),
+                                     args.coset_bound)
     return omega_mod.omega_matrix(args.n, args.r, _resolve_order(args),
                                   args.method, coset_n_bound=args.coset_bound,
                                   wreath_bound=args.wreath_bound)
@@ -417,7 +417,7 @@ def _suite_orders(args):
     checked before any order is drawn, as in _omega."""
     from . import factor, greencheck
     n, r, samples = args.n, args.r, args.samples
-    omega_mod._check_coset_bound(len(rpart.enumerate_rpartitions(n, r)),
+    omega_mod._check_coset_bound(rpart.count_rpartitions(n, r),
                                  omega_mod.COSET_K_BOUND)
     orders = {tuple(o.items): o for o in
               rpart.sample_linear_extensions(n, r, samples, args.seed)}

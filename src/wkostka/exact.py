@@ -270,113 +270,72 @@ class LaurentPoly:
         >>> str(LaurentPoly.parse("t^-3*(t^9 - 1)"))
         't^6 - t^-3'
         """
-        return _PolyParser(text).parse()
+        return _parse(text)
 
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[()+\-*/^]|[A-Za-z]+)")
 
 
-class _PolyParser:
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ExactError(f"cannot tokenize {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.i = 0
+def _parse(text: str) -> LaurentPoly:
+    """Recursive descent over three rules, where juxtaposition is "*":
+    sum = [+|-] product {(+|-) product},  product = factor {[*] factor},
+    factor = ("(" sum ")" | "t" | n ["/" d]) ["^" ["-"] e]."""
+    junk = _TOKEN_RE.sub("", text).split()
+    if junk:
+        raise ExactError(f"cannot tokenize {junk[0]!r}")
+    toks = _TOKEN_RE.findall(text)[::-1]  # a stack: the next token is last
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def fail(tok):
+        raise ExactError(f"unexpected token {tok!r}" if tok
+                         else "unexpected end of input")
 
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+    def take(*wanted):
+        """The next token, popped; "" at the end or when it is not wanted."""
+        if toks and (not wanted or toks[-1] in wanted):
+            return toks.pop()
+        return ""
 
-    def parse(self) -> LaurentPoly:
-        p = self.sum()
-        if self.peek() is not None:
-            raise ExactError(f"trailing input at token {self.peek()!r}")
-        return p
+    def natural():
+        tok = take()
+        return int(tok) if tok.isdigit() else fail(tok)
 
-    def sum(self) -> LaurentPoly:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        total = self.product() * sign
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.product()
-            total = total + term if op == "+" else total - term
+    def sum_():
+        total, op = LaurentPoly.zero(), take("+", "-") or "+"
+        while op:
+            total += product() if op == "+" else -product()
+            op = take("+", "-")
         return total
 
-    def product(self) -> LaurentPoly:
-        p = self.atomseq()
-        while self.peek() == "*":
-            self.take()
-            p = p * self.atomseq()
+    def product():
+        p = factor()
+        while take("*") or toks and (toks[-1] in ("(", "t")
+                                     or toks[-1].isdigit()):
+            p = p * factor()
         return p
 
-    def atomseq(self) -> LaurentPoly:
-        # juxtaposition binds tighter than '*': "2t^3", "t^-1(t-1)"
-        p = self.atom()
-        while True:
-            nxt = self.peek()
-            if nxt == "(" or nxt == "t" or (nxt is not None and nxt.isdigit()):
-                p = p * self.atom()
-            else:
-                return p
-
-    def _int(self) -> int:
-        tok = self.take()
-        if tok is None or not tok.isdigit():
-            raise ExactError(f"expected an integer, got {tok!r}")
-        return int(tok)
-
-    def _exponent(self) -> int:
-        neg = False
-        if self.peek() == "-":
-            self.take()
-            neg = True
-        k = self._int()
-        return -k if neg else k
-
-    def atom(self) -> LaurentPoly:
-        tok = self.peek()
-        if tok is None:
-            raise ExactError("unexpected end of input")
+    def factor():
+        tok = take()
         if tok == "(":
-            self.take()
-            p = self.sum()
-            if self.take() != ")":
-                raise ExactError("missing closing parenthesis")
-            if self.peek() == "^":
-                self.take()
-                return p ** self._exponent()
-            return p
-        if tok == "t":
-            self.take()
-            e = 1
-            if self.peek() == "^":
-                self.take()
-                e = self._exponent()
-            return LaurentPoly.t_power(e)
-        if tok.isdigit():
-            num = self._int()
-            val = Fraction(num)
-            if self.peek() == "/":
-                self.take()
-                val = Fraction(num, self._int())
-            if self.peek() == "^":
-                self.take()
-                val = val ** self._exponent()
-            return LaurentPoly.const(val)
-        raise ExactError(f"unexpected token {tok!r}")
+            p = sum_()
+            if not take(")"):
+                fail(take())
+        elif tok == "t":
+            p = LaurentPoly.t_power(1)
+        elif tok.isdigit():
+            den = natural() if take("/") else 1
+            if not den:
+                raise ExactError(f"zero denominator in {text!r}")
+            p = LaurentPoly.const(Fraction(int(tok), den))
+        else:
+            fail(tok)
+        if take("^"):
+            p = p ** (-natural() if take("-") else natural())
+        return p
+
+    p = sum_()
+    if toks:
+        fail(toks[-1])
+    return p
 
 
 # ---------------------------------------------------------------------------

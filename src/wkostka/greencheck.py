@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .exact import LaurentPoly, _laurent
-from .omega import (a_O, b_O, bracket, coset_table, omega_entry_cosets,
-                    torus_quotient)
+from .omega import a_O, b_O, coset_table, omega_entry_cosets, torus_quotient
 from .record import Record
 from .rpart import (Composition, ContingencyMatrix, RPartition, compositions,
                     enumerate_contingency, enumerate_rpartitions, n_star)
@@ -157,9 +156,7 @@ def identity_5113_check(n: int, r: int) -> VerifyReport:
                 + (r - 1) * mp.parts[r - 1]
             c_const = (r - 1) * n - lam_term - mu_term
             for h in enumerate_contingency(m, mp):
-                lhs = c_const + sum(bracket(j, i, r) * h.entry(i, j)
-                                    for i in range(1, r + 1)
-                                    for j in range(1, r + 1))
+                lhs = c_const + a_O(h, r)
                 rhs = r * sum(h.row_prefix(i, i) for i in range(1, r))
                 report.checked += 1
                 if lhs != rhs:

@@ -34,8 +34,8 @@ from math import comb, lcm
 from .exact import LaurentPoly, PolyMatrix, _laurent, exact_div
 from .record import FrozenRecord
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
-                    conjugate_partition, enumerate_contingency,
-                    enumerate_rpartitions, partitions)
+                    conjugate_partition, count_rpartitions,
+                    enumerate_contingency, partitions)
 from .symgrp import block_character, centralizer_order, char_perm_det_from_type
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
@@ -60,7 +60,7 @@ def _check_oracle_bound(n: int, r: int, bound: int):
     """The wreath oracle's guard, K^3 r^2 n <= bound for K = |P_{n,r}|: K^3 r^2
     products of packed quotients that lengthen with n.  omega_matrix, verify
     oracle and the CLI before it builds the order check it first."""
-    cost = len(enumerate_rpartitions(n, r)) ** 3 * r ** 2 * n
+    cost = count_rpartitions(n, r) ** 3 * r ** 2 * n
     if cost > bound:
         raise OmegaError(
             f"wreath oracle bound exceeded: K^3*r^2*n = {cost} > {bound}, "

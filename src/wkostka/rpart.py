@@ -73,13 +73,14 @@ def partition_n_value(p) -> int:
 
 def compositions(n: int, r: int):
     """All r-tuples of nonnegative integers summing to n, largest first
-    slot first (descending lexicographic order)."""
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, r - 1):
-            yield (first,) + rest
+    slot first (descending lexicographic order).  By stars and bars: star k
+    in slot s of n + r - 1 falls in part s - k, and the slot tuples in
+    increasing lexicographic order give the parts in decreasing order."""
+    for stars in itertools.combinations(range(n + r - 1), n):
+        parts = [0] * r
+        for k, slot in enumerate(stars):
+            parts[slot - k] += 1
+        yield tuple(parts)
 
 
 class Composition(FrozenRecord):
@@ -265,6 +266,23 @@ def dominance_leq(lam: RPartition, mu: RPartition) -> bool:
     if lam.n != mu.n or lam.r != mu.r:
         raise RPartitionError("dominance needs equal n and r")
     return all(map(operator.le, _dominance_key(lam), _dominance_key(mu)))
+
+
+def count_rpartitions(n: int, r: int) -> int:
+    """K = |P_{n,r}| without enumerating P_{n,r}: the x^n coefficient of
+    prod_k (1 - x^k)^(-r), r divisions by each 1 - x^k in O(r n^2).
+
+    >>> count_rpartitions(3, 3)
+    22
+    """
+    if n < 0 or r < 1:
+        raise RPartitionError("need n >= 0 and r >= 1")
+    c = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(r):
+            for i in range(k, n + 1):
+                c[i] += c[i - k]
+    return c[n]
 
 
 @lru_cache(maxsize=None)

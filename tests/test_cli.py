@@ -78,6 +78,17 @@ class TestOmegaCommand:
         assert code == 2 and out == ""
         assert "invalid choice: 'both'" in err
 
+    # The weight compositions must not recurse once per colour, or 1000
+    # colours pass Python's recursion limit.
+    @pytest.mark.parametrize("method", ["cosets", "wreath"])
+    def test_n0_with_1000_colours(self, capsys, method):
+        code, out, _ = run(capsys, "omega", "--n", "0", "--r", "1000",
+                           "--method", method)
+        assert code == 0
+        data = json.loads(out)
+        assert data["entries"] == [["1"]]
+        assert data["order"] == ["(" + ";".join(["-"] * 1000) + ")"]
+
     def test_symmetric_r2(self, capsys):
         code, out, _ = run(capsys, "omega", "--n", "1", "--r", "2")
         rows = json.loads(out)["entries"]
@@ -520,6 +531,29 @@ class TestCosetBound:
         assert (code, out, err) == (
             1, "", "error: coset route bound exceeded: K = 2640 > 221, "
                    "where K = |P_{n,r}|\n")
+
+    # K is counted, not enumerated, so refusing (14,4) (K = 116090) costs
+    # no walk over P_{n,r}.
+    @pytest.mark.parametrize("argv, message", [
+        (("omega", "--method", "cosets"),
+         "coset route bound exceeded: K = 116090 > 221"),
+        (("omega", "--method", "wreath"), "wreath oracle bound exceeded: "
+         "K^3*r^2*n = 350455154454496000 > 80000000"),
+        (("verify", "orders"), "coset route bound exceeded: K = 116090 > 221"),
+        (("verify", "oracle"), "wreath oracle bound exceeded: "
+         "K^3*r^2*n = 350455154454496000 > 80000000")],
+        ids=["omega-cosets", "omega-wreath", "orders", "oracle"])
+    def test_guard_counts_without_enumerating(self, capsys, monkeypatch,
+                                             argv, message):
+        def refuse(n, r):
+            raise AssertionError("P_{n,r} was enumerated")
+        # omega gets the stub too, in case its guard imports the name.
+        for mod in (rpart, omega_mod):
+            monkeypatch.setattr(mod, "enumerate_rpartitions", refuse,
+                                raising=False)
+        code, out, err = run(capsys, *argv, "--n", "14", "--r", "4")
+        assert (code, out, err) == (
+            1, "", f"error: {message}, where K = |P_{{n,r}}|\n")
 
     def test_bound_of_1_admits_k_1(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "0", "--r", "3",

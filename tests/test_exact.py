@@ -1,12 +1,18 @@
 """Exact arithmetic layer: Laurent polynomials, Q(t), cyclotomic polynomials."""
+import hashlib
+import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from literal_gcd import literal_gcd
+from literal_parse import literal_parse
+from wkostka import exact
 from wkostka.exact import (ExactError, LaurentPoly, RationalFunction,
                            cyclotomic_polynomial, exact_div, poly_gcd)
 
@@ -91,6 +97,145 @@ class TestLaurentPoly:
         assert exact_div(P("2t^2 + 1"), P("2t")) == P("t + 1/2*t^-1")
         with pytest.raises(ExactError):
             exact_div(P("2t^2 + 1"), P("2t - 2"))
+
+
+# sha256 of the printed values of the fixture strings, joined by newlines.
+FIXTURE_DIGEST = "ead7e429ecbc82478bfad4d4f057a75e3bc08887dc21208d65ff66fa2cd66f03"
+
+
+def _fixture_strings():
+    """Every polynomial string in the packaged fixtures, in file and JSON
+    order: every string leaf except the "id" and the r-partition "order"."""
+    def walk(x):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                if k not in ("id", "order"):
+                    yield from walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                yield from walk(v)
+        elif isinstance(x, str):
+            yield x
+    data = Path(exact.__file__).with_name("data")
+    return [s for f in sorted(data.glob("*.json"))
+            for s in walk(json.loads(f.read_text()))]
+
+
+class TestParseGrammar:
+    """What LaurentPoly.parse accepts, with its value, and what it rejects."""
+
+    @pytest.mark.parametrize("text, terms", [
+        ("2^-1", {0: Fraction(1, 2)}),
+        ("(t - 1)^2", {2: 1, 1: -2, 0: 1}),
+        ("t^-1(t - 1)", {0: 1, -1: -1}),
+        ("2 t", {1: 2}),
+        ("t t", {2: 1}),
+        ("1/2*t^2", {2: Fraction(1, 2)}),
+        ("+t", {1: 1}),
+        ("-2t^3", {3: -2}),
+        ("2 3", {0: 6}),
+        ("1/2^3", {0: Fraction(1, 8)}),
+        ("2(t + 1)^2 t^-1", {1: 2, 0: 4, -1: 2}),
+        ("t^ - 2 * 3/4", {-2: Fraction(3, 4)}),
+        ("(-t)(t)", {2: -1}),
+        ("0^0 + t^0", {0: 2}),
+        ("  t  ", {1: 1}),
+        ("t - t", {}),
+    ])
+    def test_accepted(self, text, terms):
+        assert P(text) == LaurentPoly(terms)
+
+    @pytest.mark.parametrize("text, token", [
+        ("t/2", "'/'"), ("t^2^3", "'^'"), ("1/2/3", "'/'"), ("--t", "'-'"),
+        ("t^+1", "'+'"), ("x", "'x'"), ("tt", "'tt'"), ("2*-t", "'-'"),
+        ("t^(2)", "'('"), ("1/-2", "'-'"), ("()", "')'"), ("(t))", "')'"),
+        ("t $", None), ("(t", None), ("", None), ("+", None), ("t -", None),
+        ("t^", None), ("1/0", None), ("0^-1", None),
+    ])
+    def test_rejected(self, text, token):
+        with pytest.raises(ExactError) as err:
+            P(text)
+        if token:
+            assert token in str(err.value)
+
+    def test_fixture_strings_digest(self):
+        strings = _fixture_strings()
+        assert len(strings) == 877
+        text = "\n".join(str(P(s)) for s in strings)
+        assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGEST
+
+
+_PARSE_ALPHABET = ["t", "0", "1", "2", "7", "(", ")", "+", "-", "*", "/", "^",
+                   " ", "x", "$"]
+
+
+def _grammar_text(rng, depth=2) -> str:
+    """A random text of the parse grammar, spaced at random, with one token
+    inserted or deleted half of the time."""
+    def factor(d):
+        pick = rng.randrange(3 if d else 2)
+        if pick == 0:
+            f = "t"
+        elif pick == 1:
+            f = str(rng.randint(0, 9))
+            if rng.random() < 0.3:
+                f += rng.choice(["/", " / "]) + str(rng.randint(0, 9))
+        else:
+            f = "(" + sum_(d - 1) + ")"
+        if rng.random() < 0.3:
+            f += "^" + rng.choice(["", "-", " - "]) + str(rng.randint(0, 3))
+        return f
+
+    def product(d):
+        return rng.choice(["*", " * ", " ", ""]).join(
+            factor(d) for _ in range(rng.randint(1, 3)))
+
+    def sum_(d):
+        text = rng.choice(["", "+", "-", "- "]) + product(d)
+        for _ in range(rng.randrange(3)):
+            text += rng.choice([" + ", " - ", "+", "-"]) + product(d)
+        return text
+
+    text = sum_(depth)
+    if rng.random() < 0.5:
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            text = text[:i] + rng.choice(_PARSE_ALPHABET) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+def _same_parse(text):
+    try:
+        want = literal_parse(text)
+    except (ExactError, ZeroDivisionError):
+        with pytest.raises(ExactError):
+            P(text)
+        return False
+    assert P(text) == want
+    return True
+
+
+class TestParseOracle:
+    """LaurentPoly.parse against the parser class it replaced: the same
+    texts accepted with the same values, and the rest rejected."""
+
+    # No two digits in a row, so no exponent exceeds 9 and every text is cheap.
+    @given(st.lists(st.sampled_from(_PARSE_ALPHABET), max_size=14).map("".join)
+           .filter(lambda s: not re.search(r"\d\d", s)))
+    @settings(max_examples=500, deadline=None)
+    def test_random_token_strings(self, text):
+        _same_parse(text)
+
+    def test_random_grammar_texts(self):
+        rng = random.Random(24)
+        accepted = sum(_same_parse(_grammar_text(rng)) for _ in range(1500))
+        assert 400 < accepted < 1400
+
+    def test_fixture_strings(self):
+        for s in _fixture_strings():
+            assert P(s) == literal_parse(s)
 
 
 def _random_poly(rng, max_terms=5):

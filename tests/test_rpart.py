@@ -4,7 +4,8 @@ import itertools
 import pytest
 
 from wkostka.rpart import (Composition, RPartition, RPartitionError,
-                           compositions, default_total_order, dim_x,
+                           compositions, count_rpartitions,
+                           default_total_order, dim_x,
                            dim_xm_unip, dominance_leq, enumerate_contingency,
                            enumerate_rpartitions, n_star,
                            sample_linear_extensions)
@@ -32,6 +33,41 @@ class TestEnumeration:
             items = enumerate_rpartitions(n, r)
             assert len(set(items)) == len(items)
             assert all(x.n == n and x.r == r for x in items)
+
+
+def recursive_compositions(n, r):
+    """The recursive definition that compositions replaced, kept as its
+    oracle: each first part from n down to 0, then the rest."""
+    if r == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in recursive_compositions(n - first, r - 1):
+            yield (first,) + rest
+
+
+class TestCompositions:
+    def test_order_matches_the_recursive_definition(self):
+        for n in range(7):
+            for r in range(1, 6):
+                assert list(compositions(n, r)) == \
+                    list(recursive_compositions(n, r)), (n, r)
+
+    def test_many_components_do_not_recurse(self):
+        assert list(compositions(0, 5000)) == [(0,) * 5000]
+        assert list(compositions(1, 3000))[-1] == (0,) * 2999 + (1,)
+
+    def test_count_matches_the_enumeration(self):
+        for n in range(8):
+            for r in range(1, 6):
+                assert count_rpartitions(n, r) == \
+                    len(enumerate_rpartitions(n, r)), (n, r)
+        assert count_rpartitions(14, 4) == 116090
+
+    @pytest.mark.parametrize("n, r", [(-1, 2), (2, 0)])
+    def test_count_rejects_what_the_enumeration_rejects(self, n, r):
+        with pytest.raises(RPartitionError):
+            count_rpartitions(n, r)
 
 
 class TestCSequence:
