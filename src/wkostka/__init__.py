@@ -13,7 +13,8 @@ import sys
 
 # Defining module -> the public names the package re-exports from it.
 _EXPORTS = {
-    "exact": ("ExactError", "LaurentPoly", "PolyMatrix", "RationalFunction"),
+    "exact": ("ExactError", "LaurentPoly", "PolyMatrix"),
+    "ratfunc": ("RationalFunction",),
     "factor": ("FactorizationError", "FactorizationResult", "IcMatrix",
                "order_sensitivity", "solve_factorization"),
     "charge": ("unmodify_kostka",),
@@ -33,6 +34,14 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_HOME, "clear_caches"])
 
 __version__ = "0.1.0"
+
+
+class UsageError(ValueError):
+    """A bad command line or command input: `wkostka` prints it as one
+    `error:` line and exits 2.  It is defined here, not in cli, because
+    `python -m wkostka.cli` runs cli as __main__: a command module that
+    imported it from wkostka.cli would load a second cli, whose UsageError
+    the running one would not catch."""
 
 
 def __getattr__(name: str):

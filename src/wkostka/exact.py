@@ -1,21 +1,20 @@
 """Exact scalar and polynomial arithmetic.
 
 Everything in this module is exact: Laurent polynomials in a single
-variable t over the rationals, the fraction field Q(t), and the cyclotomic
-polynomials Phi_r.  A Laurent coefficient is stored as an int where it is
-integral and as a fractions.Fraction otherwise, so the production path
-(whose Omega, P+- and Lambda are integral) computes over Z.  Q(t) only holds
-the Lambda and Lambda' diagonals of a solved factorization and the test
-oracles.  Every polynomial is stored densely, and one dense kernel computes
-in Q[t, t^-1]: Q(t)'s gcd runs Euclid's algorithm on its division, and the
-wreath oracle divides by Phi_r with it.  Values are immutable; all
-operations return new objects and are safe to share between threads.
+variable t over the rationals, and matrices of them.  A Laurent coefficient
+is stored as an int where it is integral and as a fractions.Fraction
+otherwise, so the production path (whose Omega, P+- and Lambda are
+integral) computes over Z.  Every polynomial is stored densely, and one
+dense kernel computes in Q[t, t^-1]: the gcd of Q[t] runs Euclid's
+algorithm on its division, and the wreath oracle divides by Phi_r with it.
+The fraction field Q(t) lives in ratfunc, which only the solver and the
+tests load; exact.RationalFunction still names it.  Values are immutable;
+all operations return new objects and are safe to share between threads.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 
 class ExactError(ValueError):
@@ -273,17 +272,19 @@ class LaurentPoly:
         return _parse(text)
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[()+\-*/^]|[A-Za-z]+)")
+# A pattern, not a compiled one: re compiles it on the first parse and
+# keeps it in its cache, so that a command that parses nothing never does.
+_TOKEN = r"\s*(\d+|[()+\-*/^]|[A-Za-z]+)"
 
 
 def _parse(text: str) -> LaurentPoly:
     """Recursive descent over three rules, where juxtaposition is "*":
     sum = [+|-] product {(+|-) product},  product = factor {[*] factor},
     factor = ("(" sum ")" | "t" | n ["/" d]) ["^" ["-"] e]."""
-    junk = _TOKEN_RE.sub("", text).split()
+    junk = re.sub(_TOKEN, "", text).split()
     if junk:
         raise ExactError(f"cannot tokenize {junk[0]!r}")
-    toks = _TOKEN_RE.findall(text)[::-1]  # a stack: the next token is last
+    toks = re.findall(_TOKEN, text)[::-1]  # a stack: the next token is last
 
     def fail(tok):
         raise ExactError(f"unexpected token {tok!r}" if tok
@@ -472,185 +473,6 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return _laurent(num.low - den.low, quot)
 
 
-class RationalFunction:
-    """An element of Q(t), kept in reduced canonical form.
-
-    The denominator is a true polynomial (minimal exponent 0) with leading
-    coefficient 1 and no common factor with the polynomial part of the
-    numerator; any monomial unit is folded into the numerator, which may
-    therefore carry negative exponents.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num)
-        if den is None:
-            den = LaurentPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly.const(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        shift = num.min_exp - den.min_exp
-        p = num.shift(-num.min_exp)
-        q = den.shift(-den.min_exp)
-        g = poly_gcd(p, q)
-        if not g.is_one:
-            p = exact_div(p, g)
-            q = exact_div(q, g)
-        lead = q.coeffs[-1]
-        if lead != 1:
-            inv = Fraction(1, lead)
-            p = p * inv
-            q = q * inv
-        self.num = p.shift(shift)
-        self.den = q
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction(LaurentPoly.zero())
-
-    @staticmethod
-    def one() -> "RationalFunction":
-        return RationalFunction(LaurentPoly.one())
-
-    @staticmethod
-    def t_power(k: int, coeff=1) -> "RationalFunction":
-        return RationalFunction(LaurentPoly.t_power(k, coeff))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def try_to_laurent(self) -> LaurentPoly:
-        if not self.den.is_one:
-            raise ExactError(
-                f"denominator {self.den} is not a unit; value is a true rational function")
-        return self.num
-
-    def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_rf(other)
-        return other if other is NotImplemented else other / self
-
-    def __eq__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return other
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def eval_at(self, q) -> Fraction:
-        d = self.den.eval_at(q)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {q}")
-        return self.num.eval_at(q) / d
-
-    def to_string(self) -> str:
-        if self.den.is_one:
-            return self.num.to_string()
-        return f"({self.num.to_string()})/({self.den.to_string()})"
-
-    def to_latex(self) -> str:
-        if self.den.is_one:
-            return self.num.to_latex()
-        return (r"\frac{" + self.num.to_latex() + "}{"
-                + self.den.to_latex() + "}")
-
-    @staticmethod
-    def parse(text: str) -> "RationalFunction":
-        m = re.fullmatch(r"\((.*)\)/\((.*)\)", text.strip())
-        if m:
-            return RationalFunction(LaurentPoly.parse(m.group(1)),
-                                    LaurentPoly.parse(m.group(2)))
-        return RationalFunction(LaurentPoly.parse(text))
-
-    def __str__(self):
-        return self.to_string()
-
-    def __repr__(self):
-        return f"RationalFunction({self.to_string()!r})"
-
-
-def _coerce_rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction, LaurentPoly)):
-        return RationalFunction(x)
-    return NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(r: int) -> tuple:
-    """Integer coefficients of Phi_r, constant term first.
-
-    >>> cyclotomic_polynomial(3)
-    (1, 1, 1)
-    >>> cyclotomic_polynomial(6)
-    (1, -1, 1)
-    """
-    if r < 1:
-        raise ExactError("conductor must be positive")
-    coeffs = [-1] + [0] * (r - 1) + [1]  # x^r - 1
-    for d in range(1, r):
-        if r % d == 0:
-            quot, rem = _dense_divmod(coeffs, cyclotomic_polynomial(d))
-            assert not rem
-            coeffs = [int(c) for c in quot]
-    return tuple(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # matrices over an exact coefficient ring
 # ---------------------------------------------------------------------------
@@ -684,3 +506,11 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.size}x{self.size})"
+
+
+def __getattr__(name: str):
+    """RationalFunction, from ratfunc on first use (PEP 562)."""
+    if name != "RationalFunction":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .ratfunc import RationalFunction
+    return RationalFunction

@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import lcm
 from operator import add, attrgetter, floordiv, lshift, mul, sub
 
-from .exact import (ExactError, LaurentPoly, PolyMatrix, RationalFunction,
-                    _laurent, exact_div)
+from .exact import ExactError, LaurentPoly, PolyMatrix, _laurent, exact_div
 from .omega import OmegaMatrix, omega_matrix
+from .ratfunc import RationalFunction
 from .record import FrozenRecord
 from .rpart import OrderedIndex, dominance_leq
 

@@ -198,3 +198,9 @@ def thm55_check(n: int, r: int, mode: str = "symbolic",
                     {"lam": str(lam), "mu": str(mu), "q": str(q),
                      "lhs": str(lhs_q), "rhs": str(rhs_q)})
     return report
+
+
+def _suite_thm55(args) -> VerifyReport:
+    """`verify thm55`: symbolic, or numeric at each --q."""
+    mode = "numeric" if args.q else "symbolic"
+    return thm55_check(args.n, args.r, mode, args.q or (2, 3, 4))

@@ -204,14 +204,6 @@ def _omega_row(lam: RPartition, m_prime: Composition, r: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _shift_shares(lam: RPartition) -> tuple:
-    """(a(lam) - r n(lam), a(tau lam) - r n(lam)): lam's share of the
-    exponent shift of an entry in its row, and of one in its column."""
-    rn = lam.r * lam.n_value()
-    return lam.a_value() - rn, lam.tau().a_value() - rn
-
-
-@lru_cache(maxsize=None)
 def _twist(lam: RPartition, k: int, conj: bool) -> RPartition:
     """lam tensored with delta^k, and with sgn when conj, for 0 <= k < r:
     component j moves to position j + k mod r, and every component is
@@ -225,9 +217,20 @@ def _twist(lam: RPartition, k: int, conj: bool) -> RPartition:
 @lru_cache(maxsize=None)
 def _orbit_twist(lam: RPartition) -> tuple:
     """The twist (k, conj) whose image of lam has the least parts tuple; on
-    a tie, the first in the order (0, False), (1, False), ..., (r-1, True)."""
-    return min(((k, conj) for conj in (False, True) for k in range(lam.r)),
-               key=lambda g: _twist(lam, *g).parts)
+    a tie, the first in the order (0, False), (1, False), ..., (r-1, True).
+    The components are conjugated once, and each image is a rotation of
+    lam's parts or of theirs, cut from it by slicing as _twist does."""
+    p = lam.parts
+    r = len(p)
+    conjugated = {False: p, True: tuple(conjugate_partition(c) for c in p)}
+
+    def image(g) -> tuple:
+        k, conj = g
+        q = conjugated[conj]
+        return q[r - k:] + q[:r - k]
+
+    return min(((k, conj) for conj in (False, True) for k in range(r)),
+               key=image)
 
 
 def omega_entry_cosets(lam: RPartition, mu: RPartition, r: int) -> LaurentPoly:
@@ -271,7 +274,8 @@ def _omega_entry_direct(lam: RPartition, mu: RPartition,
                              f"a coefficient {x} of L times it is not "
                              f"divisible by L = {den}")
         coeffs.append(q)
-    shift = r * comb(lam.n, 2) + _shift_shares(lam)[0] + _shift_shares(mu)[1]
+    shift = r * (comb(lam.n, 2) - lam.n_value() - mu.n_value()) + \
+        lam.a_value() + mu.tau().a_value()
     value = _laurent(low + shift, coeffs)
     if not value.has_nonneg_int_coeffs():
         raise OmegaError(

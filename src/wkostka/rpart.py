@@ -163,20 +163,22 @@ class RPartition(FrozenRecord):
     def r(self) -> int:
         return len(self.parts)
 
+    # n, weight, n(lambda), a(lambda) and tau are read from _invariants,
+    # which computes them once per r-partition.
+
     @property
     def n(self) -> int:
-        return sum(sum(c) for c in self.parts)
+        return _invariants(self.parts)[0]
 
     def weight(self) -> Composition:
-        return Composition._unchecked(tuple(sum(c) for c in self.parts))
+        return _invariants(self.parts)[1]
 
     def n_value(self) -> int:
-        return sum(partition_n_value(c) for c in self.parts)
+        return _invariants(self.parts)[2]
 
     def a_value(self) -> int:
         """r*n(lambda) + sum_(i>=2) (i-1)|lambda^(i)|."""
-        return self.r * self.n_value() + \
-            sum(i * sum(c) for i, c in enumerate(self.parts))
+        return _invariants(self.parts)[3]
 
     def c_sequence(self) -> tuple:
         """Interleaved part sequence, zero-padded to r*max(n, 1) entries."""
@@ -189,8 +191,7 @@ class RPartition(FrozenRecord):
 
     def tau(self) -> "RPartition":
         """The component rearrangement (r-1, r-2, ..., 1, r)."""
-        p = self.parts
-        return RPartition(tuple(reversed(p[:-1])) + (p[-1],))
+        return _invariants(self.parts)[4]
 
     def transpose(self) -> "RPartition":
         return RPartition(tuple(conjugate_partition(c) for c in self.parts))
@@ -221,6 +222,19 @@ class RPartition(FrozenRecord):
             else:
                 rendered.append("".join(str(p) for p in comp))
         return "(" + ";".join(rendered) + ")"
+
+
+@lru_cache(maxsize=None)
+def _invariants(parts: tuple) -> tuple:
+    """(n, weight, n(lambda), a(lambda), tau(lambda)) of the r-partition
+    with these parts.  The key is the parts tuple, which hashes in C, where
+    an RPartition would call its own __hash__."""
+    sizes = tuple(map(sum, parts))
+    n_value = sum(map(partition_n_value, parts))
+    a_value = len(parts) * n_value + \
+        sum(i * size for i, size in enumerate(sizes))
+    tau = RPartition._unchecked(tuple(reversed(parts[:-1])) + (parts[-1],))
+    return sum(sizes), Composition._unchecked(sizes), n_value, a_value, tau
 
 
 def _parse_partition(chunk: str) -> tuple:

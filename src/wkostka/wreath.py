@@ -15,12 +15,32 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .exact import (LaurentPoly, _dense_divmod, _exact, _laurent,
-                    cyclotomic_polynomial, exact_div)
+from .exact import (ExactError, LaurentPoly, _dense_divmod, _exact, _laurent,
+                    exact_div)
 from .factor import _packed, _unpacked
 from .omega import OmegaError
 from .rpart import RPartition, enumerate_rpartitions, n_star
 from .symgrp import centralizer_order, rim_hooks
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(r: int) -> tuple:
+    """Integer coefficients of Phi_r, constant term first.
+
+    >>> cyclotomic_polynomial(3)
+    (1, 1, 1)
+    >>> cyclotomic_polynomial(6)
+    (1, -1, 1)
+    """
+    if r < 1:
+        raise ExactError("conductor must be positive")
+    coeffs = [-1] + [0] * (r - 1) + [1]  # x^r - 1
+    for d in range(1, r):
+        if r % d == 0:
+            quot, rem = _dense_divmod(coeffs, cyclotomic_polynomial(d))
+            assert not rem
+            coeffs = [int(c) for c in quot]
+    return tuple(coeffs)
 
 
 def detV_value(rho: RPartition) -> tuple:

@@ -12,7 +12,8 @@ import pytest
 
 import wkostka
 from wkostka import omega as omega_mod, rpart
-from wkostka.cli import _FLAGS, SUITES, build_parser, main, omega_to_json
+from wkostka.cli import _FLAGS, SUITES, build_parser, main
+from wkostka.commands import omega_to_json
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
 from wkostka.omega import OmegaMatrix, omega_matrix
 from wkostka.rpart import OrderedIndex, RPartition, default_total_order
@@ -257,25 +258,75 @@ def test_traced_harness_reports_the_cli_digest(capsys, argv):
         hashlib.sha256(out.encode()).hexdigest()
 
 
-# The last five rows are argparse's own errors: a bad int, a missing
-# command, a missing suite, an unknown suite and an unknown command.
-@pytest.mark.parametrize("argv", [
-    ("verify", "lemma59", "--format", "csv"),
-    ("verify", "thm55", "--suite", "lemma59"),
-    ("solve", "--n", "1", "--r", "3", "--method", "both"),
-    ("enumerate", "--n", "1", "--r", "3", "--seed", "1"),
-    ("omega", "--n", "1", "--r", "3", "--samples", "3"),
-    ("verify", "orders", "--order", "default"),
-    ("solve", "--n", "x", "--r", "3"),
-    (),
-    ("verify",),
-    ("verify", "nonsense"),
-    ("orders", "--n", "2"),
-])
+# argv -> sha256 of its one stderr line.  The last five rows are argparse's
+# own errors: a bad int, a missing command, a missing suite, an unknown suite
+# and an unknown command.
+USAGE_ERRORS = {
+    ("verify", "lemma59", "--format", "csv"):
+        "f48694e8c87c763fce10318e8eb79aa896577aa0e150805aafabc5d761888b76",
+    ("verify", "thm55", "--suite", "lemma59"):
+        "12aca1af379584584d1be1f8cad22ffe54ce6506568db6c8b229d423e72523e1",
+    ("solve", "--n", "1", "--r", "3", "--method", "both"):
+        "0be074f88d894b0da64376d4a5c64735586f8a834544d760701e68c578dee4a1",
+    ("enumerate", "--n", "1", "--r", "3", "--seed", "1"):
+        "b1203bc0eeb35bc0c2d92487878e453370ca3ea29e13a465c7134cc2bbc20000",
+    ("omega", "--n", "1", "--r", "3", "--samples", "3"):
+        "b1e5bdc26812b955a0ec3da8da863489715e369f3c2231f378eca40b4c167434",
+    ("verify", "orders", "--order", "default"):
+        "6493b67c8a5628874cc60848891d3f202b8939973b8128b1ee2a0bca567da8e5",
+    ("solve", "--n", "x", "--r", "3"):
+        "5215f00a56e1ac44f29db5e94b769acfdabcb877547d97e0ab87d07ba7747b31",
+    ():
+        "398a71844e12cf1130e8120e26594978f8c8e18f9dc1ee972324c143698a7cad",
+    ("verify",):
+        "4f87d26bf39011c0dc2e4e1bbd6a20c303f305900d573c75a3577ae90b04c941",
+    ("verify", "nonsense"):
+        "c22a653af005e968bc22d0e9d8fd9610e385c70b084001a3c1f5f2d9e54f0c1d",
+    ("orders", "--n", "2"):
+        "6185907a9941c9b5e6e1cb6781c411d40929bd25faa975c2a9527f8c841f749c",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
 def test_undeclared_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert hashlib.sha256(err.encode()).hexdigest() == USAGE_ERRORS[argv]
+
+
+# sha256 of the --help stdout of the program, of each command and of each
+# verify suite, at a width of 80 columns.
+GOLDEN_HELP = {
+    "": "37fa55669328e21dd898621ff2d56f8bb4629067e14a89bd7601ece7b22d58fb",
+    "enumerate":
+        "0c8e311ed9e31735df536fa064f80c74e023573c12c6ffdea9ceff3090da38b1",
+    "omega": "cadde085a023033c66405c99c89d83b644695db3dfca6489aa5a8b61811b7cfb",
+    "solve": "7bebe99dc64264d8d4dc7fceed099d495d7f95f4eabb76646aed6f703784e743",
+    "verify": "e61ffdb35e3bb74fb6ce4decc89a90ed976bf0672f97397d4df6ee3e52e389a0",
+    "verify fixtures":
+        "13697db95d09006515e9be59fecbd1bee12e006c4b5897ae8d54a83069d7ccbe",
+    "verify lemma59":
+        "2a71597fbcfcfaba01df4fc496d5d4d1f837489bac9154c57948a2712fb738d5",
+    "verify thm55":
+        "486b3de9bbdce54d397c9e08640c02f1ef5f60b31d83f7db2b3fe60ce680fdd0",
+    "verify oracle":
+        "c599ad2fac641dc9d9e6e6ccb0015df7884fe15f0bcad41089193cb4f32d9326",
+    "verify symmetry":
+        "2db1fbc438890a0fea2a8e0662b7be0af6f929befe5033586af3a8adf8399d89",
+    "verify classical-r1":
+        "cbc04232cc4312b13bab46444de8f097abc68108a112f52ea11114373f6bf767",
+    "verify orders":
+        "74dcc00432a6c3e12d7ab32020a8ac9186769409df869ca733b782260556eca5",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_HELP))
+def test_golden_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_HELP[command]
 
 
 @pytest.mark.parametrize("command", [("enumerate",), ("omega",), ("solve",),
@@ -704,6 +755,33 @@ def _parser_flags() -> dict:
     return {name: {s for a in p._actions for s in a.option_strings
                    if s != "--help" and s.startswith("--")}
             for name, p in parsers.items()}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("solve", "--n", "2", "--r", "3", "--emit", "lambda"), {"solve"}),
+    (("omega", "--n", "1", "--r", "3", "--method", "wreath"), {"omega"}),
+    (("enumerate", "--n", "2", "--r", "2", "--format", "csv"), {"enumerate"}),
+    (("verify", "thm55", "--n", "2", "--q", "2", "3"), {"verify thm55"}),
+    (("verify", "orders", "--seed", "4"), {"verify orders"}),
+    (("verify", "--out", "x", "thm55"), set()),
+    (("solve", "--n", "-1", "--r", "3", "--order", "verify"), {"solve"}),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_the_named_parser_reads_argv_as_the_whole_tree(argv, named):
+    """build_parser(argv) gives flags only to the command and suite argv
+    names, and parses argv as the whole tree does, or fails as it does."""
+    def parsed(parser):
+        try:
+            return vars(parser.parse_args(argv))
+        except wkostka.UsageError as exc:
+            return str(exc)
+    assert parsed(build_parser(argv)) == parsed(build_parser())
+    parsers = dict(_subparsers(build_parser(argv)))
+    verify = parsers.pop("verify")
+    if argv[0] == "verify":
+        parsers.update((f"verify {suite}", p)
+                       for suite, p in _subparsers(verify).items())
+    assert {name for name, p in parsers.items()
+            if set(p._option_string_actions) - {"-h", "--help"}} == named
 
 
 def test_readme_flag_table_matches_the_parser():

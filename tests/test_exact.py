@@ -14,7 +14,8 @@ from literal_gcd import literal_gcd
 from literal_parse import literal_parse
 from wkostka import exact
 from wkostka.exact import (ExactError, LaurentPoly, RationalFunction,
-                           cyclotomic_polynomial, exact_div, poly_gcd)
+                           exact_div, poly_gcd)
+from wkostka.wreath import cyclotomic_polynomial
 
 
 def P(s):
@@ -404,6 +405,25 @@ class TestDictReference:
 
 
 class TestRationalFunction:
+    def test_exact_still_names_it(self):
+        from wkostka import ratfunc
+        assert exact.RationalFunction is ratfunc.RationalFunction \
+            is RationalFunction
+        with pytest.raises(AttributeError):
+            exact.no_such_name
+
+    def test_gcd_and_division_are_looked_up_in_exact(self, monkeypatch):
+        """A wrapper put on exact.poly_gcd or exact.exact_div, as the traced
+        benchmark puts one, sees every call that Q(t) makes."""
+        calls = []
+        for name in ("poly_gcd", "exact_div"):
+            real = getattr(exact, name)
+            monkeypatch.setattr(exact, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        f = RationalFunction(P("t^9 - 1"), P("t^3 - 1"))
+        assert f.try_to_laurent() == P("t^6 + t^3 + 1")
+        assert calls == ["poly_gcd", "exact_div", "exact_div"]
+
     def test_geometric_factor(self):
         f = RationalFunction(P("t^9 - 1"), P("t^3 - 1"))
         assert f.try_to_laurent() == P("t^6 + t^3 + 1")

@@ -82,12 +82,15 @@ def test_import_wkostka_loads_no_module():
     assert _loaded("import wkostka") == set()
 
 
-# Tuples, not sets: a set's order, and so the test id, varies with the hash seed.
+# Tuples, not sets: a set's order, and so the test id, varies with the hash
+# seed.  commands holds enumerate, omega and solve, suites every verify suite
+# but thm55 (whose body is in greencheck), and ratfunc is Q(t).
 @pytest.mark.parametrize("argv, unused", [
     (("solve", "--n", "2", "--r", "3"),
-     ("greencheck", "charge", "fixtures", "wreath")),
+     ("greencheck", "charge", "fixtures", "wreath", "suites")),
     (("verify", "thm55", "--n", "2", "--r", "2"),
-     ("factor", "charge", "wreath")),
+     ("factor", "charge", "wreath", "commands", "ratfunc", "suites",
+      "fixtures")),
 ], ids=" ".join)
 def test_each_command_loads_only_its_modules(argv, unused):
     loaded = _loaded("import io, contextlib, wkostka.cli",
@@ -129,7 +132,7 @@ def test_the_green_inner_product_shares_no_omega_kernel():
 def test_the_symmetry_suite_checks_the_direct_entries():
     """omega_entry_cosets maps (lam, mu) and its twist to one representative,
     so a symmetry check through it would compare an entry with itself."""
-    named = _names_in("cli.py", "_suite_symmetry")
+    named = _names_in("suites.py", "_suite_symmetry")
     assert "_omega_entry_direct" in named
     assert "omega_entry_cosets" not in named
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wkostka.omega as omega_mod
-from wkostka.exact import ExactError, LaurentPoly, cyclotomic_polynomial
+from wkostka.exact import ExactError, LaurentPoly
 from wkostka.greencheck import thm55_check
 import wkostka
 from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
@@ -19,9 +19,9 @@ from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            default_total_order, enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
-from wkostka.wreath import (_classes, _zeta_mul, detV_value, fake_degree,
-                            omega_entry_bruteforce, rho_character,
-                            zeta_coords)
+from wkostka.wreath import (_classes, _zeta_mul, cyclotomic_polynomial,
+                            detV_value, fake_degree, omega_entry_bruteforce,
+                            rho_character, zeta_coords)
 
 from literal_cosets import omega_by_literal_cosets
 from literal_omega_block import omega_by_fraction_blocks
@@ -394,6 +394,29 @@ class TestOmegaEntries:
         assert [_twist(lam, k, False) for k in range(3)] == \
             [lam, RP("(-;2;-)"), RP("(-;-;2)")]
         assert _twist(lam, *_orbit_twist(lam)) == RP("(-;-;11)")
+
+    @pytest.mark.parametrize("n,r", [(0, 1), (0, 4), (1, 1), (1, 5), (2, 2),
+                                     (3, 1), (3, 3), (2, 6), (4, 2), (4, 3)])
+    def test_orbit_twist_matches_the_twists_it_replaced(self, n, r):
+        """_orbit_twist slices the rotations of lam and of its conjugate;
+        the minimum over the 2r _twist images, in the same order, is its
+        oracle, tie-breaking included."""
+        def oracle(lam):
+            return min(((k, conj) for conj in (False, True)
+                        for k in range(lam.r)),
+                       key=lambda g: _twist(lam, *g).parts)
+
+        for lam in enumerate_rpartitions(n, r):
+            assert _orbit_twist(lam) == oracle(lam), lam
+
+    def test_orbit_twist_builds_no_twist_of_lam(self):
+        """At n = 0 and 1000 colours, K = 1: Omega twists its one pair once,
+        where ranking the 2r twists through _twist's cache made 2000
+        entries of 1000 components each."""
+        wkostka.clear_caches()
+        om = omega_matrix(0, 1000, default_total_order(0, 1000))
+        assert om.entries.rows == ((P("1"),),)
+        assert _twist.cache_info().currsize <= len(om.order) == 1
 
     @pytest.mark.parametrize("n,r", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_dual_route(self, n, r):

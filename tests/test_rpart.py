@@ -1,8 +1,12 @@
 """R-partition combinatorics: enumeration, orders, statistics, margins."""
+import hashlib
 import itertools
+import pickle
 
 import pytest
 
+import wkostka
+from wkostka import rpart
 from wkostka.rpart import (Composition, RPartition, RPartitionError,
                            compositions, count_rpartitions,
                            default_total_order, dim_x,
@@ -274,3 +278,51 @@ class TestTextForm:
     def test_invalid(self):
         with pytest.raises(RPartitionError):
             RP("(12a;-)")
+
+
+class TestInvariantsCache:
+    """n, weight, n(lambda), a(lambda) and tau are computed once per
+    r-partition, in rpart._invariants; each value, and the record's own
+    equality, hash, repr and pickle, stay those of the uncached methods."""
+
+    # sha256 over the repr of, for each r-partition of 3 with 3 colours in
+    # enumeration order: its repr, its pickle (protocol 4) in hex, and the
+    # repr of tau, a, n(lambda), n and weight, as the methods computed them
+    # before they were cached.
+    DIGEST = "b9bfb9a1cee99b2ceba97f5724322f918dd58cc49d57214c2d5241ddd65c788b"
+
+    def test_values_match_the_uncached_methods(self):
+        wkostka.clear_caches()
+        items = enumerate_rpartitions(3, 3)
+        rows = [(repr(lam), pickle.dumps(lam, protocol=4).hex(),
+                 repr(lam.tau()), lam.a_value(), lam.n_value(), lam.n,
+                 repr(lam.weight())) for lam in items]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
+        for lam in items:
+            copy = RPartition(lam.parts)
+            assert copy == lam and copy is not lam
+            assert hash(lam) == hash(copy) == hash((lam.parts,))
+            back = pickle.loads(pickle.dumps(lam))
+            assert back == lam and repr(back) == repr(lam)
+            assert back.tau() == lam.tau() and back.weight() == lam.weight()
+            assert sum(lam.parts[0]) == lam.weight().parts[0]
+        assert len(set(items)) == len(items)
+
+    def test_computed_once_and_emptied_by_clear_caches(self):
+        wkostka.clear_caches()
+        lam = RP("(21;-;1)")
+        assert lam.tau() is lam.tau() and lam.weight() is lam.weight()
+        assert lam.tau() == RP("(-;21;1)") and lam.tau().tau() == lam
+        assert rpart._invariants.cache_info().currsize == 2
+        wkostka.clear_caches()
+        assert rpart._invariants.cache_info().currsize == 0
+        assert (lam.n, lam.n_value(), lam.a_value()) == (4, 1, 5)
+
+    def test_tau_is_a_checked_rpartition(self):
+        """tau is built unchecked from a checked r-partition, so it must
+        still be one: its components are partitions, of the same sizes."""
+        for lam in enumerate_rpartitions(3, 4):
+            tau = lam.tau()
+            assert RPartition(tau.parts) == tau
+            assert sorted(tau.weight().parts[:-1]) == \
+                sorted(lam.weight().parts[:-1])
