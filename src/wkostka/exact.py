@@ -7,9 +7,12 @@ otherwise, so the production path (whose Omega, P+- and Lambda are
 integral) computes over Z.  Every polynomial is stored densely, and one
 dense kernel computes in Q[t, t^-1]: the gcd of Q[t] runs Euclid's
 algorithm on its division, and the wreath oracle divides by Phi_r with it.
-The fraction field Q(t) lives in ratfunc, which only the solver and the
-tests load; exact.RationalFunction still names it.  Values are immutable;
-all operations return new objects and are safe to share between threads.
+One Kronecker codec (_packed, _unpacked) turns an integral Laurent
+polynomial into an integer at t = 2^bits and back, for the solver and the
+wreath oracle.  The fraction field Q(t) lives in ratfunc, which only the
+solver and the tests load; exact.RationalFunction still names it.  Values
+are immutable; all operations return new objects and are safe to share
+between threads.
 """
 from __future__ import annotations
 
@@ -365,6 +368,36 @@ def _laurent(low: int, cs) -> LaurentPoly:
     out.low = low + lo if hi else 0
     out.coeffs = cs
     return out
+
+
+# The Kronecker codec: an integral Laurent polynomial packs to an integer at
+# t = 2^bits, about its own low exponent.  A zero value gets the offset
+# _NO_LOW, above every real one, so that it never sets the base of a sum.
+_NO_LOW = 1 << 40
+
+
+def _packed(p: LaurentPoly, bits: int) -> tuple:
+    """(offset, v) of p: bits times p's low exponent, and p * t^-low at
+    t = 2^bits.  A zero p packs to (_NO_LOW, 0)."""
+    if not p.coeffs:
+        return _NO_LOW, 0
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << bits) + c
+    return bits * p.low, v
+
+
+def _unpacked(v: int, low: int, bits: int) -> LaurentPoly:
+    """The Laurent polynomial t^low * sum c_i t^i whose balanced base-2^bits
+    digits c_i, each in [-2^(bits-1), 2^(bits-1)), make up v."""
+    half = 1 << (bits - 1)
+    mask = (half << 1) - 1
+    cs = []
+    while v:
+        c = ((v + half) & mask) - half
+        cs.append(c)
+        v = (v - c) >> bits
+    return _laurent(low, cs)
 
 
 def _padded(p: LaurentPoly, low: int) -> tuple:

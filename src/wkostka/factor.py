@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import add, attrgetter, floordiv, lshift, mul, sub
+from operator import add, lshift, mul, sub
 
-from .exact import ExactError, LaurentPoly, PolyMatrix, _laurent, exact_div
+from .exact import LaurentPoly, PolyMatrix, _NO_LOW, _packed, _unpacked
 from .omega import OmegaMatrix, omega_matrix
 from .ratfunc import RationalFunction
 from .record import FrozenRecord
@@ -50,156 +50,145 @@ class FactorizationResult(FrozenRecord):
 
 
 def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
-    """Forward elimination in the total order, in the Laurent ring.
+    """Forward elimination in the total order, on packed integers.
 
     Writing M = Lambda * transpose(P+) (upper triangular), row k of M and
     column k of P- follow from rows/columns before k; the pivot divisions
     are by the unit t^(a_k) first and then by the diagonal xi_k, which the
-    uniqueness theorem guarantees to be nonzero.  When every P+- entry is
-    a Laurent polynomial, so is every row of M and every xi_k, so each
-    division is exact; an inexact one names the entry that leaves the ring.
-    Each inner sum Omega - sum_g P-_kg M_gb is one integer sum of packed
-    values (_packed_sum), decoded once.  Every result is checked against
-    Omega (_verify_reconstruction) before it is returned.
+    uniqueness theorem guarantees to be nonzero.
+
+    P+- must lie in Z[t, t^-1].  Every genuine Omega computed so far gives
+    this, but no statement of it is cited here, so it is assumed: an Omega
+    whose P+- leave that ring raises FactorizationError, most often naming
+    the entry whose division is inexact, and never yields a table.  Lambda
+    may have rational coefficients.  Omega is multiplied by D, the lcm of
+    its coefficients' denominators; as P+- are unitriangular over
+    Z[t, t^-1], D Lambda is then integral too, and xi gives D back.
+
+    _eliminate runs first at a width that holds Omega's largest
+    coefficient, and at least _BITS.  Every result is checked against Omega
+    (_verify_reconstruction), exactly and independently of the elimination.
+    If the elimination or the check fails at the first width, the whole
+    elimination runs once more at twice the width, and a second failure is
+    the one raised.
     """
     order = om.order
-    items = order.items
-    k_total = len(items)
-    a = [lam.a_value() for lam in items]
     omega = om.entries.rows
-    zero = LaurentPoly.zero()
-    m_upper = [[zero] * k_total for _ in range(k_total)]
-    p_minus = [[zero] * k_total for _ in range(k_total)]
-    p_plus = [[zero] * k_total for _ in range(k_total)]
-    xi = []
-    # The packed P- rows and M columns, each as the four lists of _columns;
-    # at step k a P- row holds its entries g < k and an M column its rows
-    # g < k (the column k also g = k, which the shorter P- row leaves out).
-    pm_packed = [_columns((), _BITS) for _ in range(k_total)]
-    m_packed = [_columns((), _BITS) for _ in range(k_total)]
+    d = lcm(*(c.denominator for row in omega for p in row
+              if Fraction in map(type, p.coeffs) for c in p.coeffs))
+    if d != 1:
+        omega = [[p * d for p in row] for row in omega]
+    width = max(_BITS, 1 + max(max(map(abs, p.coeffs), default=0)
+                               for row in omega for p in row).bit_length())
 
-    def divide(num, den, name, i, j):
-        try:
-            return exact_div(num, den)
-        except ExactError as exc:
-            raise FactorizationError(
-                f"{name} entry ({items[i]}, {items[j]}) is not a "
-                f"Laurent polynomial: {exc}")
+    def solved(bits):
+        pm, xi, pp = _eliminate(order, omega, bits)
+        if d != 1:
+            xi = tuple(x * Fraction(1, d) for x in xi)
+        _verify_reconstruction(order, pm, xi, pp, om)
+        return pm, xi, pp
 
-    def inner_sum(i, j, k):
-        """Omega_ij - sum_(g<k) P-_ig M_gj."""
-        return _packed_sum(omega[i][j], pm_packed[i], m_packed[j], _BITS,
-                           lambda: (p_minus[i][:k],
-                                    [m_upper[g][j] for g in range(k)]))
-
-    for k in range(k_total):
-        for b in range(k, k_total):
-            m_upper[k][b] = inner_sum(k, b, k).shift(-a[k])
-            _push(m_packed[b], m_upper[k][b])
-        pivot = m_upper[k][k]
-        xi_k = pivot.shift(-a[k])
-        if xi_k.is_zero:
-            raise FactorizationError(
-                f"vanishing pivot at index {k} ({items[k]}); "
-                "the factorization theorem promises this cannot happen for a "
-                "genuine fake-degree matrix")
-        xi.append(xi_k)
-        p_minus[k][k] = p_plus[k][k] = LaurentPoly.t_power(a[k])
-        _push(pm_packed[k], p_minus[k][k])
-        for b in range(k + 1, k_total):
-            p_plus[b][k] = divide(m_upper[k][b], xi_k, "P+", b, k)
-        for al in range(k + 1, k_total):
-            p_minus[al][k] = divide(inner_sum(al, k, k), pivot, "P-", al, k)
-            _push(pm_packed[al], p_minus[al][k])
-
-    pm = PolyMatrix(order, p_minus)
-    pp = PolyMatrix(order, p_plus)
-    _verify_reconstruction(order, pm, tuple(xi), pp, om)
+    try:
+        pm, xi, pp = solved(width)
+    except FactorizationError:
+        pm, xi, pp = solved(2 * width)
+    a = tuple(lam.a_value() for lam in order.items)
     lam = tuple(RationalFunction(x) for x in xi)
     theta = theta_diag(order)
     return FactorizationResult(
         order=order, omega=om, p_minus=pm, p_plus=pp, lam=lam,
-        a_values=tuple(a), theta=theta, lambda_prime=lambda_prime(lam, theta),
+        a_values=a, theta=theta, lambda_prime=lambda_prime(lam, theta),
         p_plus_modified=modified_pplus(pp, theta),
         ic_minus=ic_minus_matrix(order, pm, om.r),
         ic_plus=ic_plus_candidate(order, pp, om.r))
 
 
-# The elimination packs each value at t = 2^_BITS (_BITS is a default: a sum
-# whose bound needs more repacks at a wider width).  _packed owns how a value
-# becomes an integer, zero values included: they get the offset _NO_LOW,
-# above every real one, so that they never set the base of a sum.
+# The least first width of the elimination, in bits.
 _BITS = 32
-_NO_LOW = 1 << 40
-_denominator = attrgetter("denominator")
 
 
-def _record(p: LaurentPoly, bits: int) -> tuple:
-    """(offset, packed, norm, den) of p: _packed of D p at 2^bits, the
-    1-norm of D p, and D, the lcm of p's coefficient denominators."""
-    d = lcm(*map(_denominator, p.coeffs))
-    if d != 1:
-        p = p * d
-    return (*_packed(p, bits), sum(map(abs, p.coeffs)), d)
+def _eliminate(order, omega, bits: int) -> tuple:
+    """(P-, xi, P+) of P- diag(xi) transpose(P+) = omega, for an integral
+    omega, by forward elimination on values packed at t = 2^bits.
 
-
-def _columns(values, bits: int) -> tuple:
-    """The records of values as four lists: offsets, packed, norms, dens."""
-    return tuple(map(list, zip(*(_record(p, bits) for p in values)))) \
-        or ([], [], [], [])
-
-
-def _push(columns: tuple, p: LaurentPoly):
-    """Append p's record at the default width to the lists of columns."""
-    for column, field in zip(columns, _record(p, _BITS)):
-        column.append(field)
-
-
-def _packed_sum(omega: LaurentPoly, row: tuple, col: tuple, bits: int,
-                operands) -> LaurentPoly:
-    """omega - sum_g row_g col_g, for two value lists packed by _columns at
-    2^bits (the shorter list fixes the length), as one integer sum.
-
-    Each product packs about the sum of its factors' lows, so it enters
-    shifted by bits (low_a + low_b - base), with base the least of those
-    sums and of omega's low; every term enters over the lcm D of the
-    terms' denominators.  The total is D (omega - sum) at t = 2^bits about
-    base, and every coefficient of that polynomial is at most
-
-        C = D ||omega||_1 + sum_g (D / (d_a d_b)) ||a_g||_1 ||b_g||_1
-
-    in absolute value (norms and denominators as in _record).  Where
-    2^(bits-1) > C, the balanced base-2^bits digits of the total are its
-    coefficients (_unpacked).  Otherwise operands() returns the two value
-    lists, which are packed again at the least width with 2^(width-1) > C.
+    Each value is (offset, integer) as _packed makes it.  Evaluation at
+    t = 2^bits is a ring map, so each inner sum omega_ij - sum_g P-_ig M_gj
+    (M = diag(xi) transpose(P+)) is one integer sum of its terms, each
+    shifted by its offset less the least one.  Its zero low digits are then
+    stripped, so that where the width holds its coefficients its offset is
+    bits times its low exponent, and each pivot division is one exact
+    divmod; a nonzero remainder raises FactorizationError.  Only P-, xi
+    and P+ are decoded, at the end.  A width too small for them, or for the
+    inner sums, leaves a remainder or decoded tables that the caller's
+    check rejects.
     """
-    offsets_a, packed_a, norms_a, dens_a = row
-    offsets_b, packed_b, norms_b, dens_b = col
-    offset, value, norm, den = _record(omega, bits)
-    offsets = list(map(add, offsets_a, offsets_b))
-    base = min(offset, min(offsets, default=offset))
-    terms = map(mul, packed_a, packed_b)
-    norms = map(mul, norms_a, norms_b)
-    d = 1
-    if den != 1 or dens_a.count(1) < len(dens_a) \
-            or dens_b.count(1) < len(dens_b):
-        d = lcm(den, *map(mul, dens_a, dens_b))
-        scales = list(map(floordiv, itertools.repeat(d),
-                          map(mul, dens_a, dens_b)))
-        terms = map(mul, terms, scales)
-        norms = map(mul, norms, scales)
-        value *= d // den
-        norm *= d // den
-    bound = norm + sum(norms)
-    if bound >> (bits - 1):
-        width = bound.bit_length() + 1
-        a, b = operands()
-        return _packed_sum(omega, _columns(a, width), _columns(b, width),
-                           width, None)
-    total = (value << offset - base) - sum(
-        map(lshift, terms, map(sub, offsets, itertools.repeat(base))))
-    out = _unpacked(total, base // bits, bits)
-    return out if d == 1 else out * Fraction(1, d)
+    items = order.items
+    k_total = len(items)
+    a = [lam.a_value() for lam in items]
+    omega = [[_packed(p, bits) for p in row] for row in omega]
+    # Row i of P- and column j of M as offsets and integers: at step k a P-
+    # row holds its entries g < k, an M column its rows g < k (column k also
+    # g = k, which the shorter P- row leaves out of a sum).
+    pm_offsets = [[] for _ in items]
+    pm_values = [[] for _ in items]
+    m_offsets = [[] for _ in items]
+    m_values = [[] for _ in items]
+    pp = [[] for _ in items]
+    xi = []
+
+    def inner_sum(i, j):
+        offset, value = omega[i][j]
+        offsets = list(map(add, pm_offsets[i], m_offsets[j]))
+        base = min(offset, min(offsets, default=offset))
+        total = (value << offset - base) - sum(map(
+            lshift, map(mul, pm_values[i], m_values[j]),
+            map(sub, offsets, itertools.repeat(base))))
+        if not total:
+            return _NO_LOW, 0
+        zeros = ((total & -total).bit_length() - 1) // bits * bits
+        return base + zeros, total >> zeros
+
+    def divide(num, den, name, i, j):
+        q, rem = divmod(num[1], den[1])
+        if rem:
+            raise FactorizationError(
+                f"{name} entry ({items[i]}, {items[j]}) is not a Laurent "
+                "polynomial: inexact polynomial division")
+        return (num[0] - den[0], q) if q else (_NO_LOW, 0)
+
+    for k in range(k_total):
+        shift = bits * a[k]
+        for b in range(k, k_total):
+            offset, value = inner_sum(k, b)
+            m_offsets[b].append(offset - shift)
+            m_values[b].append(value)
+        pivot = m_offsets[k][k], m_values[k][k]
+        if not pivot[1]:
+            raise FactorizationError(
+                f"vanishing pivot at index {k} ({items[k]}); "
+                "the factorization theorem promises this cannot happen for a "
+                "genuine fake-degree matrix")
+        xi.append((pivot[0] - shift, pivot[1]))
+        for b in range(k + 1, k_total):
+            pp[b].append(divide((m_offsets[b][k], m_values[b][k]), xi[k],
+                                "P+", b, k))
+        for al in range(k + 1, k_total):
+            offset, value = divide(inner_sum(al, k), pivot, "P-", al, k)
+            pm_offsets[al].append(offset)
+            pm_values[al].append(value)
+
+    def decoded(offset, value):
+        return _unpacked(value, offset // bits, bits)
+
+    zero = LaurentPoly.zero()
+
+    def lower(rows):
+        return PolyMatrix(order, (
+            (*itertools.starmap(decoded, row), LaurentPoly.t_power(a[i]),
+             *[zero] * (k_total - 1 - i)) for i, row in enumerate(rows)))
+
+    return (lower(map(zip, pm_offsets, pm_values)),
+            tuple(itertools.starmap(decoded, xi)), lower(pp))
 
 
 def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
@@ -260,30 +249,6 @@ def reconstruction_mismatches(p_minus, xi, p_plus, omega):
             base = min([offset] + [o for o, _ in terms])
             if sum(v << o - base for o, v in terms) != value << offset - base:
                 yield i, j
-
-
-def _packed(p: LaurentPoly, bits: int) -> tuple:
-    """(offset, v) of p: bits times p's low exponent, and p * t^-low at
-    t = 2^bits.  A zero p packs to (_NO_LOW, 0)."""
-    if not p.coeffs:
-        return _NO_LOW, 0
-    v = 0
-    for c in reversed(p.coeffs):
-        v = (v << bits) + c
-    return bits * p.low, v
-
-
-def _unpacked(v: int, low: int, bits: int) -> LaurentPoly:
-    """The Laurent polynomial t^low * sum c_i t^i whose balanced base-2^bits
-    digits c_i, each in [-2^(bits-1), 2^(bits-1)), make up v."""
-    half = 1 << (bits - 1)
-    mask = (half << 1) - 1
-    cs = []
-    while v:
-        c = ((v + half) & mask) - half
-        cs.append(c)
-        v = (v - c) >> bits
-    return _laurent(low, cs)
 
 
 def theta_diag(order: OrderedIndex) -> tuple:

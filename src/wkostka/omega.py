@@ -123,9 +123,11 @@ def coset_table(m: Composition, m_prime: Composition) -> tuple:
     r = m.r
     classes = {k: [(rho, centralizer_order(rho)) for rho in partitions(k)]
                for k in range(m.n + 1)}
+    rows_used = [i for i in range(r) if m_prime.parts[i]]
+    cols_used = [j for j in range(r) if m.parts[j]]
     out = []
     for h in enumerate_contingency(m, m_prime):
-        cells = [(i, j) for i in range(r) for j in range(r) if h.rows[i][j]]
+        cells = [(i, j) for i in rows_used for j in cols_used if h.rows[i][j]]
         terms: dict = {}
         for choice in itertools.product(*(classes[h.rows[i][j]]
                                           for i, j in cells)):

@@ -6,8 +6,8 @@ Murnaghan-Nakayama rule (Macdonald; Stembridge, Pacific J. Math. 140, 1989).
 A zeta-valued quantity is a zeta-power vector v of ints, worth
 sum_k v[k] zeta^(k mod r), multiplied by cyclic convolution in Z[C_r] and
 reduced modulo Phi_r once, at the end (a ring map onto Z[zeta_r]).  The
-fake-degree sums run on integers packed at t = 2^bits by factor's codec,
-which the coset route does not use."""
+fake-degree sums run on integers packed at t = 2^bits by exact's Kronecker
+codec, which the coset route does not use."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -16,8 +16,7 @@ from math import factorial
 from operator import mul
 
 from .exact import (ExactError, LaurentPoly, _dense_divmod, _exact, _laurent,
-                    exact_div)
-from .factor import _packed, _unpacked
+                    _packed, _unpacked, exact_div)
 from .omega import OmegaError
 from .rpart import RPartition, enumerate_rpartitions, n_star
 from .symgrp import centralizer_order, rim_hooks
@@ -157,14 +156,14 @@ def _packed_quotients(n: int, r: int, bits: int) -> tuple:
                  for *_, quot in _classes(n, r))
 
 
-def _columns(vectors, r: int) -> tuple:
+def _by_power(vectors, r: int) -> tuple:
     """Zeta-power vectors, one per class, as r columns, one per power."""
     return tuple(zip(*(tuple(v) + (0,) * (r - len(v)) for v in vectors)))
 
 
 def _fake_degree_sum(n: int, r: int, left: tuple, right: tuple,
                      bits: int) -> LaurentPoly:
-    """(1/|W|) sum_C left_C right_C from the _columns of left's ints and of
+    """(1/|W|) sum_C left_C right_C from the _by_power of left's ints and of
     right's values packed at 2^bits (_width): r dot products per power of
     zeta, reduced modulo Phi_r; an irrational result raises OmegaError."""
     totals = [sum(sum(map(mul, left[i], right[(m - i) % r]))
@@ -189,8 +188,8 @@ def fake_degree(n: int, r: int, chi) -> LaurentPoly:
                for rho, inv, size, _ in classes]
     bits = _width(r, sum(sum(map(abs, s)) * _height(quot)
                          for s, (*_, quot) in zip(scalars, classes)))
-    return _fake_degree_sum(n, r, _columns(scalars, r),
-                            _columns(_packed_quotients(n, r, bits), r), bits)
+    return _fake_degree_sum(n, r, _by_power(scalars, r),
+                            _by_power(_packed_quotients(n, r, bits), r), bits)
 
 
 @lru_cache(maxsize=None)
@@ -207,15 +206,15 @@ def _entry_bits(n: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _halves(lam: RPartition) -> tuple:
-    """lam's halves of the entries in its row and in its column, as _columns:
+    """lam's halves of the entries in its row and in its column, as _by_power:
     rho^lam(C), and |C| rho^lam(C^-1) times C's packed quotient."""
     n, r = lam.n, lam.r
     classes = _classes(n, r)
     packed = _packed_quotients(n, r, _entry_bits(n, r))
-    return (_columns((_mn(lam.parts, rho.parts) for rho, *_ in classes), r),
-            _columns((_zeta_mul([size * c for c in _mn(lam.parts, inv.parts)],
-                                q, r)
-                      for (_, inv, size, _), q in zip(classes, packed)), r))
+    return (_by_power((_mn(lam.parts, rho.parts) for rho, *_ in classes), r),
+            _by_power((_zeta_mul([size * c for c in _mn(lam.parts, inv.parts)],
+                                 q, r)
+                       for (_, inv, size, _), q in zip(classes, packed)), r))
 
 
 @lru_cache(maxsize=None)

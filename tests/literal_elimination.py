@@ -1,9 +1,11 @@
-"""The Laurent-polynomial elimination, kept as the oracle of the packed
-integer elimination in factor.solve_factorization.
+"""The Laurent-polynomial elimination: the oracle of the packed integer
+elimination in factor.solve_factorization, which must match it over the
+whole grid of test_factor.TestPackedElimination.test_matches_the_laurent_oracle.
 
 It forms every inner sum Omega - sum_g P-_kg M_gb (M = Lambda transpose(P+))
 as about K^3/3 LaurentPoly products, and divides at the pivots with
-exact_div, raising the same FactorizationError messages as the solver.
+exact_div over Q, raising the same FactorizationError messages as the
+solver where a division leaves Q[t, t^-1] or a pivot vanishes.
 """
 from wkostka.exact import ExactError, LaurentPoly, exact_div
 from wkostka.factor import FactorizationError

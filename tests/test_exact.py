@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from literal_gcd import literal_gcd
@@ -344,6 +344,20 @@ class TestIntegralCoefficients:
                           p.shift(3), p.reciprocal_var()):
                 assert _is_canonical(value)
         assert LaurentPoly(as_fraction) * Fraction(1, 2) * 2 == first
+
+
+class TestKroneckerCodec:
+    @given(st.integers(-5, 5), st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                        max_size=6), st.integers(42, 70))
+    @example(3, [], 42)
+    def test_unpacked_inverts_packed(self, low, cs, bits):
+        p = LaurentPoly({low + i: c for i, c in enumerate(cs)})
+        offset, v = exact._packed(p, bits)
+        if p.is_zero:
+            assert (offset, v) == (exact._NO_LOW, 0)
+        else:
+            assert offset == bits * p.low
+            assert exact._unpacked(v, p.low, bits) == p
 
 
 class TestDictReference:

@@ -1,16 +1,17 @@
 """Triangular factorization, IC transforms, order sensitivity, charge oracle,
 and the packed reconstruction check against its two oracles."""
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from literal_elimination import literal_elimination
 from literal_reconstruction import laurent_mismatches, matrix_low_mismatches
-from wkostka import factor
+from wkostka import cli, factor, omega
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
 from wkostka.charge import (charge, classical_kostka_polynomial,
                             classical_modified_kostka, semistandard_tableaux,
@@ -283,6 +284,20 @@ def _factors(res):
     return [pm, xi, pp]
 
 
+def _noted_widths(monkeypatch) -> list:
+    """The widths at which solve_factorization runs the elimination, noted
+    as it runs."""
+    widths = []
+    eliminate = factor._eliminate
+
+    def noted(order, rows, bits):
+        widths.append(bits)
+        return eliminate(order, rows, bits)
+
+    monkeypatch.setattr(factor, "_eliminate", noted)
+    return widths
+
+
 def _synthetic_omega(order, p_minus, xi, p_plus):
     """The OmegaMatrix P- diag(xi) transpose(P+) over order."""
     k = len(xi)
@@ -323,25 +338,52 @@ class TestPackedElimination:
             list(literal_elimination(om))
 
     @given(st.sampled_from(sorted(_SMALL_ORDERS)), st.data(),
-           st.booleans())
+           st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_recovers_synthetic_factors(self, size, data, fractions):
+    def test_recovers_synthetic_factors(self, size, data, xi_fractions,
+                                        p_fractions):
+        # Fractions in xi, and so in Omega, are recovered; P+- outside
+        # Z[t, t^-1] make the solver raise, while the Laurent loop, which
+        # divides over Q, still recovers them.
         order = _SMALL_ORDERS[size]
         k = len(order)
-        coefficients = st.integers(-9, 9)
-        if fractions:
-            coefficients = st.one_of(coefficients, st.fractions(
-                min_value=-4, max_value=4, max_denominator=6))
-        values = _laurent_values(coefficients)
-        table = data.draw(st.lists(values, min_size=2 * k * k,
+
+        def values(fractions):
+            coefficients = st.integers(-9, 9)
+            if fractions:
+                coefficients = st.one_of(coefficients, st.fractions(
+                    min_value=-4, max_value=4, max_denominator=6))
+            return _laurent_values(coefficients)
+
+        table = data.draw(st.lists(values(p_fractions), min_size=2 * k * k,
                                    max_size=2 * k * k))
-        xi = data.draw(st.lists(values.filter(lambda p: not p.is_zero),
-                                min_size=k, max_size=k))
+        xi = data.draw(st.lists(values(xi_fractions).filter(
+            lambda p: not p.is_zero), min_size=k, max_size=k))
         p_minus = _unitriangular(order, lambda i, j: table[i * k + j])
         p_plus = _unitriangular(order, lambda i, j: table[k * k + i * k + j])
         om = _synthetic_omega(order, p_minus, xi, p_plus)
-        assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
         assert list(literal_elimination(om)) == [p_minus, xi, p_plus]
+        if all(type(c) is int for rows in (p_minus, p_plus) for row in rows
+               for p in row for c in p.coeffs):
+            assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
+        else:
+            with pytest.raises(FactorizationError):
+                solve_factorization(om)
+
+    def test_a_half_in_p_minus_is_named(self):
+        # Omega is integral, but P-_(1,0) = 1/2 is not.
+        order = _SMALL_ORDERS[1, 3]
+        p_minus = _unitriangular(order, lambda i, j: LaurentPoly.const(
+            Fraction(1, 2)) if (i, j) == (1, 0) else LaurentPoly.zero())
+        p_plus = _unitriangular(order, lambda i, j: LaurentPoly.zero())
+        xi = [P("2"), P("t"), P("1")]
+        om = _synthetic_omega(order, p_minus, xi, p_plus)
+        assert all(type(c) is int for row in om.entries.rows for p in row
+                   for c in p.coeffs)
+        items = order.items
+        entry = f"P- entry ({items[1]}, {items[0]}) is not a Laurent polynomial"
+        with pytest.raises(FactorizationError, match=re.escape(entry)):
+            solve_factorization(om)
 
     @pytest.mark.parametrize("bad", [_vanishing_pivot_omega,
                                      _non_laurent_omega])
@@ -353,9 +395,8 @@ class TestPackedElimination:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
-    def test_sums_past_64_bits_are_repacked_wider(self, monkeypatch):
-        # Coefficients near 2^40 give inner sums whose bound exceeds 2^80,
-        # far beyond the default width: each must be repacked, never cut.
+    def test_recovers_factors_with_80_bit_inner_sums(self):
+        # Coefficients near 2^40 give inner sums past 2^80.
         order = _SMALL_ORDERS[2, 3]
         big = 2 ** 40
         p_minus = _unitriangular(order, lambda i, j: LaurentPoly(
@@ -364,16 +405,57 @@ class TestPackedElimination:
             {i: big - 5 * j, -j: 7}))
         xi = [LaurentPoly({-i: big + i, 2: 1}) for i in range(len(order))]
         om = _synthetic_omega(order, p_minus, xi, p_plus)
-        widths = []
-        columns = factor._columns
-
-        def noted(values, bits):
-            widths.append(bits)
-            return columns(values, bits)
-
-        monkeypatch.setattr(factor, "_columns", noted)
         assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
-        assert max(widths) > 64
+
+    def test_outputs_wider_than_the_first_width_are_retried(self, monkeypatch):
+        # P-_(1,0) = P+_(1,0) = c and xi_1 = t^(-2 a_1) (1 - c^2) make
+        # Omega_(1,1) = 1; with column 1 of P+- zero below the diagonal,
+        # Omega's coefficients stay below 2^31 while xi_1 needs 42 bits, so
+        # the first width, 32, fails and 64 succeeds.
+        order = _SMALL_ORDERS[2, 2]
+        k = len(order)
+        a1 = order.items[1].a_value()
+        c = 2 ** 20
+        rng = random.Random(0)
+
+        def below(i, j):
+            if (i, j) == (1, 0):
+                return LaurentPoly.const(c)
+            if j == 1:
+                return LaurentPoly.zero()
+            return LaurentPoly({e: rng.randint(-3, 3) for e in range(2)})
+
+        p_minus = _unitriangular(order, below)
+        p_plus = _unitriangular(order, below)
+        xi = [LaurentPoly.const(1), LaurentPoly.t_power(-2 * a1, 1 - c * c)] \
+            + [LaurentPoly.const(rng.randint(1, 5)) for _ in range(k - 2)]
+        om = _synthetic_omega(order, p_minus, xi, p_plus)
+        assert max(abs(x) for row in om.entries.rows for p in row
+                   for x in p.coeffs) < 2 ** 31
+        widths = _noted_widths(monkeypatch)
+        assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
+        assert widths == [32, 64]
+
+    def test_a_corrupted_omega_entry_fails_at_both_widths(self, monkeypatch,
+                                                          capsys):
+        # Omega_(3,3) + 1 at (2,3): the elimination fails at 32 and 64 bits,
+        # and wkostka solve exits 1 with one error line.
+        order = _SMALL_ORDERS[2, 3]
+        corner = order.items[3]
+        entry = omega.omega_entry_cosets
+
+        def corrupted(lam, mu, r):
+            value = entry(lam, mu, r)
+            return value + 1 if lam == mu == corner else value
+
+        monkeypatch.setattr(omega, "omega_entry_cosets", corrupted)
+        widths = _noted_widths(monkeypatch)
+        with pytest.raises(FactorizationError):
+            solve_factorization(omega_matrix(2, 3, order))
+        assert widths == [32, 64]
+        assert cli.main(["solve", "--n", "2", "--r", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("c", [2 ** 31 - 1, 2 ** 31, -2 ** 31,
                                    -2 ** 31 - 1, 2 ** 100, Fraction(-2 ** 90, 3)])
@@ -383,18 +465,6 @@ class TestPackedElimination:
                               [[P("1")]])
         assert _factors(solve_factorization(om))[1] == \
             [LaurentPoly({-2: c, 3: 1})]
-
-    @given(st.integers(-5, 5), st.lists(st.integers(-2 ** 40, 2 ** 40),
-                                        max_size=6), st.integers(42, 70))
-    @example(3, [], 42)
-    def test_unpacked_inverts_packed(self, low, cs, bits):
-        p = LaurentPoly({low + i: c for i, c in enumerate(cs)})
-        offset, v = factor._packed(p, bits)
-        if p.is_zero:
-            assert (offset, v) == (factor._NO_LOW, 0)
-        else:
-            assert offset == bits * p.low
-            assert factor._unpacked(v, p.low, bits) == p
 
 
 # -- the packed reconstruction check and its two oracles ----------------------

@@ -91,6 +91,8 @@ def test_import_wkostka_loads_no_module():
     (("verify", "thm55", "--n", "2", "--r", "2"),
      ("factor", "charge", "wreath", "commands", "ratfunc", "suites",
       "fixtures")),
+    (("verify", "oracle", "--n", "2", "--r", "2"),
+     ("factor", "ratfunc", "charge", "commands", "fixtures")),
 ], ids=" ".join)
 def test_each_command_loads_only_its_modules(argv, unused):
     loaded = _loaded("import io, contextlib, wkostka.cli",
@@ -113,12 +115,11 @@ def _names_in(module: str, function: str = None) -> set:
 
 
 def test_the_reconstruction_check_shares_only_the_packing():
-    """factor.reconstruction_mismatches may call _packed, but none of the
-    elimination's own packing code or its default width."""
+    """factor.reconstruction_mismatches may call _packed, but neither the
+    elimination nor its least width."""
     named = _names_in("factor.py", "reconstruction_mismatches")
     assert "_packed" in named
-    assert named & {"_record", "_columns", "_push", "_packed_sum", "_BITS"} \
-        == set()
+    assert named & {"_eliminate", "_BITS", "solve_factorization"} == set()
 
 
 def test_the_green_inner_product_shares_no_omega_kernel():
