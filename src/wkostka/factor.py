@@ -4,13 +4,12 @@ Solves P- * Lambda * transpose(P+) = Omega for the unique lower-triangular
 P+- with diagonal t^(a(lambda)) and diagonal Lambda, by forward elimination
 in the given total order.  The entries of P+- are the modified Kostka
 functions; derived rescalings produce the candidate intersection-cohomology
-polynomial matrices.
+polynomial matrices.  Omega, P+- and Lambda are integral, and Q enters only
+through ratfunc, the type of the Lambda and Lambda' diagonals.
 """
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import lcm
 from operator import add, lshift, mul, sub
 
 from .exact import LaurentPoly, PolyMatrix, _NO_LOW, _packed, _unpacked
@@ -57,13 +56,14 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
     are by the unit t^(a_k) first and then by the diagonal xi_k, which the
     uniqueness theorem guarantees to be nonzero.
 
-    P+- must lie in Z[t, t^-1].  Every genuine Omega computed so far gives
-    this, but no statement of it is cited here, so it is assumed: an Omega
-    whose P+- leave that ring raises FactorizationError, most often naming
-    the entry whose division is inexact, and never yields a table.  Lambda
-    may have rational coefficients.  Omega is multiplied by D, the lcm of
-    its coefficients' denominators; as P+- are unitriangular over
-    Z[t, t^-1], D Lambda is then integral too, and xi gives D back.
+    Omega must lie in Z[t, t^-1]: its entries are graded multiplicities,
+    and both Omega routes raise OmegaError on an entry outside Z>=0[t].  A
+    non-integral entry raises FactorizationError naming it.  P+- must lie
+    in Z[t, t^-1] too.  Every genuine Omega computed so far gives this, but
+    no statement of it is cited here, so it is assumed: an Omega whose P+-
+    leave that ring raises FactorizationError, most often naming the entry
+    whose division is inexact, and never yields a table.  As P+- are
+    unitriangular, Lambda is then integral as well.
 
     _eliminate runs first at a width that holds Omega's largest
     coefficient, and at least _BITS.  Every result is checked against Omega
@@ -74,17 +74,16 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
     """
     order = om.order
     omega = om.entries.rows
-    d = lcm(*(c.denominator for row in omega for p in row
-              if Fraction in map(type, p.coeffs) for c in p.coeffs))
-    if d != 1:
-        omega = [[p * d for p in row] for row in omega]
+    for lam, row in zip(order.items, omega):
+        for mu, p in zip(order.items, row):
+            if type(sum(p.coeffs)) is not int:  # one Fraction makes it one
+                raise FactorizationError(
+                    f"Omega entry ({lam}, {mu}) is not integral: {p}")
     width = max(_BITS, 1 + max(max(map(abs, p.coeffs), default=0)
                                for row in omega for p in row).bit_length())
 
     def solved(bits):
         pm, xi, pp = _eliminate(order, omega, bits)
-        if d != 1:
-            xi = tuple(x * Fraction(1, d) for x in xi)
         _verify_reconstruction(order, pm, xi, pp, om)
         return pm, xi, pp
 
@@ -223,19 +222,21 @@ def reconstruction_mismatches(p_minus, xi, p_plus, omega):
     least width with 2^(B-1) > C.  Each side's integer is then the
     balanced base-2^B expansion of its polynomial, every digit in
     (-2^(B-1), 2^(B-1)), and balanced expansions are unique: the integers
-    are equal exactly when the polynomials are.  A non-integral coefficient
-    anywhere is first cleared with D, the lcm of all denominators: the check
-    then compares D^3 Omega with the sum of (D P-)(D xi)(D P+).
+    are equal exactly when the polynomials are.  The tables must be
+    integral: a value with a Fraction coefficient raises FactorizationError
+    naming its cell.
     """
     mats = [p_minus, (xi,), p_plus, omega]
-    d = lcm(*(c.denominator for rows in mats for row in rows for p in row
-              for c in p.coeffs if type(c) is not int))
-    if d != 1:
-        mats = [[[p * scale for p in row] for row in rows]
-                for rows, scale in zip(mats, (d, d, d, d ** 3))]
+    norms = []
+    for name, rows in zip(("P-", "xi", "P+", "Omega"), mats):
+        # ||p||_1 is an int exactly when every coefficient of p is.
+        sizes = [[sum(map(abs, p.coeffs)) for p in row] for row in rows]
+        for i, j in ((i, j) for i, row in enumerate(sizes)
+                     for j, size in enumerate(row) if type(size) is not int):
+            raise FactorizationError(
+                f"{name} cell ({i}, {j}) is not integral: {rows[i][j]}")
+        norms.append(max(map(max, sizes)))
     k = len(xi)
-    norms = [max(sum(map(abs, p.coeffs)) for row in rows for p in row)
-             for rows in mats]
     bits = (k * norms[0] * norms[1] * norms[2] + norms[3]).bit_length() + 1
     packed_pm, (packed_xi,), packed_pp, packed_om = (
         [[_packed(p, bits) for p in row] for row in rows] for rows in mats)

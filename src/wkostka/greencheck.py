@@ -4,16 +4,16 @@ Everything here is a verifier: the inner-product formula is evaluated purely
 from double-coset combinatorics, as a contraction of omega.coset_table (no
 finite-field group element or permutation is ever constructed), and the
 exponent bookkeeping behind the bridge identity is checked as exact integer
-arithmetic.  The inner product sums over Z, its 1/z weights cleared by one
-common denominator that it divides by once; it shares no code with the
-Omega entries it is checked against.
+arithmetic.  The inner product sums over Z, its 1/z weights carried as
+the integers n!/z of coset_table, and divides by n! once; it shares no code
+with the Omega entries it is checked against.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial
 
 from .exact import LaurentPoly, _laurent
 from .omega import a_O, b_O, coset_table, omega_entry_cosets, torus_quotient
@@ -75,19 +75,15 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
     sign_map_p = {MINUS: mp.p_minus(), PLUS: mp.p_plus()}
     sign = (-1) ** (sign_map[pair[0]] + sign_map_p[pair[1]])
 
-    # L chi^lam(w) chi^mu(x^-1 w x), L the lcm of the 1/z weights'
-    # denominators, over each coset, by q-exponent and type of w
-    table = coset_table(m, mp)
-    den = lcm(*(weight.denominator for _, terms in table
-                for *_, weight in terms))
+    # n! chi^lam(w) chi^mu(x^-1 w x) over each coset, by q-exponent and
+    # type of w
     coefs: dict = {}
-    for h, terms in table:
+    for h, terms in coset_table(m, mp):
         a = a_exponent(pair, h)
         for cols, rows, rho, weight in terms:
             c = block_character(lam, cols) * block_character(mu, rows)
             if c:
-                c *= weight.numerator * (den // weight.denominator)
-                coefs[a, rho] = coefs.get((a, rho), 0) + c
+                coefs[a, rho] = coefs.get((a, rho), 0) + weight * c
     # times |GL_n| / |T_w|, over the base field of order t^power, each
     # quotient added at its shift into one dense list
     terms = [(torus_quotient(rho, n, power), power * (a + comb(n, 2)),
@@ -98,8 +94,9 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
     for quot, shift, c in terms:
         for i, x in enumerate(quot.coeffs, quot.low + shift - low):
             acc[i] += c * x
-    return _laurent(low, [x // den if not x % den else Fraction(x, den)
-                          for x in acc])
+    n_fact = factorial(n)
+    return _laurent(low, [x // n_fact if not x % n_fact else
+                          Fraction(x, n_fact) for x in acc])
 
 
 # -- verification reports -------------------------------------------------------

@@ -3,9 +3,9 @@
 Two independent routes compute each entry:
 
 * the production route sums characters of symmetric-group Young subgroups
-  over double cosets, with everything staying inside Z[t, t^-1]: the 1/z
-  weights of each weight pair are cleared by one common denominator, which
-  each entry divides out exactly.  A coset enters only through its
+  over double cosets, with everything staying inside Z[t, t^-1], Q only in
+  the oracles: each 1/z weight travels as the integer n!/z, and each entry
+  divides its sum by n! exactly.  A coset enters only through its
   contingency label and the cycle types of the label's cells (the Mackey
   formula), so no permutation is enumerated;
 * the oracle route, in wreath.py, works inside the wreath product itself
@@ -27,9 +27,8 @@ every entry on its own and never twists.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial
 
 from .exact import LaurentPoly, PolyMatrix, _laurent, exact_div
 from .record import FrozenRecord
@@ -117,10 +116,12 @@ def coset_table(m: Composition, m_prime: Composition) -> tuple:
     (column types, row types, rho, weight): column j joins the rho_ij down
     column j (the type of y on the m-block j), row i joins them along row i
     (the type of x^-1 y x on the m'-block i), rho joins them all (the type
-    of y), and weight sums prod 1/z_(rho_ij) over the cell types giving the
-    triple.  So (1/|S_m||S_m'|) sum_x sum_y f = sum over terms of weight * f.
+    of y), and weight sums n! prod 1/z_(rho_ij) over the cell types giving
+    the triple, an int as z_(rho_ij) divides h_ij! and prod h_ij! divides
+    n!.  So (1/|S_m||S_m'|) sum_x sum_y f = (1/n!) sum of weight * f.
     """
     r = m.r
+    n_fact = factorial(m.n)
     classes = {k: [(rho, centralizer_order(rho)) for rho in partitions(k)]
                for k in range(m.n + 1)}
     rows_used = [i for i in range(r) if m_prime.parts[i]]
@@ -140,7 +141,7 @@ def coset_table(m: Composition, m_prime: Composition) -> tuple:
                 z *= z_rho
             key = (_joined(cols), _joined(rows),
                    tuple(sorted(itertools.chain(*cols), reverse=True)))
-            terms[key] = terms.get(key, 0) + Fraction(1, z)
+            terms[key] = terms.get(key, 0) + n_fact // z
         out.append((h, tuple(key + (w,) for key, w in terms.items())))
     return tuple(out)
 
@@ -156,18 +157,15 @@ def torus_quotient(rho: tuple, n: int, r: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _omega_block(m: Composition, m_prime: Composition, r: int) -> tuple:
-    """(low, L, blocks) for the weight pair (m, m').  Each block is
+    """(low, blocks) for the weight pair (m, m').  Each block is
     (column types, row types, coefficients): coset_table contracted with
     t^(r sum_(i<r) h_(i,<=i)) * torus_quotient and summed over the labels h,
-    times L, the lcm of the denominators of the 1/z weights, so that its
-    coefficients are ints.  Every block is a dense tuple of one length, its
-    i-th entry the coefficient of t^(low + i)."""
-    den = 1
+    so n! times the block of 1/z weights.  Every block is a dense tuple of
+    ints of one length, its i-th entry the coefficient of t^(low + i)."""
     terms = []
     for h, h_terms in coset_table(m, m_prime):
         tpow = r * sum(h.row_prefix(i, i) for i in range(1, r))
         for cols, rows, rho, weight in h_terms:
-            den = lcm(den, weight.denominator)
             terms.append((cols, rows, weight,
                           torus_quotient(rho, m.n, r).shift(tpow)))
     low = min(poly.low for *_, poly in terms)
@@ -175,11 +173,10 @@ def _omega_block(m: Composition, m_prime: Composition, r: int) -> tuple:
     acc: dict = {}
     for cols, rows, weight, poly in terms:
         cs = acc.setdefault((cols, rows), [0] * width)
-        scale = weight.numerator * (den // weight.denominator)
         for i, c in enumerate(poly.coeffs, poly.low - low):
-            cs[i] += scale * c
-    return low, den, tuple((cols, rows, tuple(cs))
-                           for (cols, rows), cs in acc.items())
+            cs[i] += weight * c
+    return low, tuple((cols, rows, tuple(cs))
+                      for (cols, rows), cs in acc.items())
 
 
 def _axpy(acc, c: int, cs) -> list:
@@ -191,18 +188,18 @@ def _axpy(acc, c: int, cs) -> list:
 
 @lru_cache(maxsize=None)
 def _omega_row(lam: RPartition, m_prime: Composition, r: int) -> tuple:
-    """(low, L, ((row types, R), ...)) with R_lam(rows), the sum over the
+    """(low, ((row types, R), ...)) with R_lam(rows), the sum over the
     column types of chi^lam(cols) * block(cols, rows), formed once per
     (lam, m') from _omega_block(weight(lam), m', r).  Row types whose R is
     zero are left out."""
-    low, den, blocks = _omega_block(lam.weight(), m_prime, r)
+    low, blocks = _omega_block(lam.weight(), m_prime, r)
     acc: dict = {}
     for cols, rows, cs in blocks:
         c = block_character(lam, cols)
         if c:
             acc[rows] = _axpy(acc.get(rows), c, cs)
-    return low, den, tuple((rows, tuple(cs)) for rows, cs in acc.items()
-                           if any(cs))
+    return low, tuple((rows, tuple(cs)) for rows, cs in acc.items()
+                      if any(cs))
 
 
 @lru_cache(maxsize=None)
@@ -256,25 +253,26 @@ def _omega_entry_direct(lam: RPartition, mu: RPartition,
             / (|S_m| |S_m'| det_V(t^r - y)),
 
     with the sum over each coset's members x and y in S_m meet x S_m' x^-1,
-    here read off coset_table.  The sum is L times the entry, formed over Z
-    as the sum over the row types of chi^mu(rows) * R_lam(rows)
-    (_omega_row), and divided by L exactly: a remainder raises OmegaError.
+    here read off coset_table.  The sum is n! times the entry, formed over
+    Z as the sum over the row types of chi^mu(rows) * R_lam(rows)
+    (_omega_row), and divided by n! exactly: a remainder raises OmegaError.
     """
     if lam.n != mu.n or lam.r != r or mu.r != r:
         raise OmegaError("index mismatch")
-    low, den, row = _omega_row(lam, mu.weight(), r)
+    low, row = _omega_row(lam, mu.weight(), r)
     total = None
     for rows, cs in row:
         c = block_character(mu, rows)
         if c:
             total = _axpy(total, c, cs)
+    n_fact = factorial(lam.n)
     coeffs = []
     for x in total or ():
-        q, rem = divmod(x, den)
+        q, rem = divmod(x, n_fact)
         if rem:
             raise OmegaError(f"coset entry ({lam}, {mu}) is not integral: "
-                             f"a coefficient {x} of L times it is not "
-                             f"divisible by L = {den}")
+                             f"a coefficient {x} of n! times it is not "
+                             f"divisible by n! = {n_fact}")
         coeffs.append(q)
     shift = r * (comb(lam.n, 2) - lam.n_value() - mu.n_value()) + \
         lam.a_value() + mu.tau().a_value()

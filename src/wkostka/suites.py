@@ -62,9 +62,17 @@ def _suite_oracle(args):
     return report
 
 
-def _rotated(lam: RPartition) -> RPartition:
-    """lam tensored with delta: component j moves to position j + 1 mod r."""
-    return RPartition(lam.parts[-1:] + lam.parts[:-1])
+# Each symmetry of Omega as (kind, image): Omega_(lam,mu) = Omega_image.
+# Transposition transposes both; conjugation swaps them and takes the
+# complex-conjugate characters (component j moves to -j mod r, so
+# components 1..r-1 are reversed); rotation tensors both with delta
+# (component j moves to j + 1 mod r), the identity at r = 1.
+_SYMMETRIES = (
+    ("transpose", lambda lam, mu: (lam.transpose(), mu.transpose())),
+    ("conjugation", lambda lam, mu: tuple(
+        RPartition(p.parts[:1] + p.parts[:0:-1]) for p in (mu, lam))),
+    ("rotation", lambda lam, mu: tuple(
+        RPartition(p.parts[-1:] + p.parts[:-1]) for p in (lam, mu))))
 
 
 def _suite_symmetry(args):
@@ -75,26 +83,16 @@ def _suite_symmetry(args):
     # orbit representative, so it would make every twist check vacuous.
     entry = omega_mod._omega_entry_direct
     for r in range(1, args.r + 1):
+        kinds = _SYMMETRIES if r > 1 else _SYMMETRIES[:2]
         for n in range(0, args.n + 1):
             items = rpart.enumerate_rpartitions(n, r)
             for lam in items:
                 for mu in items:
-                    report.checked += 1
-                    if entry(lam, mu, r) != entry(lam.transpose(), mu.transpose(), r):
-                        report.violations.append(
-                            {"kind": "transpose", "n": n, "r": r,
-                             "lam": str(lam), "mu": str(mu)})
-                    if r > 1:
+                    for kind, image in kinds:
                         report.checked += 1
-                        if entry(lam, mu, r) != entry(_rotated(lam), _rotated(mu), r):
+                        if entry(lam, mu, r) != entry(*image(lam, mu), r):
                             report.violations.append(
-                                {"kind": "rotation", "n": n, "r": r,
-                                 "lam": str(lam), "mu": str(mu)})
-                    if r <= 2:
-                        report.checked += 1
-                        if entry(lam, mu, r) != entry(mu, lam, r):
-                            report.violations.append(
-                                {"kind": "r<=2 symmetry", "n": n, "r": r,
+                                {"kind": kind, "n": n, "r": r,
                                  "lam": str(lam), "mu": str(mu)})
             if r <= 2:
                 order = rpart.default_total_order(n, r)

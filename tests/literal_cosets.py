@@ -8,7 +8,7 @@ A summand reads y and x^-1 y x through their cycle types on the blocks
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from wkostka.exact import LaurentPoly, RationalFunction
 from wkostka.greencheck import MINUS, PLUS, a_exponent
@@ -43,6 +43,15 @@ def literal_coset_counts(n, m, mp):
                 counts[dc.label, block_cycle_types(y, m),
                        block_cycle_types(z, mp), cycle_type(y)] += 1
     return tuple(counts.items())
+
+
+def literal_weights(m, mp):
+    """(label rows, y's types on the m-blocks, x^-1 y x's types on the
+    m'-blocks, y's cycle type) -> how many pairs (x, y) give it, times
+    n! / (|S_m| |S_m'|): the n!-scaled weights of omega.coset_table."""
+    scale = Fraction(factorial(m.n), prod(map(factorial, m.parts + mp.parts)))
+    return {(h.rows, *key): count * scale
+            for (h, *key), count in literal_coset_counts(m.n, m, mp)}
 
 
 def _character_sums(lam, mu):

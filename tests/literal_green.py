@@ -1,10 +1,12 @@
 """The Green inner product summed in Q[t, t^-1], kept as the oracle of
 greencheck.green_inner_product, which sums over Z and divides once.
 
-Each (q-exponent, type of w) coefficient carries its 1/z weights as a
-Fraction, and each |GL_n| / |T_w| term is added as a LaurentPoly.
+Each (q-exponent, type of w) coefficient carries its 1/z weights,
+coset_table's n!/z over n!, as a Fraction, and each |GL_n| / |T_w| term is
+added as a LaurentPoly.
 """
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 from wkostka.exact import LaurentPoly
 from wkostka.greencheck import MINUS, PLUS, a_exponent
@@ -24,7 +26,8 @@ def green_by_fraction_sum(lam, mu, pair, power=1):
     for h, terms in coset_table(m, mp):
         a = a_exponent(pair, h)
         for cols, rows, rho, weight in terms:
-            c = weight * block_character(lam, cols) * block_character(mu, rows)
+            c = Fraction(weight, factorial(n)) * \
+                block_character(lam, cols) * block_character(mu, rows)
             if c:
                 coefs[a, rho] = coefs.get((a, rho), 0) + c
     value = LaurentPoly.zero()

@@ -2,11 +2,13 @@
 oracle of the integer kernel (omega._omega_block, _omega_row and
 omega_entry_cosets).
 
-Each block is a LaurentPoly with the 1/z weights as Fraction coefficients,
-and each entry sums chi^lam(cols) chi^mu(rows) times its blocks.
+Each block is a LaurentPoly with the 1/z weights, coset_table's n!/z over
+n!, as Fraction coefficients, and each entry sums chi^lam(cols)
+chi^mu(rows) times its blocks.
 """
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from wkostka.exact import LaurentPoly
 from wkostka.omega import coset_table, torus_quotient
@@ -20,7 +22,8 @@ def fraction_blocks(m, mp, r):
     for h, terms in coset_table(m, mp):
         tpow = r * sum(h.row_prefix(i, i) for i in range(1, r))
         for cols, rows, rho, weight in terms:
-            term = torus_quotient(rho, m.n, r).shift(tpow) * weight
+            term = torus_quotient(rho, m.n, r).shift(tpow) * \
+                Fraction(weight, factorial(m.n))
             acc[cols, rows] = acc.get((cols, rows), LaurentPoly.zero()) + term
     return tuple((cols, rows, poly) for (cols, rows), poly in acc.items())
 

@@ -7,7 +7,6 @@ row by row.  matrix_low_mismatches is the packed identity under the other
 convention: each matrix packs about that matrix's lowest exponent, with its
 own packer.
 """
-from math import lcm
 from operator import mul
 
 from wkostka.exact import LaurentPoly
@@ -33,14 +32,9 @@ def matrix_low_mismatches(p_minus, xi, p_plus, omega):
     about the sum of the three (or its own lowest exponent, where that is
     lower), at the width of factor.reconstruction_mismatches; P- packs
     about its low less the gap below that sum, so that every product sits
-    about Omega's base too.  Denominators are cleared by D as there.
+    about Omega's base too.  The tables must be integral, as there.
     """
     mats = [p_minus, (xi,), p_plus, omega]
-    d = lcm(*(c.denominator for rows in mats for row in rows for p in row
-              for c in p.coeffs if type(c) is not int))
-    if d != 1:
-        mats = [[[p * scale for p in row] for row in rows]
-                for rows, scale in zip(mats, (d, d, d, d ** 3))]
     k = len(xi)
     norms = [max(sum(map(abs, p.coeffs)) for row in rows for p in row)
              for rows in mats]

@@ -446,7 +446,8 @@ class TestVerifyCommand:
     def test_symmetry_catches_a_seeded_asymmetric_entry(self, capsys,
                                                          monkeypatch):
         """One direct entry off by 1 at a pair whose first index is not its
-        orbit's representative breaks the transpose and rotation checks."""
+        orbit's representative breaks the transpose, rotation and
+        conjugation checks."""
         argv = ("verify", "symmetry", "--n", "2", "--r", "3")
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["violations"] == []
@@ -461,7 +462,8 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, *argv)
         found = json.loads(out)["violations"]
         assert code == 1
-        assert {"transpose", "rotation"} <= {v["kind"] for v in found}
+        assert {v["kind"] for v in found} == {"transpose", "rotation",
+                                              "conjugation"}
         assert all(v["r"] == 3 for v in found)
         assert ("(2;-;-)", "(1;1;-)") in {(v["lam"], v["mu"]) for v in found}
 

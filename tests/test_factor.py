@@ -342,9 +342,10 @@ class TestPackedElimination:
     @settings(max_examples=40, deadline=None)
     def test_recovers_synthetic_factors(self, size, data, xi_fractions,
                                         p_fractions):
-        # Fractions in xi, and so in Omega, are recovered; P+- outside
-        # Z[t, t^-1] make the solver raise, while the Laurent loop, which
-        # divides over Q, still recovers them.
+        # Integral factors are recovered.  A Fraction in xi or P+- makes the
+        # solver raise: Omega is then non-integral, or P+- leave
+        # Z[t, t^-1].  The Laurent loop, which divides over Q, still
+        # recovers them.
         order = _SMALL_ORDERS[size]
         k = len(order)
 
@@ -363,8 +364,8 @@ class TestPackedElimination:
         p_plus = _unitriangular(order, lambda i, j: table[k * k + i * k + j])
         om = _synthetic_omega(order, p_minus, xi, p_plus)
         assert list(literal_elimination(om)) == [p_minus, xi, p_plus]
-        if all(type(c) is int for rows in (p_minus, p_plus) for row in rows
-               for p in row for c in p.coeffs):
+        if all(type(c) is int for rows in (p_minus, [xi], p_plus)
+               for row in rows for p in row for c in p.coeffs):
             assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
         else:
             with pytest.raises(FactorizationError):
@@ -384,6 +385,19 @@ class TestPackedElimination:
         entry = f"P- entry ({items[1]}, {items[0]}) is not a Laurent polynomial"
         with pytest.raises(FactorizationError, match=re.escape(entry)):
             solve_factorization(om)
+
+    def test_a_half_in_omega_is_named(self):
+        # xi_0 = 1/2 makes Omega_(0,0) = t^(2 a_0) / 2, which raises before
+        # any elimination.
+        order = _SMALL_ORDERS[1, 3]
+        identity = _unitriangular(order, lambda i, j: LaurentPoly.zero())
+        xi = [LaurentPoly.const(Fraction(1, 2)), P("t"), P("1")]
+        om = _synthetic_omega(order, identity, xi, identity)
+        lam = order.items[0]
+        with pytest.raises(FactorizationError) as exc:
+            solve_factorization(om)
+        assert str(exc.value) == \
+            f"Omega entry ({lam}, {lam}) is not integral: {om.entry(lam, lam)}"
 
     @pytest.mark.parametrize("bad", [_vanishing_pivot_omega,
                                      _non_laurent_omega])
@@ -458,7 +472,7 @@ class TestPackedElimination:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("c", [2 ** 31 - 1, 2 ** 31, -2 ** 31,
-                                   -2 ** 31 - 1, 2 ** 100, Fraction(-2 ** 90, 3)])
+                                   -2 ** 31 - 1, 2 ** 100])
     def test_omega_coefficient_at_the_width_edge(self, c):
         order = _SMALL_ORDERS[1, 1]
         om = _synthetic_omega(order, [[P("1")]], [LaurentPoly({-2: c, 3: 1})],
@@ -492,15 +506,20 @@ def _outcomes(tables):
                           matrix_low_mismatches, laurent_mismatches)]
 
 
+def _check_args(order, tables):
+    """The arguments of factor._verify_reconstruction for tables."""
+    pm, (xi,), pp, omega = tables
+    lam = order.items[0]
+    return (order, PolyMatrix(order, pm), tuple(xi), PolyMatrix(order, pp),
+            OmegaMatrix(order, PolyMatrix(order, omega), lam.n, lam.r, "test"))
+
+
 def _rejected(order, tables):
     """The cells the three routes of _outcomes reject, after asserting that
     they agree and that _verify_reconstruction raises at the first."""
     packed, matrix_low, loop = _outcomes(tables)
     assert packed == matrix_low == loop
-    pm, (xi,), pp, omega = tables
-    lam = order.items[0]
-    args = (order, PolyMatrix(order, pm), tuple(xi), PolyMatrix(order, pp),
-            OmegaMatrix(order, PolyMatrix(order, omega), lam.n, lam.r, "test"))
+    args = _check_args(order, tables)
     if not packed:
         factor._verify_reconstruction(*args)
         return packed
@@ -594,17 +613,26 @@ class TestReconstructionCheck:
             assert _rejected(res.order, tables) == [(2, 5)]
 
     def test_non_integral_tables(self):
+        """A 1/2 in any one table raises one line naming its cell, from the
+        check and from _verify_reconstruction alike."""
         res = _solved(2, 3)
-        pm, (xi,), pp, omega = _tables(res)
-        scales = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 1), Fraction(1, 3))
-        tables = [[[p * s for p in row] for row in rows]
-                  for rows, s in zip((pm, [xi], pp, omega), scales)]
-        assert _rejected(res.order, tables) == []
-        tables[3][3][1] = _bump(tables[3][3][1], 2, Fraction(1, 5))
-        assert _rejected(res.order, tables) == [(3, 1)]
+        for which, name, i, j in ((0, "P-", 3, 1), (1, "xi", 0, 4),
+                                  (2, "P+", 5, 2), (3, "Omega", 3, 1)):
+            tables = _tables(res)
+            tables[which][i][j] = _bump(tables[which][i][j], 2,
+                                        Fraction(1, 2))
+            pm, (xi,), pp, omega = tables
+            message = f"{name} cell ({i}, {j}) is not integral: " \
+                f"{tables[which][i][j]}"
+            with pytest.raises(FactorizationError) as exc:
+                list(factor.reconstruction_mismatches(pm, xi, pp, omega))
+            assert str(exc.value) == message
+            with pytest.raises(FactorizationError) as exc:
+                factor._verify_reconstruction(*_check_args(res.order, tables))
+            assert str(exc.value) == message
 
     @given(st.integers(0, 3), st.integers(0, 8), st.integers(0, 8),
-           st.integers(-14, 14), st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)]))
+           st.integers(-14, 14), st.sampled_from([-3, -1, 1, 2, 2 ** 70]))
     @settings(max_examples=60, deadline=None)
     def test_packed_check_agrees_with_the_oracle(self, which, i, j, e, delta):
         res = _solved(2, 3)

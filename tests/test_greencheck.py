@@ -1,6 +1,7 @@
 """Green-function inner products and the exponent/bridge identities."""
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -205,14 +206,15 @@ class TestThm55:
 
     @pytest.fixture
     def seeded_omega(self, monkeypatch):
-        """Every _omega_block with L added to the lowest coefficient of its
-        first block: each Omega entry moves by an integer multiple of a
-        character product, so the division by L stays exact."""
+        """Every _omega_block with n! added to the lowest coefficient of
+        its first block: each Omega entry moves by an integer multiple of a
+        character product, so the division by n! stays exact."""
         block = omega_mod._omega_block
 
         def seeded(m, m_prime, r):
-            low, den, ((cols, rows, cs), *rest) = block(m, m_prime, r)
-            return low, den, ((cols, rows, (cs[0] + den,) + cs[1:]), *rest)
+            low, ((cols, rows, cs), *rest) = block(m, m_prime, r)
+            return low, ((cols, rows, (cs[0] + factorial(m.n),) + cs[1:]),
+                         *rest)
 
         wkostka.clear_caches()
         monkeypatch.setattr(omega_mod, "_omega_block", seeded)

@@ -1,9 +1,9 @@
 """Source hygiene: every import in the package's modules is read, each
-command loads only the modules it runs, the reconstruction check stays
-independent of the elimination it checks, the Green inner product and the
-wreath oracle share no code with the coset entries they are checked
-against, and the checks of Omega's symmetries never go through the twisted
-entry."""
+command loads only the modules it runs, the integral path clears no
+denominator, the reconstruction check stays independent of the elimination
+it checks, the Green inner product and the wreath oracle share no code with
+the coset entries they are checked against, and the checks of Omega's
+symmetries never go through the twisted entry."""
 import ast
 import os
 import subprocess
@@ -120,6 +120,23 @@ def test_the_reconstruction_check_shares_only_the_packing():
     named = _names_in("factor.py", "reconstruction_mismatches")
     assert "_packed" in named
     assert named & {"_eliminate", "_BITS", "solve_factorization"} == set()
+
+
+def _called(module: str) -> set:
+    """Every name that module calls, bare or as an attribute."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+@pytest.mark.parametrize("module, banned", [
+    ("omega.py", ("lcm", "Fraction")), ("factor.py", ("lcm", "Fraction")),
+    ("greencheck.py", ("lcm",))], ids=("omega", "factor", "greencheck"))
+def test_the_integral_path_clears_no_denominator(module, banned):
+    """Omega, P+- and Lambda are integral and the 1/z weights travel as
+    n!/z, so these modules build no common denominator and omega and factor
+    no rational."""
+    assert _called(module) & set(banned) == set()
 
 
 def test_the_green_inner_product_shares_no_omega_kernel():

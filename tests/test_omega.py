@@ -17,13 +17,14 @@ from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
                            bracket, coset_table, omega_entry_cosets,
                            omega_matrix, torus_quotient)
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
-                           default_total_order, enumerate_rpartitions, n_star)
+                           compositions, default_total_order,
+                           enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
 from wkostka.wreath import (_classes, _zeta_mul, cyclotomic_polynomial,
                             detV_value, fake_degree, omega_entry_bruteforce,
                             rho_character, zeta_coords)
 
-from literal_cosets import omega_by_literal_cosets
+from literal_cosets import literal_weights, omega_by_literal_cosets
 from literal_omega_block import omega_by_fraction_blocks
 from literal_wreath import (WreathElement, identity, product,
                             rho_by_conjugation, wreath_elements)
@@ -567,7 +568,7 @@ class TestOmegaEntries:
 
 class TestIntegerKernel:
     """Each coset entry is the sum over the row types of
-    chi^mu(rows) * R_lam(rows), over Z, divided by L exactly."""
+    chi^mu(rows) * R_lam(rows), over Z, divided by n! exactly."""
 
     @pytest.fixture
     def fresh_kernel(self):
@@ -589,28 +590,31 @@ class TestIntegerKernel:
                 assert all(type(c) is int for c in value.coeffs)
 
     def test_blocks_share_low_and_length(self):
-        low, den, blocks = _omega_block(Composition((2, 1, 0)),
-                                        Composition((2, 0, 1)), 3)
-        assert den == 2  # the label with h_11 = 2 weighs 1/z_(2) = 1/2
+        low, blocks = _omega_block(Composition((2, 1, 0)),
+                                   Composition((2, 0, 1)), 3)
         assert len({len(cs) for *_, cs in blocks}) == 1
         assert all(type(c) is int for *_, cs in blocks for c in cs)
 
-    @pytest.mark.parametrize("fault", ["block", "denominator"])
+    @pytest.mark.parametrize("fault", ["block", "weight"])
     def test_inexact_sum_raises(self, monkeypatch, fresh_kernel, fault):
-        """One coefficient of one block raised by 1, or L doubled, leaves L
-        not dividing the sum for the trivial-character entry (whose
-        character is 1 on every block and whose value has coefficient 1):
-        the entry raises and is never rounded."""
-        real = omega_mod._omega_block
+        """One coefficient of one block, or one coset weight, raised by 1
+        leaves n! not dividing the sum for the trivial-character entry
+        (whose character is 1 on every block and whose torus quotients have
+        coefficients +-1): the entry raises and is never rounded."""
+        real_block, real_table = omega_mod._omega_block, omega_mod.coset_table
 
-        def seeded(m, mp, r):
-            low, den, blocks = real(m, mp, r)
-            if fault == "denominator":
-                return low, 2 * den, blocks
-            (cols, rows, cs), *rest = blocks
-            return low, den, ((cols, rows, (cs[0] + 1,) + cs[1:]), *rest)
+        def seeded_block(m, mp, r):
+            low, ((cols, rows, cs), *rest) = real_block(m, mp, r)
+            return low, ((cols, rows, (cs[0] + 1,) + cs[1:]), *rest)
 
-        monkeypatch.setattr(omega_mod, "_omega_block", seeded)
+        def seeded_table(m, mp):
+            (h, ((*key, weight), *rest)), *others = real_table(m, mp)
+            return ((h, ((*key, weight + 1), *rest)), *others)
+
+        if fault == "block":
+            monkeypatch.setattr(omega_mod, "_omega_block", seeded_block)
+        else:
+            monkeypatch.setattr(omega_mod, "coset_table", seeded_table)
         triv = RP("(2;-;-)")
         with pytest.raises(OmegaError, match="not integral"):
             _omega_entry_direct(triv, triv, 3)
@@ -622,18 +626,33 @@ class TestCosetTable:
                                         ((1, 2, 1), (2, 0, 2))])
     def test_labels_and_margins(self, mt, mpt):
         """The labels are those of the brute-force double cosets; each
-        label's weights sum to 1 (the class equation sum 1/z_rho = 1, once
+        label's weights sum to n! (the class equation sum 1/z_rho = 1, once
         per cell); the joined types have the label's margins."""
         m, mp = Composition(mt), Composition(mpt)
         table = coset_table(m, mp)
         assert {h.rows for h, _ in table} == \
             {dc.label.rows for dc in double_cosets(m.n, m, mp)}
         for h, terms in table:
-            assert sum(w for *_, w in terms) == 1
+            assert sum(w for *_, w in terms) == factorial(m.n)
             for cols, rows, rho, _ in terms:
                 assert tuple(sum(c) for c in cols) == h.col_sums()
                 assert tuple(sum(c) for c in rows) == h.row_sums()
                 assert sorted(rho) == sorted(x for c in cols for x in c)
+
+    @pytest.mark.parametrize("n,r", [(3, 3), (4, 2), (2, 4)])
+    def test_weights_are_n_factorial_over_z(self, n, r):
+        """At every weight pair each weight is the int n! prod 1/z_rho_ij,
+        the literal pair count scaled by n! / (|S_m| |S_m'|), and each
+        label's weights sum to n!."""
+        comps = [Composition(c) for c in compositions(n, r)]
+        for m in comps:
+            for mp in comps:
+                table = coset_table(m, mp)
+                assert {(h.rows, *key): w for h, terms in table
+                        for *key, w in terms} == literal_weights(m, mp)
+                for h, terms in table:
+                    assert all(type(w) is int for *_, w in terms)
+                    assert sum(w for *_, w in terms) == factorial(n)
 
     def test_torus_quotient(self):
         assert torus_quotient((2,), 2, 1) == P("t - 1")
