@@ -1,8 +1,8 @@
 """Command-line surface: the parser and the dispatcher.
 
 Subcommands: enumerate, omega, solve, verify; each accepts only the flags it
-reads and loads only the modules it runs.  The parser gives flags only to
-the command, and the verify suite, that argv names, and main then loads the
+reads and loads only the modules it runs.  The parser builds only the
+command, and the verify suite, that argv names, and main then loads the
 module that runs it: `commands` for enumerate, omega and solve,
 `greencheck` for verify thm55 and `suites` for the other verify suites.
 Exit codes: 0 on success, 1 on verification failure, solver error or a
@@ -117,16 +117,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     run, the "module.function" that runs it; each sets least, {flag: least
     value} of the flags it checks.
 
-    Given argv, only the command and the suite that argv names get their
-    flags and defaults.  argparse takes the first word of argv that is not
-    a flag as the command and, after verify, the next as the suite; a flag
-    value read as either is no command and fails as one.  So the sub-parser
-    that runs always has its flags, and none other is used.  With no argv
-    every sub-parser gets them."""
-    words = None if argv is None else [a for a in argv if a[:1] != "-"]
+    When argv's first word is a command and, after verify, its second word
+    a suite, only the parsers on that path are built: argparse reads the
+    first word as the command and the second as the suite, so they are the
+    ones that run.  For any other argv (none, a leading flag, an unknown
+    word, a bare verify) the whole tree is, so that help pages and choice
+    errors list every choice."""
+    paths = [(c,) for c in ("enumerate", "omega", "solve")] + \
+        [("verify", suite) for suite in SUITES]
+    path = next((p for p in paths if tuple(argv or ())[:len(p)] == p), None)
 
-    def named(*path) -> bool:
-        return words is None or words[:len(path)] == list(path)
+    def built(*names) -> bool:
+        return path is None or path[:len(names)] == names
 
     parser = _Parser(
         prog="wkostka",
@@ -135,9 +137,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help_text, least, *flags):
-        p = sub.add_parser(name, help=help_text)
-        if not named(name):
+        if not built(name):
             return
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=f"commands.cmd_{name}",
                        least={"--n": 0, "--r": 1, **least})
         for flag in ("--n", "--r"):
@@ -154,14 +156,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     command("omega", "build the fake-degree matrix", guards,
             "--method", *guards)
     command("solve", "triangular factorization", guards, "--method", *guards)
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    if not named("verify"):
+    if not built("verify"):
         return parser
+    p_verify = sub.add_parser("verify", help="run a verification suite")
     suites = p_verify.add_subparsers(dest="suite", required=True)
     for suite, (_, flags) in SUITES.items():
-        p = suites.add_parser(suite)
-        if not named("verify", suite):
+        if not built("verify", suite):
             continue
+        p = suites.add_parser(suite)
         p.set_defaults(least={f: least for f, (_, least) in flags.items()
                               if least is not None})
         p.add_argument("--out", **_FLAGS["--out"])

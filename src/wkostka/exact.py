@@ -4,7 +4,8 @@ Everything in this module is exact: Laurent polynomials in a single
 variable t over the rationals, and matrices of them.  A Laurent coefficient
 is stored as an int where it is integral and as a fractions.Fraction
 otherwise, so the production path (whose Omega, P+- and Lambda are
-integral) computes over Z.  Every polynomial is stored densely, and one
+integral) computes over Z, and Q (the fractions module) loads only when a
+non-integral value appears.  Every polynomial is stored densely, and one
 dense kernel computes in Q[t, t^-1]: the gcd of Q[t] runs Euclid's
 algorithm on its division, and the wreath oracle divides by Phi_r with it.
 One Kronecker codec (_packed, _unpacked) turns an integral Laurent
@@ -17,7 +18,7 @@ between threads.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from functools import lru_cache
 
 
 class ExactError(ValueError):
@@ -25,13 +26,31 @@ class ExactError(ValueError):
     asked to become a Laurent polynomial)."""
 
 
-def _exact(x):
-    """x as an int where it is integral and as a Fraction otherwise."""
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
+def _scalar(x):
+    """x as an exact scalar, an int where it is integral and a Fraction
+    otherwise; NotImplemented when x is neither an int nor a Fraction."""
     if isinstance(x, int):
         return int(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    from fractions import Fraction
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    return NotImplemented
+
+
+def _exact(x):
+    """_scalar(x), or a TypeError for a value that is no exact rational."""
+    v = _scalar(x)
+    if v is NotImplemented:
+        raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    return v
+
+
+def _ratio(num, den):
+    """num / den, exactly: an int where it is integral, else a Fraction."""
+    if type(num) is int and type(den) is int and not num % den:
+        return num // den
+    from fractions import Fraction
+    return _exact(Fraction(num, den))
 
 
 class LaurentPoly:
@@ -117,13 +136,15 @@ class LaurentPoly:
 
     # -- ring operations ----------------------------------------------
 
-    # Each operator tests for a LaurentPoly operand first, as isinstance
-    # against Fraction (whose metaclass is ABCMeta) is the slow test.
+    # Each operator tests for a LaurentPoly operand first and _scalar for an
+    # int next, as isinstance against Fraction (whose metaclass is ABCMeta)
+    # is the slow test, and Q loads only for an operand that is no int.
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
+            other = _scalar(other)
+            if other is NotImplemented:
+                return other
             other = LaurentPoly.const(other)
         if not other.coeffs:
             return self
@@ -141,9 +162,8 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other):
-        if not isinstance(other, (LaurentPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-other)
+        other = other if isinstance(other, LaurentPoly) else _scalar(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -152,9 +172,9 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return _laurent(self.low + other.low,
                             _dense_mul(self.coeffs, other.coeffs))
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        f = _exact(other)
+        f = _scalar(other)
+        if f is NotImplemented:
+            return f
         return _laurent(self.low, [v * f if v else v for v in self.coeffs])
 
     __rmul__ = __mul__
@@ -165,7 +185,7 @@ class LaurentPoly:
         if n < 0:
             if not self.is_monomial():
                 raise ExactError("negative power of a non-monomial")
-            return LaurentPoly({self.low * n: Fraction(self.coeffs[0]) ** n})
+            return LaurentPoly({self.low * n: _ratio(1, self.coeffs[0] ** -n)})
         result = LaurentPoly.one()
         base = self
         while n:
@@ -177,8 +197,9 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
+            other = _scalar(other)
+            if other is NotImplemented:
+                return other
             other = LaurentPoly.const(other)
         return self.low == other.low and self.coeffs == other.coeffs
 
@@ -200,7 +221,9 @@ class LaurentPoly:
         """Substitute t -> t^-1."""
         return _laurent(1 - self.low - len(self.coeffs), self.coeffs[::-1])
 
-    def eval_at(self, q) -> Fraction:
+    def eval_at(self, q):
+        """The value at t = q, a Fraction."""
+        from fractions import Fraction
         q = Fraction(_exact(q))
         if q == 0 and self.coeffs and self.low < 0:
             raise ExactError("cannot evaluate negative exponents at 0")
@@ -224,40 +247,20 @@ class LaurentPoly:
         return _laurent(self.low // r, self.coeffs[::r])
 
     def has_nonneg_int_coeffs(self) -> bool:
-        # A Fraction coefficient is never integral (see the class docstring).
-        return Fraction not in map(type, self.coeffs) and \
+        # A Fraction coefficient is never integral (see the class docstring);
+        # one makes the sum a Fraction.
+        return type(sum(self.coeffs)) is int and \
             min(self.coeffs, default=0) >= 0
 
     # -- printing -------------------------------------------------------
 
     def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, v in self.items():
-            mag = -v if v < 0 else v
-            if e == 0:
-                body = str(mag)
-            else:
-                tpart = "t" if e == 1 else f"t^{e}"
-                if mag == 1:
-                    body = tpart
-                elif mag.denominator == 1:
-                    body = f"{mag}{tpart}"
-                else:
-                    body = f"{mag}*{tpart}"
-            if not parts:
-                parts.append(body if v > 0 else "-" + body)
-            else:
-                parts.append((" + " if v > 0 else " - ") + body)
-        return "".join(parts)
+        return _text(self.low, self.coeffs)
 
     def to_latex(self) -> str:
-        s = self.to_string()
-        return re.sub(r"\^(-?\d+)", r"^{\1}", s)
+        return _text(self.low, self.coeffs, "t^{%d}")
 
-    def __str__(self):
-        return self.to_string()
+    __str__ = to_string
 
     def __repr__(self):
         return f"LaurentPoly({self.to_string()!r})"
@@ -273,6 +276,25 @@ class LaurentPoly:
         't^6 - t^-3'
         """
         return _parse(text)
+
+
+@lru_cache(maxsize=None)
+def _text(low: int, coeffs: tuple, power: str = "t^%d") -> str:
+    """The printed sum coeffs[i] t^(low + i), highest power first, with
+    each power of t but t itself written as power % exponent.  Solved
+    tables repeat few values, so each is formatted once per process."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        v = coeffs[i]
+        if not v:
+            continue
+        e, mag = low + i, -v if v < 0 else v
+        tpart = "" if e == 0 else "t" if e == 1 else power % e
+        body = str(mag) if e == 0 else tpart if mag == 1 else \
+            f"{mag}{tpart}" if mag.denominator == 1 else f"{mag}*{tpart}"
+        sign = (" + " if v > 0 else " - ") if parts else "" if v > 0 else "-"
+        parts.append(sign + body)
+    return "".join(parts) or "0"
 
 
 # A pattern, not a compiled one: re compiles it on the first parse and
@@ -329,7 +351,7 @@ def _parse(text: str) -> LaurentPoly:
             den = natural() if take("/") else 1
             if not den:
                 raise ExactError(f"zero denominator in {text!r}")
-            p = LaurentPoly.const(Fraction(int(tok), den))
+            p = LaurentPoly.const(_ratio(int(tok), den))
         else:
             fail(tok)
         if take("^"):
@@ -362,7 +384,7 @@ def _laurent(low: int, cs) -> LaurentPoly:
     while lo < hi and not cs[lo]:
         lo += 1
     cs = tuple(cs[lo:hi])
-    if Fraction in map(type, cs):
+    if type(sum(cs)) is not int:  # one Fraction makes it one
         cs = tuple(map(_exact, cs))
     out = LaurentPoly.__new__(LaurentPoly)
     out.low = low + lo if hi else 0
@@ -441,14 +463,15 @@ def _dense_divmod(num, den) -> tuple:
     nonzero leading one), both with trailing zeros stripped.
 
     A step whose int coefficient the int leading coefficient divides stays
-    in Z; any other step multiplies by 1 / lead, a Fraction."""
+    in Z; any other step multiplies by 1 / lead, formed at the first such
+    step."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
     dn = len(den) - 1
     lead = den[-1]
     int_lead = type(lead) is int
-    lead_inv = Fraction(1, lead)
+    lead_inv = None
     lower = [(j, d) for j, d in enumerate(den[:dn]) if d]
     quot = [0] * max(len(num) - dn, 0)
     for k in range(len(num) - 1, dn - 1, -1):
@@ -458,6 +481,7 @@ def _dense_divmod(num, den) -> tuple:
         if int_lead and type(c) is int and not c % lead:
             q = c // lead
         else:
+            lead_inv = lead_inv or _ratio(1, lead)
             q = c * lead_inv
         quot[k - dn] = q
         for j, d in lower:
@@ -482,7 +506,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     a, b = _padded(p, 0), _padded(q, 0)
     while b:
         if b[-1] != 1:
-            inv = Fraction(1, b[-1])
+            inv = _ratio(1, b[-1])
             b = [_exact(c * inv) for c in b]
         a, b = b, _dense_divmod(a, b)[1]
     return _laurent(0, a)
@@ -491,7 +515,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 def _monic(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero:
         return p
-    return p * Fraction(1, p.coeffs[-1])
+    return p * _ratio(1, p.coeffs[-1])
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

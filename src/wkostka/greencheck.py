@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from math import comb, factorial
 
-from .exact import LaurentPoly, _laurent
+from .exact import LaurentPoly, _laurent, _ratio
 from .omega import a_O, b_O, coset_table, omega_entry_cosets, torus_quotient
 from .record import Record
 from .rpart import (Composition, ContingencyMatrix, RPartition, compositions,
@@ -95,8 +94,7 @@ def green_inner_product(lam: RPartition, mu: RPartition, pair: tuple,
         for i, x in enumerate(quot.coeffs, quot.low + shift - low):
             acc[i] += c * x
     n_fact = factorial(n)
-    return _laurent(low, [x // n_fact if not x % n_fact else
-                          Fraction(x, n_fact) for x in acc])
+    return _laurent(low, [_ratio(x, n_fact) for x in acc])
 
 
 # -- verification reports -------------------------------------------------------

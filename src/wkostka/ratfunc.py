@@ -9,10 +9,9 @@ so that a wrapper put on either name there sees every call from here.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from . import exact
-from .exact import ExactError, LaurentPoly
+from .exact import ExactError, LaurentPoly, _ratio, _scalar
 
 
 class RationalFunction:
@@ -27,11 +26,11 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, LaurentPoly):
             num = LaurentPoly.const(num)
         if den is None:
             den = LaurentPoly.one()
-        elif isinstance(den, (int, Fraction)):
+        elif not isinstance(den, LaurentPoly):
             den = LaurentPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
@@ -48,7 +47,7 @@ class RationalFunction:
             q = exact.exact_div(q, g)
         lead = q.coeffs[-1]
         if lead != 1:
-            inv = Fraction(1, lead)
+            inv = _ratio(1, lead)
             p = p * inv
             q = q * inv
         self.num = p.shift(shift)
@@ -129,7 +128,7 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def eval_at(self, q) -> Fraction:
+    def eval_at(self, q):
         d = self.den.eval_at(q)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {q}")
@@ -164,6 +163,6 @@ class RationalFunction:
 def _coerce_rf(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (int, Fraction, LaurentPoly)):
+    if isinstance(x, LaurentPoly) or _scalar(x) is not NotImplemented:
         return RationalFunction(x)
     return NotImplemented

@@ -4,6 +4,10 @@ juxtaposition ("2t^3", "t^-1(t - 1)") as a precedence level of its own,
 bound tighter than "*"; as multiplication is associative, that level never
 changes a value.  It lets Fraction's ZeroDivisionError escape on "1/0" and
 "0^-1", where LaurentPoly.parse raises ExactError.
+
+Its inverse, the printer that LaurentPoly.to_string was before each distinct
+value came to be formatted once (exact._text), is kept here too, as the
+oracle of the printed form: it walks items() and writes every term anew.
 """
 import re
 from fractions import Fraction
@@ -118,3 +122,30 @@ class _PolyParser:
                 val = val ** self._exponent()
             return LaurentPoly.const(val)
         raise ExactError(f"unexpected token {tok!r}")
+
+
+def literal_to_string(p: LaurentPoly) -> str:
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for e, v in p.items():
+        mag = -v if v < 0 else v
+        if e == 0:
+            body = str(mag)
+        else:
+            tpart = "t" if e == 1 else f"t^{e}"
+            if mag == 1:
+                body = tpart
+            elif mag.denominator == 1:
+                body = f"{mag}{tpart}"
+            else:
+                body = f"{mag}*{tpart}"
+        if not parts:
+            parts.append(body if v > 0 else "-" + body)
+        else:
+            parts.append((" + " if v > 0 else " - ") + body)
+    return "".join(parts)
+
+
+def literal_to_latex(p: LaurentPoly) -> str:
+    return re.sub(r"\^(-?\d+)", r"^{\1}", literal_to_string(p))

@@ -749,11 +749,13 @@ def _subparsers(parser) -> dict:
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _parser_flags() -> dict:
-    """{command: its flags but --help}, verify suites as "verify SUITE"."""
-    parsers = dict(_subparsers(build_parser()))
-    suites = _subparsers(parsers.pop("verify"))
-    parsers.update((f"verify {suite}", p) for suite, p in suites.items())
+def _parser_flags(parser=None) -> dict:
+    """{command: its flags but --help}, verify suites as "verify SUITE", of
+    parser's tree (the whole tree by default)."""
+    parsers = dict(_subparsers(parser or build_parser()))
+    if "verify" in parsers:
+        suites = _subparsers(parsers.pop("verify"))
+        parsers.update((f"verify {suite}", p) for suite, p in suites.items())
     return {name: {s for a in p._actions for s in a.option_strings
                    if s != "--help" and s.startswith("--")}
             for name, p in parsers.items()}
@@ -765,25 +767,42 @@ def _parser_flags() -> dict:
     (("enumerate", "--n", "2", "--r", "2", "--format", "csv"), {"enumerate"}),
     (("verify", "thm55", "--n", "2", "--q", "2", "3"), {"verify thm55"}),
     (("verify", "orders", "--seed", "4"), {"verify orders"}),
-    (("verify", "--out", "x", "thm55"), set()),
+    (("verify", "--out", "x", "thm55"), None),
     (("solve", "--n", "-1", "--r", "3", "--order", "verify"), {"solve"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
 def test_the_named_parser_reads_argv_as_the_whole_tree(argv, named):
-    """build_parser(argv) gives flags only to the command and suite argv
-    names, and parses argv as the whole tree does, or fails as it does."""
+    """build_parser(argv) builds only the command and suite argv names, or
+    the whole tree (named None) when argv names none, each parser with its
+    flags; it parses argv as the whole tree does, or fails as it does."""
     def parsed(parser):
         try:
             return vars(parser.parse_args(argv))
         except wkostka.UsageError as exc:
             return str(exc)
     assert parsed(build_parser(argv)) == parsed(build_parser())
-    parsers = dict(_subparsers(build_parser(argv)))
-    verify = parsers.pop("verify")
-    if argv[0] == "verify":
-        parsers.update((f"verify {suite}", p)
-                       for suite, p in _subparsers(verify).items())
-    assert {name for name, p in parsers.items()
-            if set(p._option_string_actions) - {"-h", "--help"}} == named
+    built = _parser_flags(build_parser(argv))
+    assert set(built) == (set(_parser_flags()) if named is None else named)
+    assert all(built.values())
+
+
+def _tree_size(parser) -> int:
+    """The number of parsers in parser's tree, parser included."""
+    return 1 + sum(_tree_size(p) for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)
+                   for p in a.choices.values())
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("verify", "thm55", "--n", "3", "--r", "2"), 3),
+    (("solve", "--n", "2", "--r", "5"), 2),
+    (("enumerate", "--n", "2", "--r", "2"), 2),
+    (("--help", "solve"), 12), (("verify",), 12), (("verify", "nonsense"), 12),
+    (("nonsense",), 12), ((), 12)], ids=lambda v: " ".join(v)
+    if isinstance(v, tuple) else str(v))
+def test_only_the_named_path_is_built(argv, size):
+    """A command and suite that argv names get their parsers alone; any
+    other argv gets all 12, so that help and choice errors stay whole."""
+    assert _tree_size(build_parser(argv)) == size
 
 
 def test_readme_flag_table_matches_the_parser():

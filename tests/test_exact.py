@@ -1,6 +1,7 @@
 """Exact arithmetic layer: Laurent polynomials, Q(t), cyclotomic polynomials."""
 import hashlib
 import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from literal_gcd import literal_gcd
-from literal_parse import literal_parse
+from literal_parse import literal_parse, literal_to_latex, literal_to_string
 from wkostka import exact
 from wkostka.exact import (ExactError, LaurentPoly, RationalFunction,
                            exact_div, poly_gcd)
@@ -344,6 +345,87 @@ class TestIntegralCoefficients:
                           p.shift(3), p.reciprocal_var()):
                 assert _is_canonical(value)
         assert LaurentPoly(as_fraction) * Fraction(1, 2) * 2 == first
+
+
+# Printed coefficients: zero, +-1, ints and Fractions, so that every branch
+# of the printer (sign, unit, "c t^e", "c*t^e") is drawn.
+_printed = st.one_of(st.sampled_from([0, 1, -1]),
+                     st.integers(-10 ** 6, 10 ** 6),
+                     st.fractions(-9, 9, max_denominator=8))
+
+
+class TestPrinting:
+    @given(st.dictionaries(st.integers(-8, 8), _printed, max_size=7))
+    @example({})
+    @example({2: Fraction(1, 2), -1: Fraction(-3, 4)})
+    @example({1: -1, 0: 1, -1: 1})
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_the_literal_printer(self, terms):
+        p = LaurentPoly(terms)
+        want = literal_to_string(p)
+        assert exact._text(p.low, p.coeffs) == p.to_string() == want
+        assert str(p) == want and repr(p) == f"LaurentPoly({want!r})"
+        assert p.to_latex() == literal_to_latex(p)
+
+    def test_fraction_coefficients(self):
+        p = P("1/2*t^2 - 3/4*t^-1")
+        assert str(p) == "1/2*t^2 - 3/4*t^-1"
+        assert p.to_latex() == "1/2*t^{2} - 3/4*t^{-1}"
+        assert str(-p) == "-1/2*t^2 + 3/4*t^-1"
+
+    def test_each_value_is_formatted_once(self):
+        exact._text.cache_clear()
+        p = P("t^3 - 2t + 5 - t^-4")
+        assert [str(P(str(p))) for _ in range(3)] == [str(p)] * 3
+        assert p.to_latex() == "t^{3} - 2t + 5 - t^{-4}"
+        info = exact._text.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+
+class TestScalarRing:
+    """The scalars are ints and Fractions; an operand that is neither gets
+    Python's own TypeError, and an int never becomes a Fraction."""
+
+    @pytest.mark.parametrize("value", [LaurentPoly.one(), P("t + 1"),
+                                       RationalFunction(P("1"), P("t + 1"))],
+                             ids=["one", "t + 1", "1/(t + 1)"])
+    @pytest.mark.parametrize("other", [2.5, "t"], ids=["float", "str"])
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_foreign_operands(self, value, other, op):
+        apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+        # A str times a value, either way round, is read as a repeat, whose
+        # TypeError has its own message.
+        message = rf"for {re.escape(op)}: '{type(value).__name__}' and " \
+            rf"'{type(other).__name__}'"
+        with pytest.raises(TypeError, match=None if op == "*" and
+                           other == "t" else message):
+            apply(value, other)
+        with pytest.raises(TypeError):
+            apply(other, value)
+        assert value.__eq__(other) is NotImplemented
+        assert (value == other) is False and (other != value) is True
+
+    def test_scalar(self):
+        assert exact._scalar(2.5) is NotImplemented
+        assert exact._scalar("1") is NotImplemented
+        for x, want in ((True, 1), (7, 7), (Fraction(4, 2), 2)):
+            assert exact._scalar(x) == want and type(exact._scalar(x)) is int
+        assert exact._scalar(Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_exact_div_by_an_int_constant(self):
+        quot = exact_div(P("2t + 2"), P("2"))
+        assert quot == P("t + 1")
+        assert all(type(c) is int for c in quot.coeffs)
+        half = exact_div(P("t + 1"), P("2"))
+        assert half.coeffs == (Fraction(1, 2), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in half.coeffs)
+
+    def test_int_denominator_of_a_rational_function(self):
+        p = P("t^2 + 3t - 1")
+        assert RationalFunction(p, 2) == RationalFunction(p * Fraction(1, 2))
+        assert RationalFunction(p, 2).num.coeffs == \
+            (Fraction(-1, 2), Fraction(3, 2), Fraction(1, 2))
+        assert RationalFunction(2 * p, 2).num.coeffs == (-1, 3, 1)
 
 
 class TestKroneckerCodec:

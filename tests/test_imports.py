@@ -1,9 +1,10 @@
 """Source hygiene: every import in the package's modules is read, each
-command loads only the modules it runs, the integral path clears no
-denominator, the reconstruction check stays independent of the elimination
-it checks, the Green inner product and the wreath oracle share no code with
-the coset entries they are checked against, and the checks of Omega's
-symmetries never go through the twisted entry."""
+command loads only the modules it runs, the integral path loads no
+fractions and clears no denominator, the reconstruction check stays
+independent of the elimination it checks, the Green inner product and the
+wreath oracle share no code with the coset entries they are checked
+against, and the checks of Omega's symmetries never go through the twisted
+entry."""
 import ast
 import os
 import subprocess
@@ -68,14 +69,22 @@ def test_every_export_is_its_defining_modules_object():
         wkostka.no_such_name
 
 
-def _loaded(*statements: str) -> set:
-    """The wkostka.* modules a fresh interpreter holds after statements."""
+def _loaded(*statements: str, prefix: str = "wkostka.") -> set:
+    """The modules whose names start with prefix that a fresh interpreter
+    holds after statements."""
     probe = "\n".join(("import sys", *statements, "print(' '.join(m for m in "
-                        "sys.modules if m.startswith('wkostka.')))"))
+                        f"sys.modules if m.startswith({prefix!r})))"))
     done = subprocess.run(
         [sys.executable, "-c", probe], check=True, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     return set(done.stdout.split())
+
+
+def _run_main(argv) -> tuple:
+    """The statements that run wkostka.cli.main(argv), stdout swallowed."""
+    return ("import io, contextlib, wkostka.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert wkostka.cli.main({list(argv)!r}) == 0")
 
 
 def test_import_wkostka_loads_no_module():
@@ -95,11 +104,37 @@ def test_import_wkostka_loads_no_module():
      ("factor", "ratfunc", "charge", "commands", "fixtures")),
 ], ids=" ".join)
 def test_each_command_loads_only_its_modules(argv, unused):
-    loaded = _loaded("import io, contextlib, wkostka.cli",
-                     "with contextlib.redirect_stdout(io.StringIO()):",
-                     f"    assert wkostka.cli.main({list(argv)!r}) == 0")
+    loaded = _loaded(*_run_main(argv))
     assert "wkostka.omega" in loaded
     assert loaded & {f"wkostka.{m}" for m in unused} == set()
+
+
+# Q enters only through a non-integral value, so no committed workload (nor
+# LaTeX output) loads fractions, or the decimal and numbers modules that it
+# loads.
+@pytest.mark.parametrize("argv", [
+    ("solve", "--n", "2", "--r", "5"),
+    ("solve", "--n", "4", "--r", "1", "--format", "latex"),
+    ("verify", "thm55", "--n", "3", "--r", "2"),
+], ids=" ".join)
+def test_the_integral_path_loads_no_fractions(argv):
+    loaded = _loaded(*_run_main(argv), prefix="")
+    assert "wkostka.exact" in loaded
+    assert loaded & {"fractions", "decimal", "numbers"} == set()
+
+
+@pytest.mark.parametrize("module", [
+    "exact", "ratfunc", "greencheck", "omega", "factor", "rpart", "symgrp",
+    "cli", "commands"])
+def test_no_module_level_fractions_import(module):
+    """Only the oracles (wreath, charge, fixtures) may import fractions at
+    module level; the rest import it in the branches that build a Fraction."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    top = {alias.name for node in tree.body if isinstance(node, ast.Import)
+           for alias in node.names}
+    top |= {node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in top
 
 
 def _names_in(module: str, function: str = None) -> set:
