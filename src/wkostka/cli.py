@@ -97,7 +97,6 @@ _FLAGS = {
     "--out": dict(default=None),
     "--coset-bound": dict(type=int, default=COSET_K_BOUND),
     "--wreath-bound": dict(type=int, default=WREATH_ORACLE_BOUND),
-    "--method": dict(choices=("cosets", "wreath"), default="cosets"),
     "--seed": dict(type=int),
     "--samples": dict(type=int),
     "--q": dict(type=int, nargs="+"),
@@ -150,12 +149,13 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             from .commands import BLOCKS
             p.add_argument("--emit", default=None,
                            help="comma list of " + ",".join(BLOCKS))
+            # Read by bench/traced.py, which builds Omega itself.
+            p.set_defaults(method="cosets", wreath_bound=WREATH_ORACLE_BOUND)
 
-    guards = {"--coset-bound": 1, "--wreath-bound": 1}
+    guards = {"--coset-bound": 1}
     command("enumerate", "list P_{n,r} with statistics", {})
-    command("omega", "build the fake-degree matrix", guards,
-            "--method", *guards)
-    command("solve", "triangular factorization", guards, "--method", *guards)
+    command("omega", "build the fake-degree matrix", guards, *guards)
+    command("solve", "triangular factorization", guards, *guards)
     if not built("verify"):
         return parser
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -126,16 +126,12 @@ def omega_to_json(om) -> dict:
 
 
 def _omega(args):
-    """Omega over the order args name.  The guard of the route is checked
-    first, as building an order compares every pair of the K r-partitions."""
-    if args.method == "wreath":
-        omega_mod._check_oracle_bound(args.n, args.r, args.wreath_bound)
-    else:
-        omega_mod._check_coset_bound(rpart.count_rpartitions(args.n, args.r),
-                                     args.coset_bound)
+    """Omega over the order args name.  The coset guard is checked first, as
+    building an order compares every pair of the K r-partitions."""
+    omega_mod._check_coset_bound(rpart.count_rpartitions(args.n, args.r),
+                                 args.coset_bound)
     return omega_mod.omega_matrix(args.n, args.r, _resolve_order(args),
-                                  args.method, coset_n_bound=args.coset_bound,
-                                  wreath_bound=args.wreath_bound)
+                                  coset_n_bound=args.coset_bound)
 
 
 def cmd_omega(args) -> str:
@@ -179,7 +175,7 @@ def _selected(res, blocks):
 
 def _ic_block(ic) -> dict:
     data = {"raw": _matrix_strings(ic.raw),
-            "ok": [list(row) for row in ic.ok],
+            "ok": [[e is not None for e in row] for row in ic.in_s],
             "in_s": [[str(e) if e is not None else None for e in row]
                      for row in ic.in_s]}
     if ic.column_asserted is not None:

@@ -26,12 +26,12 @@ class FactorizationError(ValueError):
 class IcMatrix(FrozenRecord):
     """A rescaled Kostka matrix with per-entry validity flags.
 
-    raw holds the rescaled Laurent polynomials in t; where ok is set the
-    entry lies in Z>=0[t^r] and in_s carries it rewritten in s = t^r.
+    raw holds the rescaled Laurent polynomials in t; in_s carries an entry
+    rewritten in s = t^r where it lies in Z>=0[t^r], and None elsewhere.
     column_asserted is a tuple or None (the default).
     """
 
-    __slots__ = ("raw", "ok", "in_s", "column_asserted")
+    __slots__ = ("raw", "in_s", "column_asserted")
     _defaults = {"column_asserted": None}
 
 
@@ -274,15 +274,11 @@ def _ic_matrix(rows, row_shift, col_shift, r: int,
                column_asserted=None) -> IcMatrix:
     """Entries t^(row_shift[i] + col_shift[j]) * rows[i][j]; flagged where
     they land in Z>=0[t^r]."""
-    raw, ok, in_s = [], [], []
-    for row, shift in zip(rows, row_shift):
-        raw_row = tuple(map(LaurentPoly.shift, row,
-                            [shift + c for c in col_shift]))
-        in_s_row = tuple(map(_in_s, raw_row, itertools.repeat(r)))
-        raw.append(raw_row)
-        ok.append(tuple(s is not None for s in in_s_row))
-        in_s.append(in_s_row)
-    return IcMatrix(tuple(raw), tuple(ok), tuple(in_s), column_asserted)
+    raw = tuple(tuple(map(LaurentPoly.shift, row,
+                          [shift + c for c in col_shift]))
+                for row, shift in zip(rows, row_shift))
+    in_s = tuple(tuple(map(_in_s, row, itertools.repeat(r))) for row in raw)
+    return IcMatrix(raw, in_s, column_asserted)
 
 
 def _in_s(e: LaurentPoly, r: int):

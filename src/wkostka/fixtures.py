@@ -176,7 +176,7 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
                     mismatch(f"{name}(erratum)", at, got, want)
             elif got != want:
                 mismatch(name, at, got, want)
-            elif name == "ic_minus" and not _cell(result.ic_minus.ok, at):
+            elif name == "ic_minus" and _cell(result.ic_minus.in_s, at) is None:
                 mismatch("ic_minus(flag)", at, "not in Z>=0[t^r]", "flag")
 
     # The candidate must match the printed IC+ matrix exactly where the

@@ -57,8 +57,8 @@ def _check_coset_bound(k: int, bound: int):
 
 def _check_oracle_bound(n: int, r: int, bound: int):
     """The wreath oracle's guard, K^3 r^2 n <= bound for K = |P_{n,r}|: K^3 r^2
-    products of packed quotients that lengthen with n.  omega_matrix, verify
-    oracle and the CLI before it builds the order check it first."""
+    products of packed quotients that lengthen with n.  omega_matrix and
+    verify oracle check it first."""
     cost = count_rpartitions(n, r) ** 3 * r ** 2 * n
     if cost > bound:
         raise OmegaError(
@@ -236,9 +236,8 @@ def omega_entry_cosets(lam: RPartition, mu: RPartition, r: int) -> LaurentPoly:
     """omega_(lam,mu), read off its orbit's representative: the twist g that
     takes lam to the least member of its orbit (_orbit_twist) leaves the
     entry unchanged (module docstring), so this is the coset route's
-    _omega_entry_direct(g lam, g mu, r), which each orbit computes once."""
-    if lam.n != mu.n or lam.r != r or mu.r != r:
-        raise OmegaError("index mismatch")
+    _omega_entry_direct(g lam, g mu, r), which each orbit computes once.
+    A twist keeps n and r, so _omega_entry_direct checks the indices."""
     k, conj = _orbit_twist(lam)
     return _omega_entry_direct(_twist(lam, k, conj), _twist(mu, k, conj), r)
 
@@ -288,9 +287,9 @@ def _omega_entry_direct(lam: RPartition, mu: RPartition,
 
 class OmegaMatrix(FrozenRecord):
     """The scaled fake-degree matrix over a fixed total order: order is an
-    OrderedIndex, entries a PolyMatrix, method the route's name."""
+    OrderedIndex, entries a PolyMatrix."""
 
-    __slots__ = ("order", "entries", "n", "r", "method")
+    __slots__ = ("order", "entries", "n", "r")
 
     def entry(self, lam: RPartition, mu: RPartition) -> LaurentPoly:
         return self.entries.entry(lam, mu)
@@ -305,7 +304,8 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
     the 2r twists; the solver then eliminates in order K^3, so it refuses
     K > coset_n_bound before it computes any entry.  (The
     keyword keeps its old name: bench/traced.py passes it by that name.)
-    The wreath route likewise checks K^3 r^2 n against wreath_bound once."""
+    method "wreath" builds the oracle's matrix, for the tests, and checks
+    K^3 r^2 n against wreath_bound once; no command runs it."""
     if method == "cosets":
         _check_coset_bound(len(order), coset_n_bound)
         entry = lambda a, b: omega_entry_cosets(a, b, r)
@@ -316,4 +316,4 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
     else:
         raise OmegaError(f"unknown method {method!r}")
     rows = [[entry(lam, mu) for mu in order.items] for lam in order.items]
-    return OmegaMatrix(order, PolyMatrix(order, rows), n, r, method)
+    return OmegaMatrix(order, PolyMatrix(order, rows), n, r)

@@ -10,13 +10,12 @@ fake-degree sums run on integers packed at t = 2^bits by exact's Kronecker
 codec, which the coset route does not use."""
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
 
 from .exact import (ExactError, LaurentPoly, _dense_divmod, _exact, _laurent,
-                    _packed, _unpacked, exact_div)
+                    _packed, _ratio, _unpacked, exact_div)
 from .omega import OmegaError
 from .rpart import RPartition, enumerate_rpartitions, n_star
 from .symgrp import centralizer_order, rim_hooks
@@ -174,8 +173,7 @@ def _fake_degree_sum(n: int, r: int, left: tuple, right: tuple,
                          ", ".join(str(_unpacked(v, 0, bits)) for v in rem))
     value = _unpacked(rem[0] if rem else 0, 0, bits)
     order = factorial(n) * r ** n
-    return _laurent(value.low, [Fraction(c, order) if c % order
-                                else c // order for c in value.coeffs])
+    return _laurent(value.low, [_ratio(c, order) for c in value.coeffs])
 
 
 def fake_degree(n: int, r: int, chi) -> LaurentPoly:

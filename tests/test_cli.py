@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,8 +27,7 @@ def omega_from_json(data: dict) -> OmegaMatrix:
     """The inverse of omega_to_json."""
     order = OrderedIndex(tuple(RPartition.parse(s) for s in data["order"]))
     rows = [[LaurentPoly.parse(s) for s in row] for row in data["entries"]]
-    return OmegaMatrix(order, PolyMatrix(order, rows), data["n"], data["r"],
-                       "json")
+    return OmegaMatrix(order, PolyMatrix(order, rows), data["n"], data["r"])
 
 
 def run(capsys, *argv):
@@ -72,23 +72,27 @@ class TestOmegaCommand:
                                    ["t^2", "t^3", "t^4"]]
 
     def test_method_both_is_a_usage_error(self, capsys):
-        """The cosets-vs-wreath comparison is verify oracle, which names
-        each entry that differs."""
+        """omega builds Omega by one route; the cosets-vs-wreath comparison
+        is verify oracle, which names each entry that differs."""
         code, out, err = run(capsys, "omega", "--n", "1", "--r", "3",
                              "--method", "both")
-        assert code == 2 and out == ""
-        assert "invalid choice: 'both'" in err
+        assert (code, out, err) == (
+            2, "", "error: unrecognized arguments: --method both\n")
 
     # The weight compositions must not recurse once per colour, or 1000
-    # colours pass Python's recursion limit.
-    @pytest.mark.parametrize("method", ["cosets", "wreath"])
-    def test_n0_with_1000_colours(self, capsys, method):
-        code, out, _ = run(capsys, "omega", "--n", "0", "--r", "1000",
-                           "--method", method)
+    # colours pass Python's recursion limit.  The wreath oracle runs as
+    # verify oracle, which checks its one entry against the coset route's.
+    @pytest.mark.parametrize("argv", [("omega",), ("verify", "oracle")],
+                             ids=["cosets", "wreath"])
+    def test_n0_with_1000_colours(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--n", "0", "--r", "1000")
         assert code == 0
         data = json.loads(out)
-        assert data["entries"] == [["1"]]
-        assert data["order"] == ["(" + ";".join(["-"] * 1000) + ")"]
+        if argv == ("omega",):
+            assert data["entries"] == [["1"]]
+            assert data["order"] == ["(" + ";".join(["-"] * 1000) + ")"]
+        else:
+            assert (data["checked"], data["pass"]) == (1, True)
 
     def test_symmetric_r2(self, capsys):
         code, out, _ = run(capsys, "omega", "--n", "1", "--r", "2")
@@ -101,6 +105,14 @@ class TestOmegaCommand:
         back = omega_from_json(data)
         assert back.entries == om.entries
         assert back.order.items == om.order.items
+
+    def test_the_oracle_builds_the_same_matrix(self):
+        """omega_matrix's wreath route, which no command runs, prints what
+        `omega --n 2 --r 4` prints by the coset route."""
+        om = omega_matrix(2, 4, default_total_order(2, 4), "wreath")
+        out = json.dumps(omega_to_json(om), indent=2) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            GOLDEN[("omega", "--n", "2", "--r", "4")]
 
 
 class TestSolveCommand:
@@ -202,8 +214,9 @@ def test_csv_lines_end_in_newline_alone(capsys, argv):
 # digests are copied from WORKLOADS in bench/run.py, so that output drift
 # shows in the unit tests without running the benchmark.  The others are not
 # in bench/run.py: the (3,3) pair pins outputs with both n >= 3 and r >= 3,
-# and the wreath omega digest pins the oracle's own bytes, where criterion 5
-# only checks that the oracle agrees with the coset route.  The (4,2) solve,
+# the (2,4) omega digest also pins the oracle's matrix
+# (TestOmegaCommand::test_the_oracle_builds_the_same_matrix), and the (2,4)
+# verify oracle digest its report.  The (4,2) solve,
 # the csv and latex forms of (3,3) and verify fixtures pin the printing of
 # int and Fraction coefficients alike.
 GOLDEN = {
@@ -219,8 +232,10 @@ GOLDEN = {
         "933d4e6c33e2ce4e427ab9f9e959afe3f3e25a2a12b3cd41f3419b24c816265c",
     ("verify", "thm55", "--n", "3", "--r", "3"):
         "9ad996e642c099b075b9363e37697a11d1e5a5d60544aae24a61cef3df1449fa",
-    ("omega", "--n", "2", "--r", "4", "--method", "wreath"):
+    ("omega", "--n", "2", "--r", "4"):
         "439432b755ee8851bfb7f67f26e10b7ab274f5d49d5a7a69fe99dff513d9724f",
+    ("verify", "oracle", "--n", "2", "--r", "4"):
+        "1c1eec3031c5c386ce88e472ab5c02c28e28a6c880f4e77449af37d19b8e78d8",
     ("solve", "--n", "4", "--r", "2"):
         "61d381885cbe7509372900aba07c8ef081b796c6436c8d0273e5ac2e1d1e2657",
     ("solve", "--n", "3", "--r", "3", "--format", "csv"):
@@ -267,7 +282,7 @@ USAGE_ERRORS = {
     ("verify", "thm55", "--suite", "lemma59"):
         "12aca1af379584584d1be1f8cad22ffe54ce6506568db6c8b229d423e72523e1",
     ("solve", "--n", "1", "--r", "3", "--method", "both"):
-        "0be074f88d894b0da64376d4a5c64735586f8a834544d760701e68c578dee4a1",
+        "050cd612c6ea0894d368f9cf05b8d50b4e12049d22874cc22c7d08c67484372e",
     ("enumerate", "--n", "1", "--r", "3", "--seed", "1"):
         "b1203bc0eeb35bc0c2d92487878e453370ca3ea29e13a465c7134cc2bbc20000",
     ("omega", "--n", "1", "--r", "3", "--samples", "3"):
@@ -301,8 +316,8 @@ GOLDEN_HELP = {
     "": "37fa55669328e21dd898621ff2d56f8bb4629067e14a89bd7601ece7b22d58fb",
     "enumerate":
         "0c8e311ed9e31735df536fa064f80c74e023573c12c6ffdea9ceff3090da38b1",
-    "omega": "cadde085a023033c66405c99c89d83b644695db3dfca6489aa5a8b61811b7cfb",
-    "solve": "7bebe99dc64264d8d4dc7fceed099d495d7f95f4eabb76646aed6f703784e743",
+    "omega": "a4f860f40b69dcb60861d64812ced6daaf2e9e9c3b743be781cfbfb205a80b68",
+    "solve": "9d3e2f10195e784b1e004fc0879f5aef87b5d42a7ee31c483f04b0d681142d42",
     "verify": "e61ffdb35e3bb74fb6ce4decc89a90ed976bf0672f97397d4df6ee3e52e389a0",
     "verify fixtures":
         "13697db95d09006515e9be59fecbd1bee12e006c4b5897ae8d54a83069d7ccbe",
@@ -405,6 +420,59 @@ class TestVerifyCommand:
     def test_classical(self, capsys):
         code, out, _ = run(capsys, "verify", "classical-r1", "--n", "3")
         assert code == 0
+
+    def test_lemma59_fails_on_a_seeded_a_O_fault(self, capsys, monkeypatch):
+        from wkostka import greencheck
+        real = greencheck.a_O
+        monkeypatch.setattr(greencheck, "a_O", lambda h, r: real(h, r) + 1)
+        code, out, _ = run(capsys, "verify", "lemma59", "--n", "1", "--r", "2")
+        data = json.loads(out)
+        assert (code, data["pass"]) == (1, False)
+        assert len(data["violations"]) == data["checked"] > 0
+
+    def test_classical_fails_on_a_wrong_solver_cell(self, capsys,
+                                                    monkeypatch):
+        """Seeded: the solver's P- one more in its last row's first cell."""
+        from wkostka import factor
+        solve = factor.solve_factorization
+
+        def seeded(om):
+            rows = [list(row) for row in solve(om).p_minus.rows]
+            rows[-1][0] += 1
+            return SimpleNamespace(p_minus=SimpleNamespace(rows=rows))
+
+        monkeypatch.setattr(factor, "solve_factorization", seeded)
+        code, out, _ = run(capsys, "verify", "classical-r1", "--n", "2")
+        data = json.loads(out)
+        assert (code, data["pass"]) == (1, False)
+        assert [(v["n"], v["lam"], v["mu"]) for v in data["violations"]] == \
+            [(1, "(1)", "(1)"), (2, "(2)", "(11)")]
+        assert all(LaurentPoly.parse(v["solver"]) ==
+                   LaurentPoly.parse(v["charge_oracle"]) + 1
+                   for v in data["violations"])
+
+    def test_fixtures_tags_each_violation_with_its_fixture(self, capsys,
+                                                          monkeypatch):
+        """Seeded: a(lambda) of each solve's first r-partition one more, so
+        every fixture reports its own a_values mismatch."""
+        from wkostka import fixtures
+        from wkostka.factor import FactorizationResult
+        solve = fixtures.solve_factorization
+
+        def seeded(om):
+            res = solve(om)
+            fields = {f: getattr(res, f) for f in FactorizationResult.__slots__}
+            fields["a_values"] = (res.a_values[0] + 1, *res.a_values[1:])
+            return FactorizationResult(**fields)
+
+        monkeypatch.setattr(fixtures, "solve_factorization", seeded)
+        code, out, _ = run(capsys, "verify", "fixtures")
+        found = json.loads(out)["violations"]
+        assert code == 1
+        assert [v["fixture_id"] for v in found] == \
+            ["n1r3", "n2r3", "n3r3"] + [f"n1rk(r={r})" for r in range(2, 7)]
+        assert all(v["table"].startswith("a_values") and v["at"] == 0
+                   for v in found)
 
     def test_orders_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "orders", "--n", "2", "--r", "2",
@@ -536,10 +604,13 @@ class TestCosetBound:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "K = 5" in err
 
+    # The ids number the rows as they were when omega and solve also took
+    # --wreath-bound, so that test reports stay comparable.
     @pytest.mark.parametrize("command, flag", [
-        (("omega",), "--coset-bound"), (("omega",), "--wreath-bound"),
-        (("solve",), "--coset-bound"), (("solve",), "--wreath-bound"),
-        (("verify", "oracle"), "--wreath-bound")])
+        (("omega",), "--coset-bound"), (("solve",), "--coset-bound"),
+        (("verify", "oracle"), "--wreath-bound")],
+        ids=["command0---coset-bound", "command2---coset-bound",
+             "command4---wreath-bound"])
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_bound_below_1_is_a_usage_error(self, capsys, command, flag,
                                             value):
@@ -556,23 +627,18 @@ class TestCosetBound:
         assert err == ("error: coset route bound exceeded: "
                        f"K = {k} > 221, where K = |P_{{n,r}}|\n")
 
-    # Building an order compares every pair of the K r-partitions, so each
-    # route's guard trips before it: K = 2640 at (10,3).
+    # Building an order compares every pair of the K r-partitions, so the
+    # coset guard trips before it: K = 2640 at (10,3).
     @pytest.mark.parametrize("command", ["omega", "solve"])
-    @pytest.mark.parametrize("method, message", [
-        ("cosets", "coset route bound exceeded: K = 2640 > 221, "
-                   "where K = |P_{n,r}|"),
-        ("wreath", "wreath oracle bound exceeded: "
-                   "K^3*r^2*n = 1655976960000 > 80000000, "
-                   "where K = |P_{n,r}|")])
     def test_guard_trips_before_the_order_is_built(self, capsys, monkeypatch,
-                                                   command, method, message):
+                                                   command):
         def refuse(n, r):
             raise AssertionError("the order was built")
         monkeypatch.setattr(rpart, "default_total_order", refuse)
-        code, out, err = run(capsys, command, "--n", "10", "--r", "3",
-                             "--method", method)
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        code, out, err = run(capsys, command, "--n", "10", "--r", "3")
+        assert (code, out, err) == (
+            1, "", "error: coset route bound exceeded: K = 2640 > 221, "
+                   "where K = |P_{n,r}|\n")
 
     def test_orders_guard_trips_before_the_orders_are_drawn(self, capsys,
                                                            monkeypatch):
@@ -588,14 +654,11 @@ class TestCosetBound:
     # K is counted, not enumerated, so refusing (14,4) (K = 116090) costs
     # no walk over P_{n,r}.
     @pytest.mark.parametrize("argv, message", [
-        (("omega", "--method", "cosets"),
-         "coset route bound exceeded: K = 116090 > 221"),
-        (("omega", "--method", "wreath"), "wreath oracle bound exceeded: "
-         "K^3*r^2*n = 350455154454496000 > 80000000"),
+        (("omega",), "coset route bound exceeded: K = 116090 > 221"),
         (("verify", "orders"), "coset route bound exceeded: K = 116090 > 221"),
         (("verify", "oracle"), "wreath oracle bound exceeded: "
          "K^3*r^2*n = 350455154454496000 > 80000000")],
-        ids=["omega-cosets", "omega-wreath", "orders", "oracle"])
+        ids=["omega-cosets", "orders", "oracle"])
     def test_guard_counts_without_enumerating(self, capsys, monkeypatch,
                                              argv, message):
         def refuse(n, r):

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from wkostka.charge import (charge, classical_kostka_polynomial,
 from wkostka.factor import (FactorizationError, order_sensitivity,
                             solve_factorization)
 from wkostka.omega import OmegaMatrix, omega_matrix
-from wkostka.rpart import (RPartition, default_total_order,
+from wkostka.rpart import (RPartition, default_total_order, dominance_leq,
                            sample_linear_extensions)
 
 
@@ -96,7 +97,7 @@ class TestIcTransforms:
         res = _solve(2, 3)
         for i in range(len(res.order)):
             assert res.ic_minus.raw[i][i] == P("1")
-            assert res.ic_minus.ok[i][i]
+            assert res.ic_minus.in_s[i][i] is not None
             assert res.ic_minus.in_s[i][i] == P("1")
 
     def test_ic_minus_n1_all_ones(self):
@@ -214,6 +215,43 @@ class TestOrderSensitivity:
         # pairs did not move on this sample
         assert comparable == []
 
+    def test_a_seeded_difference_is_sorted_by_dominance(self, monkeypatch):
+        """A P- entry that differs between two solves is listed as
+        comparable at a dominance-comparable pair and as incomparable at
+        (-;2), (11;-), which dominance does not order."""
+        order = default_total_order(2, 2)
+        comparable_pair = (RP("(2;-)"), RP("(11;-)"))
+        incomparable_pair = (RP("(-;2)"), RP("(11;-)"))
+        assert dominance_leq(*comparable_pair[::-1])
+        assert not dominance_leq(*incomparable_pair) and \
+            not dominance_leq(*incomparable_pair[::-1])
+        solve = factor.solve_factorization
+        solved = []
+
+        class Seeded:
+            """The second solve's P-, one more at both pairs."""
+            def entry(self, lam, mu):
+                value = solved[1].p_minus.entry(lam, mu)
+                return value + 1 if (lam, mu) in (comparable_pair,
+                                                  incomparable_pair) else value
+
+        def seeded(om):
+            solved.append(solve(om))
+            if len(solved) == 1:
+                return solved[0]
+            return SimpleNamespace(p_minus=Seeded(), p_plus=solved[1].p_plus)
+
+        monkeypatch.setattr(factor, "solve_factorization", seeded)
+        comparable, incomparable = order_sensitivity(2, 2, [order, order])
+
+        def record(lam, mu):
+            value = solved[0].p_minus.entry(lam, mu)
+            return {"row": str(lam), "col": str(mu), "sign": "minus",
+                    "values": sorted([str(value), str(value + 1)])}
+
+        assert comparable == [record(*comparable_pair)]
+        assert incomparable == [record(*incomparable_pair)]
+
     def test_every_order_is_checked(self, monkeypatch):
         orders = list({tuple(o.items): o for o in
                        sample_linear_extensions(2, 3, 8, 11)}.values())
@@ -263,7 +301,7 @@ def _vanishing_pivot_omega():
     order = default_total_order(1, 2)
     zero = LaurentPoly.zero()
     return OmegaMatrix(order, PolyMatrix(
-        order, [[zero, zero], [zero, zero]]), 1, 2, "test")
+        order, [[zero, zero], [zero, zero]]), 1, 2)
 
 
 def _non_laurent_omega():
@@ -272,7 +310,7 @@ def _non_laurent_omega():
     one = LaurentPoly.one()
     corner = P("t + 1").shift(order.items[0].a_value())
     return OmegaMatrix(order, PolyMatrix(
-        order, [[corner, LaurentPoly.zero()], [one, one]]), 1, 2, "test")
+        order, [[corner, LaurentPoly.zero()], [one, one]]), 1, 2)
 
 
 # -- the packed elimination and its Laurent-polynomial oracle ------------------
@@ -305,7 +343,7 @@ def _synthetic_omega(order, p_minus, xi, p_plus):
                   for l in range(min(i, j) + 1)), LaurentPoly.zero())
              for j in range(k)] for i in range(k)]
     lam = order.items[0]
-    return OmegaMatrix(order, PolyMatrix(order, rows), lam.n, lam.r, "test")
+    return OmegaMatrix(order, PolyMatrix(order, rows), lam.n, lam.r)
 
 
 def _unitriangular(order, below):
@@ -511,7 +549,7 @@ def _check_args(order, tables):
     pm, (xi,), pp, omega = tables
     lam = order.items[0]
     return (order, PolyMatrix(order, pm), tuple(xi), PolyMatrix(order, pp),
-            OmegaMatrix(order, PolyMatrix(order, omega), lam.n, lam.r, "test"))
+            OmegaMatrix(order, PolyMatrix(order, omega), lam.n, lam.r))
 
 
 def _rejected(order, tables):

@@ -186,6 +186,17 @@ class TestLemma59:
         rep = identity_5113_check(n, r)
         assert rep.passed and rep.checked > 0
 
+    @pytest.mark.parametrize("check", [lemma59_check, identity_5113_check],
+                             ids=lambda f: f.__name__)
+    def test_a_seeded_a_O_fault_is_recorded(self, monkeypatch, check):
+        """a_O off by one moves every left-hand side, and each case is
+        recorded as a violation."""
+        real = greencheck.a_O
+        monkeypatch.setattr(greencheck, "a_O", lambda h, r: real(h, r) + 1)
+        rep = check(2, 3)
+        assert rep.checked > 0 and len(rep.violations) == rep.checked
+        assert all(v["lhs"] == v["rhs"] + 1 for v in rep.violations)
+
 
 class TestThm55:
     def test_symbolic_n1(self):

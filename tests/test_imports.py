@@ -102,6 +102,9 @@ def test_import_wkostka_loads_no_module():
       "fixtures")),
     (("verify", "oracle", "--n", "2", "--r", "2"),
      ("factor", "ratfunc", "charge", "commands", "fixtures")),
+    (("omega", "--n", "2", "--r", "2"),
+     ("wreath", "factor", "ratfunc", "greencheck", "charge", "fixtures",
+      "suites")),
 ], ids=" ".join)
 def test_each_command_loads_only_its_modules(argv, unused):
     loaded = _loaded(*_run_main(argv))
@@ -110,12 +113,13 @@ def test_each_command_loads_only_its_modules(argv, unused):
 
 
 # Q enters only through a non-integral value, so no committed workload (nor
-# LaTeX output) loads fractions, or the decimal and numbers modules that it
-# loads.
+# LaTeX output, nor the wreath oracle on integral entries) loads fractions,
+# or the decimal and numbers modules that it loads.
 @pytest.mark.parametrize("argv", [
     ("solve", "--n", "2", "--r", "5"),
     ("solve", "--n", "4", "--r", "1", "--format", "latex"),
     ("verify", "thm55", "--n", "3", "--r", "2"),
+    ("verify", "oracle", "--n", "3", "--r", "3"),
 ], ids=" ".join)
 def test_the_integral_path_loads_no_fractions(argv):
     loaded = _loaded(*_run_main(argv), prefix="")
@@ -125,10 +129,10 @@ def test_the_integral_path_loads_no_fractions(argv):
 
 @pytest.mark.parametrize("module", [
     "exact", "ratfunc", "greencheck", "omega", "factor", "rpart", "symgrp",
-    "cli", "commands"])
+    "cli", "commands", "wreath"])
 def test_no_module_level_fractions_import(module):
-    """Only the oracles (wreath, charge, fixtures) may import fractions at
-    module level; the rest import it in the branches that build a Fraction."""
+    """Only the oracles charge and fixtures may import fractions at module
+    level; the rest import it in the branches that build a Fraction."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     top = {alias.name for node in tree.body if isinstance(node, ast.Import)
            for alias in node.names}

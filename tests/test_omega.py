@@ -1,5 +1,6 @@
 """Fake-degree matrix: wreath characters, both entry routes, symmetries."""
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -361,6 +362,31 @@ OMEGA_7_1 = [["t^4", "t^2", "t^3"],
 
 
 class TestOmegaEntries:
+    # An n that differs, an r that differs from both indices' and one that
+    # differs from lam's alone.
+    @pytest.mark.parametrize("entry", [omega_entry_cosets, _omega_entry_direct,
+                                       omega_entry_bruteforce],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("lam, mu, r", [("(1;-;-)", "(2;-;-)", 3),
+                                            ("(1;-;-)", "(1;-;-)", 2),
+                                            ("(1;-)", "(1;-;-)", 3)],
+                             ids=["n", "r", "lam-r"])
+    def test_index_mismatch(self, entry, lam, mu, r):
+        """omega_entry_cosets leaves the check to _omega_entry_direct, as a
+        twist keeps n and r."""
+        with pytest.raises(OmegaError, match="^index mismatch$"):
+            entry(RP(lam), RP(mu), r)
+
+    def test_a_negative_coefficient_is_refused(self, monkeypatch):
+        """Seeded: every coefficient negated before the Z>=0[t] check."""
+        laurent = omega_mod._laurent
+        monkeypatch.setattr(omega_mod, "_laurent",
+                            lambda low, cs: laurent(low, [-c for c in cs]))
+        lam = RP("(1;-;-)")
+        with pytest.raises(OmegaError, match=re.escape(
+                "coset entry ((1;-;-), (1;-;-)) is not in Z>=0[t]: -t^4")):
+            _omega_entry_direct.__wrapped__(lam, lam, 3)
+
     def test_section71_entries(self):
         order = default_total_order(1, 3)
         for i, lam in enumerate(order.items):

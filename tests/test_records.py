@@ -36,10 +36,10 @@ CASES = [
      (CM, (0, 1), 1, ((0, 1),)), (CM, (1, 0), 1, ((1, 0),))),
     (WreathElement, ("sigma", "colors", "r"),
      ((1, 0), (0, 2), 3), ((1, 0), (1, 2), 3)),
-    (OmegaMatrix, ("order", "entries", "n", "r", "method"),
-     (ORDER, "entries", 1, 2, "cosets"), (ORDER, "entries", 1, 2, "wreath")),
-    (IcMatrix, ("raw", "ok", "in_s", "column_asserted"),
-     ((1,), (True,), (1,), None), ((1,), (False,), (1,), None)),
+    (OmegaMatrix, ("order", "entries", "n", "r"),
+     (ORDER, "entries", 1, 2), (ORDER, "entries", 1, 3)),
+    (IcMatrix, ("raw", "in_s", "column_asserted"),
+     ((1,), (1,), None), ((1,), (None,), None)),
     (FactorizationResult,
      ("order", "omega", "p_minus", "p_plus", "lam", "a_values", "theta",
       "lambda_prime", "p_plus_modified", "ic_minus", "ic_plus"),
@@ -85,7 +85,7 @@ def test_value_semantics(cls, fields, values, other):
 
 
 def test_defaults():
-    ic = IcMatrix((), (), ())
+    ic = IcMatrix((), ())
     assert ic.column_asserted is None
     first, second = VerifyReport("s", {}), VerifyReport("s", {})
     assert (first.violations, first.checked) == ([], 0)
@@ -99,7 +99,7 @@ def test_defaults():
     with pytest.raises(TypeError):
         VerifyReport("s", {}, suite="t")
     with pytest.raises(TypeError):
-        IcMatrix((), (), (), None, None)
+        IcMatrix((), (), None, None)
 
 
 def test_ordered_index_position_is_not_a_field():
