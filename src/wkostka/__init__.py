@@ -7,7 +7,9 @@ verifies the combinatorial identities tying them to Green-function inner
 products.
 
 Importing the package loads none of its modules: each public name loads
-its defining module on first use (PEP 562).
+its defining module on first use (PEP 562).  Besides the re-exports and
+clear_caches, the package root defines what the command-line dispatcher
+needs before it runs a command: the two guard bounds and UsageError.
 """
 import sys
 
@@ -36,12 +38,21 @@ __all__ = sorted([*_HOME, "clear_caches"])
 __version__ = "0.1.0"
 
 
+# The guard bounds: the coset route's K = |P_{n,r}| <= COSET_K_BOUND, and
+# the wreath oracle's K^3 r^2 n <= WREATH_ORACLE_BOUND.  omega checks them;
+# they live here so that the CLI can show them as flag defaults without
+# loading omega.
+COSET_K_BOUND = 221
+WREATH_ORACLE_BOUND = 80_000_000
+
+
 class UsageError(ValueError):
     """A bad command line or command input: `wkostka` prints it as one
-    `error:` line and exits 2.  It is defined here, not in cli, because
-    `python -m wkostka.cli` runs cli as __main__: a command module that
-    imported it from wkostka.cli would load a second cli, whose UsageError
-    the running one would not catch."""
+    `error:` line and exits 2.  rpart.RPartitionError subclasses it, so bad
+    r-partition input exits the same way.  It is defined here, not in cli,
+    because `python -m wkostka.cli` runs cli as __main__: a command module
+    that imported it from wkostka.cli would load a second cli, whose
+    UsageError the running one would not catch."""
 
 
 def __getattr__(name: str):

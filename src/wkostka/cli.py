@@ -8,6 +8,9 @@ module that runs it: `commands` for enumerate, omega and solve,
 Exit codes: 0 on success, 1 on verification failure, solver error or a
 tripped guard bound, 2 on usage or input errors.  Every error is one
 `error:` line on stderr.
+
+Importing this module loads argparse and the package root, which holds the
+guard bounds and UsageError, and no other wkostka module.
 """
 from __future__ import annotations
 
@@ -15,9 +18,7 @@ import argparse
 import os
 import sys
 
-from . import UsageError
-from .omega import COSET_K_BOUND, WREATH_ORACLE_BOUND
-from .rpart import RPartitionError
+from . import COSET_K_BOUND, WREATH_ORACLE_BOUND, UsageError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -26,7 +27,7 @@ EXIT_USAGE = 2
 
 def __getattr__(name: str):
     """BLOCKS and solve_to_json, read from commands on first use (PEP 562),
-    so that no command but enumerate, omega and solve compiles it."""
+    so that importing this module does not compile it."""
     if name not in ("BLOCKS", "solve_to_json"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import commands
@@ -205,7 +206,7 @@ def main(argv=None) -> int:
         return EXIT_OK if report.passed else EXIT_FAIL
     except SystemExit as exc:  # --help; the parser's errors raise UsageError
         return exc.code
-    except (UsageError, RPartitionError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _failures() as exc:

@@ -1,12 +1,14 @@
 """The enumerate, omega and solve commands: the order their flags name, the
-value they compute, and its JSON, CSV or LaTeX form.  Only these three
-commands load this module; each returns its output for cli to write."""
+value they compute, and its JSON, CSV or LaTeX form.  Each returns its
+output for cli to write.  These three commands load this module, and so
+does a help page that lists solve, whose --emit help reads BLOCKS.  Only
+_omega imports omega, so enumerate and the help pages load rpart alone."""
 from __future__ import annotations
 
 import io
 import json
 
-from . import UsageError, omega as omega_mod, rpart
+from . import UsageError, rpart
 from .rpart import OrderedIndex, RPartition
 
 
@@ -128,6 +130,7 @@ def omega_to_json(om) -> dict:
 def _omega(args):
     """Omega over the order args name.  The coset guard is checked first, as
     building an order compares every pair of the K r-partitions."""
+    from . import omega as omega_mod
     omega_mod._check_coset_bound(rpart.count_rpartitions(args.n, args.r),
                                  args.coset_bound)
     return omega_mod.omega_matrix(args.n, args.r, _resolve_order(args),

@@ -30,6 +30,7 @@ import itertools
 from functools import lru_cache
 from math import comb, factorial
 
+from . import COSET_K_BOUND, WREATH_ORACLE_BOUND
 from .exact import LaurentPoly, PolyMatrix, _laurent, exact_div
 from .record import FrozenRecord
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
@@ -38,9 +39,6 @@ from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
 from .symgrp import block_character, centralizer_order, char_perm_det_from_type
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
-
-COSET_K_BOUND = 221
-WREATH_ORACLE_BOUND = 80_000_000
 
 
 class OmegaError(ValueError):

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 import re
 from functools import lru_cache
 from math import comb
 
+from . import UsageError
 from .record import FrozenRecord
 
 
-class RPartitionError(ValueError):
-    pass
+class RPartitionError(UsageError):
+    """A malformed r-partition, or an order or margins that do not fit
+    P_{n,r}: bad input, so the CLI prints it as one `error:` line and
+    exits 2."""
 
 
 # -- ordinary partitions (plain tuples of weakly decreasing positive ints) --
@@ -382,6 +384,7 @@ def sample_linear_extensions(n: int, r: int, count: int, seed: int) -> list:
     """
     if count < 1:
         raise RPartitionError("count must be >= 1")
+    import random
     rng = random.Random(seed)
     items = list(enumerate_rpartitions(n, r))
     below = {lam: [mu for mu in items

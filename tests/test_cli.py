@@ -702,6 +702,32 @@ class TestOrderSources:
                            "--order", f"file:{path}")
         assert code == 2
 
+    # A malformed line and an order against dominance raise RPartitionError,
+    # a UsageError, in a fresh interpreter that reached cli either as
+    # `python -m wkostka.cli` or, as the console script does, by importing
+    # wkostka.cli and calling main.
+    @pytest.mark.parametrize("text, argv, message", [
+        ("(1;-;-\n", ("omega", "--n", "1", "--r", "3"),
+         "bad partition chunk '(1'"),
+        ("(1;-)\n(-;1)\n", ("solve", "--n", "1", "--r", "2"),
+         "order violates dominance: (-;1) must precede (1;-)"),
+    ], ids=["malformed", "against-dominance"])
+    @pytest.mark.parametrize("route", [
+        ("-m", "wkostka.cli"),
+        ("-c", "import sys; from wkostka.cli import main; "
+               "sys.exit(main(sys.argv[1:]))"),
+    ], ids=["python-m", "console-script"])
+    def test_bad_order_file_exits_2_in_a_fresh_interpreter(
+            self, tmp_path, route, text, argv, message):
+        path = tmp_path / "order.txt"
+        path.write_text(text)
+        done = subprocess.run(
+            [sys.executable, *route, *argv, "--order", f"file:{path}"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (2, "", f"error: {message}\n")
+
     def test_missing_order_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "absent.txt"
         code, out, err = run(capsys, "omega", "--n", "1", "--r", "3",

@@ -69,26 +69,77 @@ def test_every_export_is_its_defining_modules_object():
         wkostka.no_such_name
 
 
-def _loaded(*statements: str, prefix: str = "wkostka.") -> set:
-    """The modules whose names start with prefix that a fresh interpreter
-    holds after statements."""
+def _loaded(*statements: str, prefix: str = "wkostka.",
+            flags: tuple = ()) -> set:
+    """The modules whose names start with prefix that a fresh interpreter,
+    started with flags, holds after statements."""
     probe = "\n".join(("import sys", *statements, "print(' '.join(m for m in "
                         f"sys.modules if m.startswith({prefix!r})))"))
     done = subprocess.run(
-        [sys.executable, "-c", probe], check=True, capture_output=True,
+        [sys.executable, *flags, "-c", probe], check=True, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     return set(done.stdout.split())
 
 
-def _run_main(argv) -> tuple:
-    """The statements that run wkostka.cli.main(argv), stdout swallowed."""
+def _run_main(argv, code: int = 0) -> tuple:
+    """The statements that run wkostka.cli.main(argv), stdout and stderr
+    swallowed, and check that it returns code."""
     return ("import io, contextlib, wkostka.cli",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            f"    assert wkostka.cli.main({list(argv)!r}) == 0")
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):",
+            f"    assert wkostka.cli.main({list(argv)!r}) == {code}")
 
 
 def test_import_wkostka_loads_no_module():
     assert _loaded("import wkostka") == set()
+
+
+def test_import_wkostka_cli_loads_only_cli():
+    """The dispatcher reads the guard bounds and UsageError off the package
+    root; every command module loads after argv is parsed."""
+    assert _loaded("import wkostka.cli") == {"wkostka.cli"}
+
+
+def test_cli_imports_only_the_stdlib_and_the_package_root():
+    """What cli.py imports at module level: stdlib modules, and names of
+    the package root by `from . import`."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = [(0, alias.name) for node in tree.body
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [(node.level, node.module) for node in tree.body
+                 if isinstance(node, ast.ImportFrom)]
+    assert [(level, name) for level, name in imported
+            if (level, name) != (1, None) and not (
+                level == 0 and name.split(".")[0] in sys.stdlib_module_names)
+            ] == []
+
+
+# What help pages, a usage error and enumerate do not load: Omega, its
+# double cosets and Laurent arithmetic, the solver and Q(t).
+OMEGA_MODULES = ("omega", "exact", "symgrp", "factor", "ratfunc")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0), (("solve", "--help"), 0),
+    (("solve", "--n", "-1", "--r", "2"), 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_help_and_usage_errors_load_no_omega(argv, code):
+    loaded = _loaded(*_run_main(argv, code))
+    assert loaded & {f"wkostka.{m}" for m in OMEGA_MODULES} == set()
+
+
+def test_enumerate_loads_only_commands_and_rpart():
+    """None of OMEGA_MODULES either."""
+    assert _loaded(*_run_main(("enumerate", "--n", "3", "--r", "2"))) == {
+        "wkostka.cli", "wkostka.commands", "wkostka.rpart", "wkostka.record"}
+
+
+def test_solve_loads_no_random():
+    """Only verify orders draws random orders.  Under -S no .pth file has
+    loaded random first."""
+    loaded = _loaded(*_run_main(("solve", "--n", "2", "--r", "3")),
+                     prefix="", flags=("-S",))
+    assert "wkostka.factor" in loaded and "random" not in loaded
 
 
 # Tuples, not sets: a set's order, and so the test id, varies with the hash
