@@ -8,8 +8,10 @@ products.
 
 Importing the package loads none of its modules: each public name loads
 its defining module on first use (PEP 562).  Besides the re-exports and
-clear_caches, the package root defines what the command-line dispatcher
-needs before it runs a command: the two guard bounds and UsageError.
+clear_caches, the package root defines everything the command-line
+dispatcher reads before it runs a command: the two guard bounds, the
+solve blocks and the two bases that fix an error's exit code, UsageError
+and Failure.
 """
 import sys
 
@@ -45,14 +47,26 @@ __version__ = "0.1.0"
 COSET_K_BOUND = 221
 WREATH_ORACLE_BOUND = 80_000_000
 
+# The blocks `solve --emit` takes, in the order every format prints them;
+# commands pairs each with its reader.
+BLOCKS = ("omega", "p-minus", "p-plus", "lambda", "theta", "lambda-prime",
+          "p-plus-modified", "ic-minus", "ic-plus")
 
+
+# The two error bases are defined here, not in cli, because
+# `python -m wkostka.cli` runs cli as __main__: a command module that
+# imported them from wkostka.cli would load a second cli, whose classes the
+# running one would not catch.
 class UsageError(ValueError):
     """A bad command line or command input: `wkostka` prints it as one
-    `error:` line and exits 2.  rpart.RPartitionError subclasses it, so bad
-    r-partition input exits the same way.  It is defined here, not in cli,
-    because `python -m wkostka.cli` runs cli as __main__: a command module
-    that imported it from wkostka.cli would load a second cli, whose
-    UsageError the running one would not catch."""
+    `error:` line and exits 2.  rpart.RPartitionError and
+    fixtures.FixtureError subclass it."""
+
+
+class Failure(ValueError):
+    """A failed computation or a tripped guard bound: `wkostka` prints it as
+    one `error:` line and exits 1.  omega.OmegaError,
+    factor.FactorizationError and greencheck.GreenCheckError subclass it."""
 
 
 def __getattr__(name: str):

@@ -5,12 +5,13 @@ reads and loads only the modules it runs.  The parser builds only the
 command, and the verify suite, that argv names, and main then loads the
 module that runs it: `commands` for enumerate, omega and solve,
 `greencheck` for verify thm55 and `suites` for the other verify suites.
-Exit codes: 0 on success, 1 on verification failure, solver error or a
-tripped guard bound, 2 on usage or input errors.  Every error is one
-`error:` line on stderr.
+Exit codes: 0 on success, 1 on verification failure or a wkostka.Failure
+(a solver error or a tripped guard bound), 2 on a wkostka.UsageError (bad
+usage or input).  Every error is one `error:` line on stderr.
 
 Importing this module loads argparse and the package root, which holds the
-guard bounds and UsageError, and no other wkostka module.
+guard bounds, the solve blocks and the two error bases, and no other
+wkostka module.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import argparse
 import os
 import sys
 
-from . import COSET_K_BOUND, WREATH_ORACLE_BOUND, UsageError
+from . import (BLOCKS, COSET_K_BOUND, WREATH_ORACLE_BOUND, Failure,
+               UsageError)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -26,9 +28,9 @@ EXIT_USAGE = 2
 
 
 def __getattr__(name: str):
-    """BLOCKS and solve_to_json, read from commands on first use (PEP 562),
-    so that importing this module does not compile it."""
-    if name not in ("BLOCKS", "solve_to_json"):
+    """solve_to_json, read from commands on first use (PEP 562), so that
+    importing this module does not compile it."""
+    if name != "solve_to_json":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import commands
     return getattr(commands, name)
@@ -147,7 +149,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         for flag in ("--order", "--format", "--out", *flags):
             p.add_argument(flag, **_FLAGS[flag])
         if name == "solve":
-            from .commands import BLOCKS
             p.add_argument("--emit", default=None,
                            help="comma list of " + ",".join(BLOCKS))
             # Read by bench/traced.py, which builds Omega itself.
@@ -182,15 +183,6 @@ def _check_least(args):
             raise UsageError(f"{flag} must be at least {least}")
 
 
-def _failures() -> tuple:
-    """The error types that exit 1, read off the loaded modules, as one that
-    never loaded raised nothing (under `python -m`, this module is __main__)."""
-    errors = (("omega", "OmegaError"), ("factor", "FactorizationError"),
-              ("greencheck", "GreenCheckError"))
-    loaded = ((sys.modules.get(f"{__package__}.{m}"), e) for m, e in errors)
-    return tuple(getattr(module, e) for module, e in loaded if module)
-
-
 def main(argv=None) -> int:
     """Run the command argv names; a command returns its output, a verify
     suite its report."""
@@ -209,7 +201,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _failures() as exc:
+    except Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -1,14 +1,14 @@
 """The enumerate, omega and solve commands: the order their flags name, the
 value they compute, and its JSON, CSV or LaTeX form.  Each returns its
-output for cli to write.  These three commands load this module, and so
-does a help page that lists solve, whose --emit help reads BLOCKS.  Only
-_omega imports omega, so enumerate and the help pages load rpart alone."""
+output for cli to write, and only these three commands load this module.
+Only _omega imports omega, and only a fixture order imports fixtures, so
+enumerate loads rpart alone."""
 from __future__ import annotations
 
 import io
 import json
 
-from . import UsageError, rpart
+from . import BLOCKS, UsageError, rpart
 from .rpart import OrderedIndex, RPartition
 
 
@@ -18,8 +18,9 @@ def _resolve_order(args) -> OrderedIndex:
     if spec == "default":
         return rpart.default_total_order(n, r)
     if spec.startswith("fixture:"):
+        from .fixtures import load_fixture
         fid = spec.split(":", 1)[1]
-        order = _load_fixture(fid, r if fid == "n1rk" else None).order
+        order = load_fixture(fid, r if fid == "n1rk" else None).order
     elif spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
@@ -38,16 +39,6 @@ def _resolve_order(args) -> OrderedIndex:
         raise UsageError(f"order {spec!r} does not list P_{{n,r}} "
                          f"for n={n}, r={r}")
     return order
-
-
-def _load_fixture(fid: str, r):
-    """fixtures.load_fixture, imported only by a fixture order; a bad
-    fixture id or r is a usage error."""
-    from . import fixtures
-    try:
-        return fixtures.load_fixture(fid, r)
-    except fixtures.FixtureError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _matrix_strings(rows) -> list:
@@ -152,21 +143,20 @@ def cmd_omega(args) -> str:
 
 
 # Block -> (its value in a FactorizationResult, and the csv and latex column
-# headings of a diagonal block).  The rest are matrices; csv and latex show
-# an IC block's raw matrix, JSON its flags too.
-_BLOCK_TABLE = {
-    "omega": (lambda res: res.omega.entries.rows, None),
-    "p-minus": (lambda res: res.p_minus.rows, None),
-    "p-plus": (lambda res: res.p_plus.rows, None),
-    "lambda": (lambda res: res.lam, ("xi", r"$\xi_{\lambda,\lambda}$")),
-    "theta": (lambda res: res.theta, ("theta", r"$\theta_\lambda$")),
-    "lambda-prime": (lambda res: res.lambda_prime,
-                     ("xi_prime", r"$\xi'_{\lambda,\lambda}$")),
-    "p-plus-modified": (lambda res: res.p_plus_modified.rows, None),
-    "ic-minus": (lambda res: res.ic_minus, None),
-    "ic-plus": (lambda res: res.ic_plus, None),
-}
-BLOCKS = tuple(_BLOCK_TABLE)
+# headings of a diagonal block), paired by position with BLOCKS.  The rest
+# are matrices; csv and latex show an IC block's raw matrix, JSON its flags
+# too.
+_BLOCK_TABLE = dict(zip(BLOCKS, (
+    (lambda res: res.omega.entries.rows, None),
+    (lambda res: res.p_minus.rows, None),
+    (lambda res: res.p_plus.rows, None),
+    (lambda res: res.lam, ("xi", r"$\xi_{\lambda,\lambda}$")),
+    (lambda res: res.theta, ("theta", r"$\theta_\lambda$")),
+    (lambda res: res.lambda_prime, ("xi_prime", r"$\xi'_{\lambda,\lambda}$")),
+    (lambda res: res.p_plus_modified.rows, None),
+    (lambda res: res.ic_minus, None),
+    (lambda res: res.ic_plus, None),
+), strict=True))
 
 
 def _selected(res, blocks):
@@ -220,11 +210,11 @@ def _latex_block(res, name: str, value, heading) -> str:
 
 
 def cmd_solve(args) -> str:
-    from . import factor
     blocks = args.emit.split(",") if args.emit is not None else BLOCKS
     for b in blocks:
         if b not in BLOCKS:
             raise UsageError(f"unknown block {b!r}; choose from {', '.join(BLOCKS)}")
+    from . import factor
     res = factor.solve_factorization(_omega(args))
     if args.format == "json":
         return json.dumps(solve_to_json(res, blocks), indent=2)

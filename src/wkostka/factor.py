@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from operator import add, lshift, mul, sub
 
+from . import Failure
 from .exact import LaurentPoly, PolyMatrix, _NO_LOW, _packed, _unpacked
 from .omega import OmegaMatrix, omega_matrix
 from .ratfunc import RationalFunction
@@ -19,7 +20,7 @@ from .record import FrozenRecord
 from .rpart import OrderedIndex, dominance_leq
 
 
-class FactorizationError(ValueError):
+class FactorizationError(Failure):
     pass
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from . import UsageError
 from .exact import LaurentPoly
 from .factor import (FactorizationResult, reconstruction_mismatches,
                      solve_factorization)
@@ -22,8 +23,9 @@ from .rpart import OrderedIndex, RPartition
 FIXTURE_IDS = ("n1r3", "n1rk", "n2r3", "n3r3")
 
 
-class FixtureError(ValueError):
-    pass
+class FixtureError(UsageError):
+    """An unknown fixture id, n1rk with r < 2, or a malformed table in a
+    fixture file; from `--order fixture:ID` it exits 2."""
 
 
 class Fixture(Record):

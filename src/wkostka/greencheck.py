@@ -5,8 +5,12 @@ from double-coset combinatorics, as a contraction of omega.coset_table (no
 finite-field group element or permutation is ever constructed), and the
 exponent bookkeeping behind the bridge identity is checked as exact integer
 arithmetic.  The inner product sums over Z, its 1/z weights carried as
-the integers n!/z of coset_table, and divides by n! once; it shares no code
-with the Omega entries it is checked against.
+the integers n!/z of coset_table, and divides by n! once.  It shares with
+the Omega entries it is checked against the coset table, the torus
+quotient and the product of block characters (omega.coset_table,
+omega.torus_quotient, symgrp.block_character), and on purpose not Omega's
+integer blocks or row contractions: were it a second contraction of those,
+the bridge identity check would compare a value with itself.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import itertools
 import json
 from math import comb, factorial
 
+from . import Failure
 from .exact import LaurentPoly, _laurent, _ratio
 from .omega import a_O, b_O, coset_table, omega_entry_cosets, torus_quotient
 from .record import Record
@@ -28,7 +33,7 @@ PLUS = "+"
 _SIGNS = (MINUS, PLUS)
 
 
-class GreenCheckError(ValueError):
+class GreenCheckError(Failure):
     pass
 
 

@@ -30,7 +30,7 @@ import itertools
 from functools import lru_cache
 from math import comb, factorial
 
-from . import COSET_K_BOUND, WREATH_ORACLE_BOUND
+from . import COSET_K_BOUND, WREATH_ORACLE_BOUND, Failure
 from .exact import LaurentPoly, PolyMatrix, _laurent, exact_div
 from .record import FrozenRecord
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
@@ -41,7 +41,7 @@ from .symgrp import block_character, centralizer_order, char_perm_det_from_type
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
 
 
-class OmegaError(ValueError):
+class OmegaError(Failure):
     pass
 
 

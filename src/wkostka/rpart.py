@@ -32,30 +32,19 @@ def is_partition(p) -> bool:
         all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
-def partitions(k: int):
-    """Yield all partitions of k in descending lexicographic order.
+def partitions(k: int, most: int | None = None):
+    """Yield all partitions of k with no part above most (k by default), in
+    descending lexicographic order: the largest first part first, each
+    followed by the partitions of the rest with no part above it.
 
     >>> list(partitions(3))
     [(3,), (2, 1), (1, 1, 1)]
     """
     if k == 0:
         yield ()
-        return
-    cur = (k,)
-    yield cur
-    while True:
-        i = len(cur) - 1
-        while i >= 0 and cur[i] <= 1:
-            i -= 1
-        if i < 0:
-            return
-        rest = len(cur) - i
-        cur = cur[:i] + (cur[i] - 1,)
-        while rest > 0:
-            nxt = min(cur[-1], rest)
-            cur += (nxt,)
-            rest -= nxt
-        yield cur
+    for first in range(min(k, k if most is None else most), 0, -1):
+        for rest in partitions(k - first, first):
+            yield (first,) + rest
 
 
 def conjugate_partition(p) -> tuple:
@@ -219,8 +208,10 @@ class RPartition(FrozenRecord):
         for comp in self.parts:
             if not comp:
                 rendered.append("-")
-            elif any(p >= 10 for p in comp):
-                rendered.append(",".join(str(p) for p in comp))
+            elif comp[0] >= 10:
+                # A lone part ends in a comma: "10" reads as the parts 1, 0.
+                rendered.append(",".join(map(str, comp)) +
+                                ("," if len(comp) == 1 else ""))
             else:
                 rendered.append("".join(str(p) for p in comp))
         return "(" + ";".join(rendered) + ")"
@@ -242,7 +233,7 @@ def _invariants(parts: tuple) -> tuple:
 def _parse_partition(chunk: str) -> tuple:
     parts = []
     if "," in chunk:
-        for tok in chunk.split(","):
+        for tok in chunk.removesuffix(",").split(","):
             tok = tok.strip()
             m = re.fullmatch(r"(\d+)(?:\^(\d+))?", tok)
             if not m:

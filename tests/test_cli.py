@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, JSON round trips."""
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -369,6 +370,29 @@ def test_closed_stdout_ends_quietly():
     err = done.stderr.read()
     done.stderr.close()
     assert (done.wait(timeout=120), err) == (0, b"")
+
+
+def test_each_error_class_exits_by_its_root_base():
+    """main exits 1 on a wkostka.Failure and 2 on a wkostka.UsageError.
+    The other error classes of the package are raised only by calls the
+    commands never make (ExactError, SymGrpError), and main catches
+    neither."""
+    modules = [importlib.import_module(f"wkostka.{path.stem}")
+               for path in sorted(SRC.joinpath("wkostka").glob("*.py"))
+               if path.stem not in ("__init__", "cli")]
+    errors = {obj for module in modules for obj in vars(module).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)
+              and obj.__module__ == module.__name__}
+
+    def names(base) -> set:
+        return {e.__name__ for e in errors if issubclass(e, base)}
+
+    assert names(wkostka.Failure) == {
+        "OmegaError", "FactorizationError", "GreenCheckError"}
+    assert names(wkostka.UsageError) == {"RPartitionError", "FixtureError"}
+    assert {e.__name__ for e in errors} == {
+        *names(wkostka.Failure), *names(wkostka.UsageError), "ExactError",
+        "SymGrpError"}
 
 
 @pytest.mark.parametrize("module, error, name, argv", [

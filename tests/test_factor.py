@@ -639,6 +639,21 @@ class TestReconstructionCheck:
         omega[3][1] = LaurentPoly.t_power(5)
         assert _rejected(order, tables) == [(3, 1)]
 
+    @pytest.mark.parametrize("p_minus, xi", [
+        (((1, 0), (17, 1)), (1, 1)), (((0, 0), (1, 1)), (17, 1))],
+        ids=("P-", "xi"))
+    def test_the_width_counts_every_norm(self, p_minus, xi):
+        """Cell (1, 0) is the constant 17 on the left and t + 1 in Omega.
+        The width is 7 bits; at 4 bits, the width left when the 17's norm
+        is dropped, t + 1 packs to 17 and the cells would agree."""
+        const = LaurentPoly.const
+        pm = [[const(c) for c in row] for row in p_minus]
+        identity = [[const(1), const(0)], [const(0), const(1)]]
+        omega = [[const(p_minus[0][0] * xi[0]), const(0)],
+                 [P("t + 1"), const(1)]]
+        assert list(factor.reconstruction_mismatches(
+            pm, [const(c) for c in xi], identity, omega)) == [(1, 0)]
+
     def test_a_carry_between_digits_is_caught(self):
         # t^(e+1) - 2^w t^e vanishes at t = 2^w.  The packing width grows
         # with Omega's norm, so no w slips through.

@@ -2,9 +2,9 @@
 command loads only the modules it runs, the integral path loads no
 fractions and clears no denominator, the reconstruction check stays
 independent of the elimination it checks, the Green inner product and the
-wreath oracle share no code with the coset entries they are checked
-against, and the checks of Omega's symmetries never go through the twisted
-entry."""
+wreath oracle share no Omega kernel with the coset entries they are
+checked against, and the checks of Omega's symmetries never go through the
+twisted entry."""
 import ast
 import os
 import subprocess
@@ -114,22 +114,26 @@ def test_cli_imports_only_the_stdlib_and_the_package_root():
             ] == []
 
 
-# What help pages, a usage error and enumerate do not load: Omega, its
-# double cosets and Laurent arithmetic, the solver and Q(t).
-OMEGA_MODULES = ("omega", "exact", "symgrp", "factor", "ratfunc")
-
-
 @pytest.mark.parametrize("argv, code", [
     (("--help",), 0), (("solve", "--help"), 0),
     (("solve", "--n", "-1", "--r", "2"), 2),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
 def test_help_and_usage_errors_load_no_omega(argv, code):
-    loaded = _loaded(*_run_main(argv, code))
-    assert loaded & {f"wkostka.{m}" for m in OMEGA_MODULES} == set()
+    """Nor any wkostka module but cli: the package root holds everything
+    the parser reads, the --emit blocks and the error bases included."""
+    assert _loaded(*_run_main(argv, code)) == {"wkostka.cli"}
+
+
+def test_a_bad_emit_block_is_refused_before_the_solver_loads():
+    """Neither factor nor omega, nor what they load."""
+    assert _loaded(*_run_main(
+        ("solve", "--n", "1", "--r", "3", "--emit", "bogus"), 2)) == {
+        "wkostka.cli", "wkostka.commands", "wkostka.rpart", "wkostka.record"}
 
 
 def test_enumerate_loads_only_commands_and_rpart():
-    """None of OMEGA_MODULES either."""
+    """Neither Omega, its double cosets and Laurent arithmetic, the solver
+    nor Q(t)."""
     assert _loaded(*_run_main(("enumerate", "--n", "3", "--r", "2"))) == {
         "wkostka.cli", "wkostka.commands", "wkostka.rpart", "wkostka.record"}
 

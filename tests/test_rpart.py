@@ -267,13 +267,28 @@ class TestTextForm:
         assert str(RP("(1^2;-;-)")) == "(11;-;-)"
 
     def test_round_trip(self):
-        for lam in enumerate_rpartitions(4, 3):
-            assert RPartition.parse(str(lam)) == lam
+        """Parts of 10 and more, alone in their component or not, from
+        n = 10 on."""
+        for n, r in ((4, 3), (10, 1), (11, 1), (12, 2)):
+            for lam in enumerate_rpartitions(n, r):
+                assert RPartition.parse(str(lam)) == lam
+        labels = [str(lam) for lam in enumerate_rpartitions(13, 2)]
+        assert len(set(labels)) == len(labels)
 
     def test_big_parts_use_commas(self):
         lam = RPartition(((10, 2), ()))
         assert str(lam) == "(10,2;-)"
         assert RPartition.parse(str(lam)) == lam
+
+    def test_a_lone_big_part_ends_in_a_comma(self):
+        """"11" is the parts 1, 1 and "10" no partition, so the part 11
+        alone prints as "11,"."""
+        assert str(RPartition(((11,),))) == "(11,)"
+        assert str(RPartition(((1, 1),))) == "(11)"
+        assert RP("(10,;-)") == RPartition(((10,), ()))
+        assert RP("(11;-)") == RPartition(((1, 1), ()))
+        with pytest.raises(RPartitionError, match="zero part"):
+            RP("(10;-)")
 
     def test_invalid(self):
         with pytest.raises(RPartitionError):
