@@ -24,8 +24,8 @@ _EXPORTS = {
     "charge": ("unmodify_kostka",),
     "greencheck": ("VerifyReport", "a_exponent", "green_inner_product",
                    "identity_5113_check", "lemma59_check", "thm55_check"),
-    "omega": ("OmegaError", "OmegaMatrix", "a_O", "b_O", "bracket",
-              "omega_entry_cosets", "omega_matrix"),
+    "omega": ("OmegaError", "a_O", "b_O", "bracket", "omega_entry_cosets",
+              "omega_matrix"),
     "wreath": ("fake_degree", "omega_entry_bruteforce", "rho_character"),
     "rpart": ("Composition", "ContingencyMatrix", "OrderedIndex", "RPartition",
               "RPartitionError", "default_total_order", "dim_x",
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 # the wreath oracle's K^3 r^2 n <= WREATH_ORACLE_BOUND.  omega checks them;
 # they live here so that the CLI can show them as flag defaults without
 # loading omega.
-COSET_K_BOUND = 221
+COSET_K_BOUND = 300
 WREATH_ORACLE_BOUND = 80_000_000
 
 # The blocks `solve --emit` takes, in the order every format prints them;

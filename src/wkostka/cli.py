@@ -37,18 +37,20 @@ def __getattr__(name: str):
 
 
 def _emit(payload: str, out_path: str | None):
+    """Write payload to out_path, or else to stdout, ending in a newline."""
+    end = "" if payload.endswith("\n") else "\n"
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 fh.write(payload)
+                fh.write(end)
         except OSError as exc:
             raise UsageError(f"cannot write {out_path!r}: "
                              f"{exc.strerror}") from exc
         return
     try:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(end)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone; stdout now leads to os.devnull, so that the

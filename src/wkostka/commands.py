@@ -35,7 +35,7 @@ def _resolve_order(args) -> OrderedIndex:
         order = OrderedIndex(tuple(items))
     else:
         raise UsageError(f"bad order spec {spec!r}")
-    if set(order.items) != set(rpart.enumerate_rpartitions(n, r)):
+    if not order.items or (order.n, order.r) != (n, r):
         raise UsageError(f"order {spec!r} does not list P_{{n,r}} "
                          f"for n={n}, r={r}")
     return order
@@ -113,9 +113,9 @@ def cmd_enumerate(args) -> str:
 
 
 def omega_to_json(om) -> dict:
-    return {"n": om.n, "r": om.r,
-            "order": [str(lam) for lam in om.order.items],
-            "entries": _matrix_strings(om.entries.rows)}
+    return {"n": om.index.n, "r": om.index.r,
+            "order": [str(lam) for lam in om.index.items],
+            "entries": _matrix_strings(om.rows)}
 
 
 def _omega(args):
@@ -130,12 +130,11 @@ def _omega(args):
 
 def cmd_omega(args) -> str:
     om = _omega(args)
-    order = om.order
     if args.format == "json":
         return json.dumps(omega_to_json(om), indent=2)
     if args.format == "csv":
-        return _csv_matrix(order, om.entries.rows)
-    return _latex_matrix(order, om.entries.rows,
+        return _csv_matrix(om.index, om.rows)
+    return _latex_matrix(om.index, om.rows,
                          f"omega for n={args.n}, r={args.r}")
 
 
@@ -147,7 +146,7 @@ def cmd_omega(args) -> str:
 # are matrices; csv and latex show an IC block's raw matrix, JSON its flags
 # too.
 _BLOCK_TABLE = dict(zip(BLOCKS, (
-    (lambda res: res.omega.entries.rows, None),
+    (lambda res: res.omega.rows, None),
     (lambda res: res.p_minus.rows, None),
     (lambda res: res.p_plus.rows, None),
     (lambda res: res.lam, ("xi", r"$\xi_{\lambda,\lambda}$")),
@@ -178,7 +177,7 @@ def _ic_block(ic) -> dict:
 
 def solve_to_json(res, blocks) -> dict:
     from .factor import IcMatrix
-    data = {"n": res.omega.n, "r": res.omega.r,
+    data = {"n": res.order.n, "r": res.order.r,
             "order": [str(lam) for lam in res.order.items],
             "a_values": list(res.a_values)}
     for name, value, heading in _selected(res, blocks):
@@ -202,7 +201,7 @@ def _csv_block(res, name: str, value, heading) -> str:
 
 def _latex_block(res, name: str, value, heading) -> str:
     if heading is None:
-        caption = f"{name} for n={res.omega.n}, r={res.omega.r}"
+        caption = f"{name} for n={res.order.n}, r={res.order.r}"
         return _latex_matrix(res.order, value, caption)
     return _latex("c|c|c", [r"$\lambda$", r"$a(\lambda)$", heading[1]],
                   [[f"${lam}$", str(a), f"${x.to_latex()}$"]

@@ -552,17 +552,13 @@ class PolyMatrix:
     def entry(self, lam, mu):
         return self.rows[self.index.position(lam)][self.index.position(mu)]
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         return self.index.items == other.index.items and self.rows == other.rows
 
     def __repr__(self):
-        return f"PolyMatrix({self.size}x{self.size})"
+        return f"PolyMatrix({len(self.rows)}x{len(self.rows)})"
 
 
 def __getattr__(name: str):

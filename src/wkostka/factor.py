@@ -14,7 +14,7 @@ from operator import add, lshift, mul, sub
 
 from . import Failure
 from .exact import LaurentPoly, PolyMatrix, _NO_LOW, _packed, _unpacked
-from .omega import OmegaMatrix, omega_matrix
+from .omega import omega_matrix
 from .ratfunc import RationalFunction
 from .record import FrozenRecord
 from .rpart import OrderedIndex, dominance_leq
@@ -37,8 +37,8 @@ class IcMatrix(FrozenRecord):
 
 
 class FactorizationResult(FrozenRecord):
-    """order is an OrderedIndex, omega an OmegaMatrix, p_minus, p_plus and
-    p_plus_modified are PolyMatrix, ic_minus and ic_plus IcMatrix."""
+    """order is an OrderedIndex; omega, p_minus, p_plus and p_plus_modified
+    are PolyMatrix over it, ic_minus and ic_plus IcMatrix."""
 
     __slots__ = ("order", "omega", "p_minus", "p_plus",
                  "lam",               # diagonal of Lambda, as RationalFunction
@@ -49,7 +49,7 @@ class FactorizationResult(FrozenRecord):
                  "ic_minus", "ic_plus")
 
 
-def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
+def solve_factorization(om: PolyMatrix) -> FactorizationResult:
     """Forward elimination in the total order, on packed integers.
 
     Writing M = Lambda * transpose(P+) (upper triangular), row k of M and
@@ -73,8 +73,8 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
     elimination runs once more at twice the width, and a second failure is
     the one raised.
     """
-    order = om.order
-    omega = om.entries.rows
+    order = om.index
+    omega = om.rows
     for lam, row in zip(order.items, omega):
         for mu, p in zip(order.items, row):
             if type(sum(p.coeffs)) is not int:  # one Fraction makes it one
@@ -99,8 +99,8 @@ def solve_factorization(om: OmegaMatrix) -> FactorizationResult:
         order=order, omega=om, p_minus=pm, p_plus=pp, lam=lam,
         a_values=a, theta=theta, lambda_prime=lambda_prime(lam, theta),
         p_plus_modified=modified_pplus(pp, theta),
-        ic_minus=ic_minus_matrix(order, pm, om.r),
-        ic_plus=ic_plus_candidate(order, pp, om.r))
+        ic_minus=ic_minus_matrix(order, pm, order.r),
+        ic_plus=ic_plus_candidate(order, pp, order.r))
 
 
 # The least first width of the elimination, in bits.
@@ -192,11 +192,10 @@ def _eliminate(order, omega, bits: int) -> tuple:
 
 
 def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
-                           om: OmegaMatrix):
+                           om: PolyMatrix):
     """Raise FactorizationError at the first cell, row by row, where
     sum_l P-_il xi_l P+_jl differs from Omega_ij."""
-    for i, j in reconstruction_mismatches(pm.rows, xi, pp.rows,
-                                          om.entries.rows):
+    for i, j in reconstruction_mismatches(pm.rows, xi, pp.rows, om.rows):
         raise FactorizationError(
             f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
 

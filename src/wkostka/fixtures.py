@@ -132,8 +132,7 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
     """
     report = VerifyReport("fixtures", {"id": fx.id, "n": fx.n, "r": fx.r})
     if result is None:
-        om = omega_matrix(fx.n, fx.r, fx.order)
-        result = solve_factorization(om)
+        result = solve_factorization(omega_matrix(fx.n, fx.r, fx.order))
     size = len(fx.order)
     diag = range(size)
     square = [(i, j) for i in range(size) for j in range(size)]
@@ -153,7 +152,7 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
 
     for name, fixture_side, computed_side, cells in (
             ("a_values", fx.a_values, result.a_values, diag),
-            ("omega", fx.omega, result.omega.entries.rows, square),
+            ("omega", fx.omega, result.omega.rows, square),
             ("p_minus", fx.p_minus, result.p_minus.rows, tri),
             ("p_plus", fx.p_plus, result.p_plus.rows, tri),
             ("xi", fx.xi, result.lam, diag),

@@ -32,7 +32,6 @@ from math import comb, factorial
 
 from . import COSET_K_BOUND, WREATH_ORACLE_BOUND, Failure
 from .exact import LaurentPoly, PolyMatrix, _laurent, exact_div
-from .record import FrozenRecord
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     conjugate_partition, count_rpartitions,
                     enumerate_contingency, partitions)
@@ -283,27 +282,22 @@ def _omega_entry_direct(lam: RPartition, mu: RPartition,
 # -- assembled matrices ---------------------------------------------------------
 
 
-class OmegaMatrix(FrozenRecord):
-    """The scaled fake-degree matrix over a fixed total order: order is an
-    OrderedIndex, entries a PolyMatrix."""
-
-    __slots__ = ("order", "entries", "n", "r")
-
-    def entry(self, lam: RPartition, mu: RPartition) -> LaurentPoly:
-        return self.entries.entry(lam, mu)
-
-
 def omega_matrix(n: int, r: int, order: OrderedIndex,
                  method: str = "cosets",
                  coset_n_bound: int = COSET_K_BOUND,
-                 wreath_bound: int = WREATH_ORACLE_BOUND) -> OmegaMatrix:
-    """Omega over order.  The coset route asks omega_entry_cosets for all
-    K^2 entries, K = |P_{n,r}| = len(order), and computes one per orbit of
-    the 2r twists; the solver then eliminates in order K^3, so it refuses
-    K > coset_n_bound before it computes any entry.  (The
-    keyword keeps its old name: bench/traced.py passes it by that name.)
+                 wreath_bound: int = WREATH_ORACLE_BOUND) -> PolyMatrix:
+    """Omega as a PolyMatrix indexed by order, a total order on P_{n,r}:
+    an order on another P_{n,r} raises OmegaError.  The coset route asks
+    omega_entry_cosets for all K^2 entries, K = |P_{n,r}| = len(order), and
+    computes one per orbit of the 2r twists; the solver then eliminates in
+    order K^3, so it refuses K > coset_n_bound before it computes any
+    entry.  (The keyword keeps its old name: bench/traced.py passes it by
+    that name.)
     method "wreath" builds the oracle's matrix, for the tests, and checks
     K^3 r^2 n against wreath_bound once; no command runs it."""
+    if not order.items or (order.n, order.r) != (n, r):
+        raise OmegaError(f"the order does not list P_{{n,r}} "
+                         f"for n={n}, r={r}")
     if method == "cosets":
         _check_coset_bound(len(order), coset_n_bound)
         entry = lambda a, b: omega_entry_cosets(a, b, r)
@@ -314,4 +308,4 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
     else:
         raise OmegaError(f"unknown method {method!r}")
     rows = [[entry(lam, mu) for mu in order.items] for lam in order.items]
-    return OmegaMatrix(order, PolyMatrix(order, rows), n, r)
+    return PolyMatrix(order, rows)

@@ -312,9 +312,9 @@ def enumerate_rpartitions(n: int, r: int) -> tuple:
 
 
 class OrderedIndex(FrozenRecord):
-    """A total order on P_{n,r} refining the dominance order.  Equality,
-    hash and repr read items only: _pos is the position lookup built from
-    them."""
+    """A total order on P_{n,r} refining the dominance order; n and r are
+    read from its first item.  Equality, hash and repr read items only:
+    _pos is the position lookup built from them."""
 
     __slots__ = ("items", "_pos")
 
@@ -325,7 +325,7 @@ class OrderedIndex(FrozenRecord):
         if len(pos) != len(items):
             raise RPartitionError("duplicate r-partitions in total order")
         object.__setattr__(self, "_pos", pos)
-        expect = set(enumerate_rpartitions(items[0].n, items[0].r)) if items else set()
+        expect = set(enumerate_rpartitions(self.n, self.r)) if items else set()
         if set(items) != expect:
             raise RPartitionError("total order does not cover P_{n,r} exactly")
         keys = list(map(_dominance_key, items))
@@ -348,6 +348,14 @@ class OrderedIndex(FrozenRecord):
 
     def __reduce__(self):
         return type(self), (self.items,)
+
+    @property
+    def n(self) -> int:
+        return self.items[0].n
+
+    @property
+    def r(self) -> int:
+        return self.items[0].r
 
     def position(self, lam: RPartition) -> int:
         return self._pos[lam]

@@ -4,7 +4,7 @@ the parsed flags and returns a greencheck.VerifyReport, and imports the
 modules that only it runs."""
 from __future__ import annotations
 
-from . import UsageError, greencheck, omega as omega_mod, rpart
+from . import COSET_K_BOUND, UsageError, greencheck, omega as omega_mod, rpart
 from .rpart import RPartition
 
 
@@ -96,8 +96,8 @@ def _suite_symmetry(args):
                                  "lam": str(lam), "mu": str(mu)})
             if r <= 2:
                 order = rpart.default_total_order(n, r)
-                om = omega_mod.omega_matrix(n, r, order)
-                res = factor.solve_factorization(om)
+                res = factor.solve_factorization(
+                    omega_mod.omega_matrix(n, r, order))
                 report.checked += 1
                 if res.p_minus.rows != res.p_plus.rows:
                     report.violations.append(
@@ -110,8 +110,7 @@ def _suite_classical(args):
     report = greencheck.VerifyReport("classical-r1", {"n_max": args.n})
     for n in range(1, args.n + 1):
         order = rpart.default_total_order(n, 1)
-        om = omega_mod.omega_matrix(n, 1, order)
-        res = factor.solve_factorization(om)
+        res = factor.solve_factorization(omega_mod.omega_matrix(n, 1, order))
         for i, lam in enumerate(order.items):
             for j, mu in enumerate(order.items):
                 want = charge.classical_modified_kostka(lam, mu)
@@ -131,8 +130,7 @@ def _suite_orders(args):
     checked before any order is drawn, as in commands._omega."""
     from . import factor
     n, r, samples = args.n, args.r, args.samples
-    omega_mod._check_coset_bound(rpart.count_rpartitions(n, r),
-                                 omega_mod.COSET_K_BOUND)
+    omega_mod._check_coset_bound(rpart.count_rpartitions(n, r), COSET_K_BOUND)
     orders = {tuple(o.items): o for o in
               rpart.sample_linear_extensions(n, r, samples, args.seed)}
     comparable, incomparable = factor.order_sensitivity(n, r, orders.values())

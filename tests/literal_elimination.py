@@ -14,10 +14,10 @@ from wkostka.factor import FactorizationError
 def literal_elimination(om):
     """(P- rows, xi, P+ rows) of P- Lambda transpose(P+) = Omega, with
     Lambda = diag(xi), by forward elimination in om's order."""
-    items = om.order.items
+    items = om.index.items
     k_total = len(items)
     a = [lam.a_value() for lam in items]
-    omega = om.entries.rows
+    omega = om.rows
     zero = LaurentPoly.zero()
     m_upper = [[zero] * k_total for _ in range(k_total)]
     p_minus = [[zero] * k_total for _ in range(k_total)]

@@ -51,7 +51,7 @@ def test_criterion_1_section_7_1_exact():
         rep = check_fixture(fx, res)
         assert rep.passed, rep.violations
         # bit-exactness under the canonical grammar
-        assert [[str(e) for e in row] for row in om.entries.rows] == \
+        assert [[str(e) for e in row] for row in om.rows] == \
             [["t^4", "t^2", "t^3"], ["t^3", "t^4", "t^2"],
              ["t^2", "t^3", "t^4"]]
         assert [str(x) for x in res.lam] == ["1", "t^2 - t^-1", "t^4 - t"]
@@ -134,7 +134,7 @@ def test_criterion_8_structural_invariants():
             k = len(order)
             for i in range(k):
                 for j in range(k):
-                    entry = om.entries.rows[i][j]
+                    entry = om.rows[i][j]
                     assert entry.has_nonneg_int_coeffs()
                     if j > i:
                         assert res.p_minus.rows[i][j].is_zero

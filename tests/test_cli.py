@@ -17,18 +17,19 @@ from wkostka import omega as omega_mod, rpart
 from wkostka.cli import _FLAGS, SUITES, build_parser, main
 from wkostka.commands import omega_to_json
 from wkostka.exact import LaurentPoly, PolyMatrix, RationalFunction
-from wkostka.omega import OmegaMatrix, omega_matrix
+from wkostka.omega import omega_matrix
 from wkostka.rpart import OrderedIndex, RPartition, default_total_order
 
 
 SRC = Path(wkostka.__file__).resolve().parents[1]
 
 
-def omega_from_json(data: dict) -> OmegaMatrix:
+def omega_from_json(data: dict) -> PolyMatrix:
     """The inverse of omega_to_json."""
     order = OrderedIndex(tuple(RPartition.parse(s) for s in data["order"]))
     rows = [[LaurentPoly.parse(s) for s in row] for row in data["entries"]]
-    return OmegaMatrix(order, PolyMatrix(order, rows), data["n"], data["r"])
+    assert (data["n"], data["r"]) == (order.n, order.r)
+    return PolyMatrix(order, rows)
 
 
 def run(capsys, *argv):
@@ -104,8 +105,8 @@ class TestOmegaCommand:
         om = omega_matrix(2, 3, default_total_order(2, 3))
         data = json.loads(json.dumps(omega_to_json(om)))
         back = omega_from_json(data)
-        assert back.entries == om.entries
-        assert back.order.items == om.order.items
+        assert back == om
+        assert back.index.items == om.index.items
 
     def test_the_oracle_builds_the_same_matrix(self):
         """omega_matrix's wreath route, which no command runs, prints what
@@ -156,7 +157,7 @@ class TestSolveCommand:
         assert back_lam == list(res.lam)
         back_omega = [[LaurentPoly.parse(s) for s in row]
                       for row in data["omega"]]
-        assert back_omega == [list(row) for row in res.omega.entries.rows]
+        assert back_omega == [list(row) for row in res.omega.rows]
 
     def test_unknown_block(self, capsys):
         code, _, err = run(capsys, "solve", "--n", "1", "--r", "2",
@@ -643,13 +644,13 @@ class TestCosetBound:
         assert code == 2 and out == ""
         assert err == f"error: {flag} must be at least 1\n"
 
-    # K = 252 at (5,4) and 300 at (9,2), past the default bound of 221.
-    @pytest.mark.parametrize("n, r, k", [("5", "4", 252), ("9", "2", 300)])
+    # K = 429 at (7,3) and 481 at (10,2), past the default bound of 300.
+    @pytest.mark.parametrize("n, r, k", [("7", "3", 429), ("10", "2", 481)])
     def test_k_past_the_default_bound_exits_1(self, capsys, n, r, k):
         code, out, err = run(capsys, "solve", "--n", n, "--r", r)
         assert code == 1 and out == ""
         assert err == ("error: coset route bound exceeded: "
-                       f"K = {k} > 221, where K = |P_{{n,r}}|\n")
+                       f"K = {k} > 300, where K = |P_{{n,r}}|\n")
 
     # Building an order compares every pair of the K r-partitions, so the
     # coset guard trips before it: K = 2640 at (10,3).
@@ -661,7 +662,7 @@ class TestCosetBound:
         monkeypatch.setattr(rpart, "default_total_order", refuse)
         code, out, err = run(capsys, command, "--n", "10", "--r", "3")
         assert (code, out, err) == (
-            1, "", "error: coset route bound exceeded: K = 2640 > 221, "
+            1, "", "error: coset route bound exceeded: K = 2640 > 300, "
                    "where K = |P_{n,r}|\n")
 
     def test_orders_guard_trips_before_the_orders_are_drawn(self, capsys,
@@ -672,14 +673,14 @@ class TestCosetBound:
         code, out, err = run(capsys, "verify", "orders", "--n", "10",
                              "--r", "3")
         assert (code, out, err) == (
-            1, "", "error: coset route bound exceeded: K = 2640 > 221, "
+            1, "", "error: coset route bound exceeded: K = 2640 > 300, "
                    "where K = |P_{n,r}|\n")
 
     # K is counted, not enumerated, so refusing (14,4) (K = 116090) costs
     # no walk over P_{n,r}.
     @pytest.mark.parametrize("argv, message", [
-        (("omega",), "coset route bound exceeded: K = 116090 > 221"),
-        (("verify", "orders"), "coset route bound exceeded: K = 116090 > 221"),
+        (("omega",), "coset route bound exceeded: K = 116090 > 300"),
+        (("verify", "orders"), "coset route bound exceeded: K = 116090 > 300"),
         (("verify", "oracle"), "wreath oracle bound exceeded: "
          "K^3*r^2*n = 350455154454496000 > 80000000")],
         ids=["omega-cosets", "orders", "oracle"])
@@ -815,6 +816,22 @@ class TestOrderSources:
                            "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["n"] == 1
+
+    # solve in each format, and a verify suite's report.
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--n", "1", "--r", "2"),
+        ("solve", "--n", "1", "--r", "2", "--format", "csv"),
+        ("solve", "--n", "1", "--r", "2", "--format", "latex"),
+        ("verify", "symmetry", "--n", "1", "--r", "2"),
+    ], ids=["solve-json", "solve-csv", "solve-latex", "verify-symmetry"])
+    def test_out_file_gets_the_stdout_bytes(self, tmp_path, capsys, argv):
+        """--out writes exactly the bytes stdout gets, final newline and
+        all."""
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("\n")
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
 
     def test_unwritable_out_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "absent" / "x.json"

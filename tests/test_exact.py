@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from literal_gcd import literal_gcd
 from literal_parse import literal_parse, literal_to_latex, literal_to_string
 from wkostka import exact
-from wkostka.exact import (ExactError, LaurentPoly, RationalFunction,
-                           exact_div, poly_gcd)
+from wkostka.exact import (ExactError, LaurentPoly, PolyMatrix,
+                           RationalFunction, exact_div, poly_gcd)
+from wkostka.rpart import default_total_order
 from wkostka.wreath import cyclotomic_polynomial
 
 
@@ -426,6 +428,40 @@ class TestScalarRing:
         assert RationalFunction(p, 2).num.coeffs == \
             (Fraction(-1, 2), Fraction(3, 2), Fraction(1, 2))
         assert RationalFunction(2 * p, 2).num.coeffs == (-1, 3, 1)
+
+
+class TestPolyMatrix:
+    ORDER = default_total_order(1, 2)
+    ROWS = ((P("1"), P("0")), (P("t"), P("t + 1")))
+
+    @pytest.mark.parametrize("rows", [
+        [[P("1"), P("0")]],
+        [[P("1"), P("0")], [P("t")]],
+        [[P("1"), P("0"), P("0")], [P("t"), P("1"), P("0")]],
+    ], ids=["one-row", "short-row", "long-rows"])
+    def test_shape_must_match_the_index(self, rows):
+        with pytest.raises(ExactError, match="shape does not match"):
+            PolyMatrix(self.ORDER, rows)
+
+    def test_rows_are_tuples(self):
+        m = PolyMatrix(self.ORDER, [list(row) for row in self.ROWS])
+        assert m.rows == self.ROWS and m.index is self.ORDER
+        assert repr(m) == "PolyMatrix(2x2)"
+
+    def test_equality_reads_index_items_and_rows(self):
+        m = PolyMatrix(self.ORDER, self.ROWS)
+        reversed_order = SimpleNamespace(items=self.ORDER.items[::-1])
+        assert m == PolyMatrix(default_total_order(1, 2), self.ROWS)
+        assert m != PolyMatrix(self.ORDER, (self.ROWS[0], (P("t"), P("1"))))
+        assert m != PolyMatrix(reversed_order, self.ROWS)
+        assert m != self.ROWS and m != "PolyMatrix(2x2)"
+
+    def test_entry_reads_row_then_column_by_position(self):
+        m = PolyMatrix(self.ORDER, self.ROWS)
+        first, second = self.ORDER.items
+        assert (m.entry(first, first), m.entry(first, second),
+                m.entry(second, first), m.entry(second, second)) == \
+            (P("1"), P("0"), P("t"), P("t + 1"))
 
 
 class TestKroneckerCodec:

@@ -19,7 +19,7 @@ from wkostka.charge import (charge, classical_kostka_polynomial,
                             unmodify_kostka)
 from wkostka.factor import (FactorizationError, order_sensitivity,
                             solve_factorization)
-from wkostka.omega import OmegaMatrix, omega_matrix
+from wkostka.omega import omega_matrix
 from wkostka.rpart import (RPartition, default_total_order, dominance_leq,
                            sample_linear_extensions)
 
@@ -281,17 +281,17 @@ class TestSolverErrors:
                 recon[i][j] = acc
         for i in range(2):
             for j in range(2):
-                assert recon[i][j] == RationalFunction(om.entries.rows[i][j])
+                assert recon[i][j] == RationalFunction(om.rows[i][j])
 
     def test_bad_matrix_rejected(self):
         om = _vanishing_pivot_omega()
-        pivot = f"vanishing pivot at index 0 ({om.order.items[0]})"
+        pivot = f"vanishing pivot at index 0 ({om.index.items[0]})"
         with pytest.raises(FactorizationError, match=re.escape(pivot)):
             solve_factorization(om)
 
     def test_non_laurent_entry_rejected(self):
         om = _non_laurent_omega()
-        items = om.order.items
+        items = om.index.items
         entry = f"P- entry ({items[1]}, {items[0]})"
         with pytest.raises(FactorizationError, match=re.escape(entry)):
             solve_factorization(om)
@@ -300,8 +300,7 @@ class TestSolverErrors:
 def _vanishing_pivot_omega():
     order = default_total_order(1, 2)
     zero = LaurentPoly.zero()
-    return OmegaMatrix(order, PolyMatrix(
-        order, [[zero, zero], [zero, zero]]), 1, 2)
+    return PolyMatrix(order, [[zero, zero], [zero, zero]])
 
 
 def _non_laurent_omega():
@@ -309,8 +308,7 @@ def _non_laurent_omega():
     order = default_total_order(1, 2)
     one = LaurentPoly.one()
     corner = P("t + 1").shift(order.items[0].a_value())
-    return OmegaMatrix(order, PolyMatrix(
-        order, [[corner, LaurentPoly.zero()], [one, one]]), 1, 2)
+    return PolyMatrix(order, [[corner, LaurentPoly.zero()], [one, one]])
 
 
 # -- the packed elimination and its Laurent-polynomial oracle ------------------
@@ -337,13 +335,12 @@ def _noted_widths(monkeypatch) -> list:
 
 
 def _synthetic_omega(order, p_minus, xi, p_plus):
-    """The OmegaMatrix P- diag(xi) transpose(P+) over order."""
+    """Omega = P- diag(xi) transpose(P+), a PolyMatrix over order."""
     k = len(xi)
     rows = [[sum((p_minus[i][l] * xi[l] * p_plus[j][l]
                   for l in range(min(i, j) + 1)), LaurentPoly.zero())
              for j in range(k)] for i in range(k)]
-    lam = order.items[0]
-    return OmegaMatrix(order, PolyMatrix(order, rows), lam.n, lam.r)
+    return PolyMatrix(order, rows)
 
 
 def _unitriangular(order, below):
@@ -417,7 +414,7 @@ class TestPackedElimination:
         p_plus = _unitriangular(order, lambda i, j: LaurentPoly.zero())
         xi = [P("2"), P("t"), P("1")]
         om = _synthetic_omega(order, p_minus, xi, p_plus)
-        assert all(type(c) is int for row in om.entries.rows for p in row
+        assert all(type(c) is int for row in om.rows for p in row
                    for c in p.coeffs)
         items = order.items
         entry = f"P- entry ({items[1]}, {items[0]}) is not a Laurent polynomial"
@@ -482,7 +479,7 @@ class TestPackedElimination:
         xi = [LaurentPoly.const(1), LaurentPoly.t_power(-2 * a1, 1 - c * c)] \
             + [LaurentPoly.const(rng.randint(1, 5)) for _ in range(k - 2)]
         om = _synthetic_omega(order, p_minus, xi, p_plus)
-        assert max(abs(x) for row in om.entries.rows for p in row
+        assert max(abs(x) for row in om.rows for p in row
                    for x in p.coeffs) < 2 ** 31
         widths = _noted_widths(monkeypatch)
         assert _factors(solve_factorization(om)) == [p_minus, xi, p_plus]
@@ -532,7 +529,7 @@ def _tables(res):
     xi = [x.try_to_laurent() for x in res.lam]
     return [[list(row) for row in res.p_minus.rows], [xi],
             [list(row) for row in res.p_plus.rows],
-            [list(row) for row in res.omega.entries.rows]]
+            [list(row) for row in res.omega.rows]]
 
 
 def _outcomes(tables):
@@ -547,9 +544,8 @@ def _outcomes(tables):
 def _check_args(order, tables):
     """The arguments of factor._verify_reconstruction for tables."""
     pm, (xi,), pp, omega = tables
-    lam = order.items[0]
     return (order, PolyMatrix(order, pm), tuple(xi), PolyMatrix(order, pp),
-            OmegaMatrix(order, PolyMatrix(order, omega), lam.n, lam.r))
+            PolyMatrix(order, omega))
 
 
 def _rejected(order, tables):
@@ -632,7 +628,7 @@ class TestReconstructionCheck:
         diagonal = _unitriangular(order, lambda i, j: LaurentPoly.zero())
         xi = [LaurentPoly({-1: 2, 4: -3})] * len(order)
         om = _synthetic_omega(order, diagonal, xi, diagonal)
-        omega = [list(row) for row in om.entries.rows]
+        omega = [list(row) for row in om.rows]
         assert omega[3][1].is_zero
         tables = [diagonal, [xi], diagonal, omega]
         assert _rejected(order, tables) == []

@@ -49,7 +49,7 @@ class TestTranscriptionGuards:
         # are checked against the solver's.
         fx = load_fixture("n2r3")
         fx.omega = [list(row) for row in
-                    omega_matrix(2, 3, fx.order).entries.rows]
+                    omega_matrix(2, 3, fx.order).rows]
         assert reconstruction_check(fx).passed
         fx.p_minus[5][0] = fx.p_minus[5][0] - LaurentPoly.t_power(5)
         fx.xi[7] = fx.xi[7] + LaurentPoly.t_power(-3)

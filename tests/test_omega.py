@@ -17,8 +17,8 @@ from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
                            _omega_row, _orbit_twist, _twist, a_O, b_O,
                            bracket, coset_table, omega_entry_cosets,
                            omega_matrix, torus_quotient)
-from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
-                           compositions, default_total_order,
+from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
+                           RPartition, compositions, default_total_order,
                            enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
 from wkostka.wreath import (_classes, _zeta_mul, cyclotomic_polynomial,
@@ -312,7 +312,7 @@ class TestFakeDegree:
             omega_matrix(1, 3, order, "wreath", wreath_bound=242)
         assert omega_entry_bruteforce.cache_info().currsize == 0
         assert len(omega_matrix(1, 3, order, "wreath",
-                                wreath_bound=243).order) == 3
+                                wreath_bound=243).index) == 3
 
 
 class TestBracketExponents:
@@ -442,8 +442,8 @@ class TestOmegaEntries:
         entries of 1000 components each."""
         wkostka.clear_caches()
         om = omega_matrix(0, 1000, default_total_order(0, 1000))
-        assert om.entries.rows == ((P("1"),),)
-        assert _twist.cache_info().currsize <= len(om.order) == 1
+        assert om.rows == ((P("1"),),)
+        assert _twist.cache_info().currsize <= len(om.index) == 1
 
     @pytest.mark.parametrize("n,r", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_dual_route(self, n, r):
@@ -544,7 +544,7 @@ class TestOmegaEntries:
         order = default_total_order(1, 3)
         a = omega_matrix(1, 3, order, "cosets")
         b = omega_matrix(1, 3, order, "wreath")
-        assert a.entries == b.entries
+        assert a == b
         with pytest.raises(OmegaError):
             omega_matrix(1, 3, order, "nope")
 
@@ -556,7 +556,29 @@ class TestOmegaEntries:
         with pytest.raises(OmegaError):
             omega_matrix(1, 5, order, coset_n_bound=4)
         assert _omega_entry_direct.cache_info().currsize == 0
-        assert len(omega_matrix(1, 5, order, coset_n_bound=5).order) == 5
+        assert len(omega_matrix(1, 5, order, coset_n_bound=5).index) == 5
+
+    def test_the_order_is_the_index(self):
+        order = default_total_order(2, 2)
+        om = omega_matrix(2, 2, order)
+        assert om.index is order and (om.index.n, om.index.r) == (2, 2)
+
+    # P_{1,3} under n = 2, P_{2,2} under r = 3, and an empty order.
+    @pytest.mark.parametrize("n, r, order", [
+        (2, 3, default_total_order(1, 3)),
+        (2, 3, default_total_order(2, 2)),
+        (0, 1, OrderedIndex(())),
+    ], ids=["n", "r", "empty"])
+    @pytest.mark.parametrize("method", ["cosets", "wreath"])
+    def test_an_order_on_another_p_nr_is_refused(self, n, r, order, method):
+        """Before any entry is computed."""
+        _omega_entry_direct.cache_clear()
+        omega_entry_bruteforce.cache_clear()
+        with pytest.raises(OmegaError, match=re.escape(
+                f"the order does not list P_{{n,r}} for n={n}, r={r}")):
+            omega_matrix(n, r, order, method)
+        assert _omega_entry_direct.cache_info().currsize == 0
+        assert omega_entry_bruteforce.cache_info().currsize == 0
 
     def test_one_cache_entry_per_omega_entry(self):
         """The entry cache is keyed by (lam, mu, r) alone, so Omega and the
@@ -589,7 +611,7 @@ class TestOmegaEntries:
     def test_n0_matrix(self):
         order = default_total_order(0, 3)
         om = omega_matrix(0, 3, order)
-        assert om.entries.rows[0][0] == P("1")
+        assert om.rows[0][0] == P("1")
 
 
 class TestIntegerKernel:

@@ -12,7 +12,7 @@ import wkostka
 from wkostka.factor import FactorizationResult, IcMatrix
 from wkostka.fixtures import Fixture
 from wkostka.greencheck import VerifyReport, thm55_check
-from wkostka.omega import OmegaMatrix, omega_matrix
+from wkostka.omega import omega_matrix
 from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
                            RPartition, default_total_order)
 from wkostka.symgrp import DoubleCoset
@@ -36,8 +36,6 @@ CASES = [
      (CM, (0, 1), 1, ((0, 1),)), (CM, (1, 0), 1, ((1, 0),))),
     (WreathElement, ("sigma", "colors", "r"),
      ((1, 0), (0, 2), 3), ((1, 0), (1, 2), 3)),
-    (OmegaMatrix, ("order", "entries", "n", "r"),
-     (ORDER, "entries", 1, 2), (ORDER, "entries", 1, 3)),
     (IcMatrix, ("raw", "in_s", "column_asserted"),
      ((1,), (1,), None), ((1,), (None,), None)),
     (FactorizationResult,
@@ -136,11 +134,11 @@ def test_clear_caches_empties_every_cache():
 
     order = default_total_order(3, 3)
     before = omega_matrix(3, 3, order)
-    assert str(before.entries.rows[0][0]) != "0"  # formats one value
+    assert str(before.rows[0][0]) != "0"  # formats one value
     assert thm55_check(2, 2, "symbolic").passed
     assert {"_omega_row", "enumerate_rpartitions", "_text"} <= \
         {c.__name__ for c in caches() if c.cache_info().currsize}
     wkostka.clear_caches()
     assert all(c.cache_info().currsize == 0 for c in caches())
     after = omega_matrix(3, 3, order)
-    assert after == before and after.entries.rows == before.entries.rows
+    assert after == before and after.rows == before.rows

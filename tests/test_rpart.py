@@ -179,6 +179,11 @@ class TestOrders:
         order = default_total_order(1, 3)
         assert [str(x) for x in order] == ["(-;-;1)", "(-;1;-)", "(1;-;-)"]
 
+    @pytest.mark.parametrize("n, r", [(0, 1), (0, 3), (1, 3), (3, 2)])
+    def test_n_and_r_are_read_from_the_items(self, n, r):
+        order = default_total_order(n, r)
+        assert (order.n, order.r) == (n, r)
+
     def test_refines_dominance(self):
         for n in range(4):
             for r in range(1, 5):
