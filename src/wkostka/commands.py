@@ -35,7 +35,7 @@ def _resolve_order(args) -> OrderedIndex:
         order = OrderedIndex(tuple(items))
     else:
         raise UsageError(f"bad order spec {spec!r}")
-    if not order.items or (order.n, order.r) != (n, r):
+    if (order.n, order.r) != (n, r):
         raise UsageError(f"order {spec!r} does not list P_{{n,r}} "
                          f"for n={n}, r={r}")
     return order
@@ -68,12 +68,13 @@ def _csv_matrix(order, rows) -> str:
                  for lam, row in zip(order.items, rows)])
 
 
-def _latex_matrix(order, rows, caption: str) -> str:
+def _latex_matrix(order, rows, name: str) -> str:
+    """The matrix rows over order, captioned "name for n=.., r=.."."""
     return _latex("c|" + "c" * len(order),
                   [""] + [f"${mu}$" for mu in order.items],
                   [[f"${lam}$"] + [f"${e.to_latex()}$" for e in row]
                    for lam, row in zip(order.items, rows)],
-                  caption)
+                  f"{name} for n={order.n}, r={order.r}")
 
 
 # -- enumerate ----------------------------------------------------------------
@@ -134,8 +135,7 @@ def cmd_omega(args) -> str:
         return json.dumps(omega_to_json(om), indent=2)
     if args.format == "csv":
         return _csv_matrix(om.index, om.rows)
-    return _latex_matrix(om.index, om.rows,
-                         f"omega for n={args.n}, r={args.r}")
+    return _latex_matrix(om.index, om.rows, "omega")
 
 
 # -- solve ---------------------------------------------------------------------
@@ -177,8 +177,9 @@ def _ic_block(ic) -> dict:
 
 def solve_to_json(res, blocks) -> dict:
     from .factor import IcMatrix
-    data = {"n": res.order.n, "r": res.order.r,
-            "order": [str(lam) for lam in res.order.items],
+    order = res.omega.index
+    data = {"n": order.n, "r": order.r,
+            "order": [str(lam) for lam in order.items],
             "a_values": list(res.a_values)}
     for name, value, heading in _selected(res, blocks):
         if isinstance(value, IcMatrix):
@@ -193,19 +194,18 @@ def solve_to_json(res, blocks) -> dict:
 
 def _csv_block(res, name: str, value, heading) -> str:
     if heading is None:
-        return f"# {name}\n" + _csv_matrix(res.order, value)
+        return f"# {name}\n" + _csv_matrix(res.omega.index, value)
     return _csv([["rpartition", "a_value", heading[0]]] +
-                [[str(lam), a, str(x)]
-                 for lam, a, x in zip(res.order.items, res.a_values, value)])
+                [[str(lam), a, str(x)] for lam, a, x
+                 in zip(res.omega.index.items, res.a_values, value)])
 
 
 def _latex_block(res, name: str, value, heading) -> str:
     if heading is None:
-        caption = f"{name} for n={res.order.n}, r={res.order.r}"
-        return _latex_matrix(res.order, value, caption)
+        return _latex_matrix(res.omega.index, value, name)
     return _latex("c|c|c", [r"$\lambda$", r"$a(\lambda)$", heading[1]],
-                  [[f"${lam}$", str(a), f"${x.to_latex()}$"]
-                   for lam, a, x in zip(res.order.items, res.a_values, value)])
+                  [[f"${lam}$", str(a), f"${x.to_latex()}$"] for lam, a, x
+                   in zip(res.omega.index.items, res.a_values, value)])
 
 
 def cmd_solve(args) -> str:

@@ -536,8 +536,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
 
 class PolyMatrix:
-    """A square matrix of exact entries indexed by an ordered set of
-    r-partitions (anything exposing .items and .position works)."""
+    """A square matrix of exact entries indexed by an rpart.OrderedIndex,
+    the one copy of its order: the solver reads n and r from it."""
 
     __slots__ = ("index", "rows")
 

@@ -37,10 +37,10 @@ class IcMatrix(FrozenRecord):
 
 
 class FactorizationResult(FrozenRecord):
-    """order is an OrderedIndex; omega, p_minus, p_plus and p_plus_modified
-    are PolyMatrix over it, ic_minus and ic_plus IcMatrix."""
+    """omega, p_minus, p_plus and p_plus_modified are PolyMatrix over one
+    order, omega.index, that holds n and r; ic_minus and ic_plus IcMatrix."""
 
-    __slots__ = ("order", "omega", "p_minus", "p_plus",
+    __slots__ = ("omega", "p_minus", "p_plus",
                  "lam",               # diagonal of Lambda, as RationalFunction
                  "a_values",
                  "theta",             # diagonal of Theta, Laurent monomials
@@ -84,8 +84,8 @@ def solve_factorization(om: PolyMatrix) -> FactorizationResult:
                                for row in omega for p in row).bit_length())
 
     def solved(bits):
-        pm, xi, pp = _eliminate(order, omega, bits)
-        _verify_reconstruction(order, pm, xi, pp, om)
+        pm, xi, pp = _eliminate(om, bits)
+        _verify_reconstruction(pm, xi, pp, om)
         return pm, xi, pp
 
     try:
@@ -96,20 +96,19 @@ def solve_factorization(om: PolyMatrix) -> FactorizationResult:
     lam = tuple(RationalFunction(x) for x in xi)
     theta = theta_diag(order)
     return FactorizationResult(
-        order=order, omega=om, p_minus=pm, p_plus=pp, lam=lam,
+        omega=om, p_minus=pm, p_plus=pp, lam=lam,
         a_values=a, theta=theta, lambda_prime=lambda_prime(lam, theta),
         p_plus_modified=modified_pplus(pp, theta),
-        ic_minus=ic_minus_matrix(order, pm, order.r),
-        ic_plus=ic_plus_candidate(order, pp, order.r))
+        ic_minus=ic_minus_matrix(pm), ic_plus=ic_plus_candidate(pp))
 
 
 # The least first width of the elimination, in bits.
 _BITS = 32
 
 
-def _eliminate(order, omega, bits: int) -> tuple:
-    """(P-, xi, P+) of P- diag(xi) transpose(P+) = omega, for an integral
-    omega, by forward elimination on values packed at t = 2^bits.
+def _eliminate(om: PolyMatrix, bits: int) -> tuple:
+    """(P-, xi, P+) of P- diag(xi) transpose(P+) = om, for an integral
+    om, by forward elimination on values packed at t = 2^bits.
 
     Each value is (offset, integer) as _packed makes it.  Evaluation at
     t = 2^bits is a ring map, so each inner sum omega_ij - sum_g P-_ig M_gj
@@ -122,10 +121,10 @@ def _eliminate(order, omega, bits: int) -> tuple:
     inner sums, leaves a remainder or decoded tables that the caller's
     check rejects.
     """
-    items = order.items
+    items = om.index.items
     k_total = len(items)
     a = [lam.a_value() for lam in items]
-    omega = [[_packed(p, bits) for p in row] for row in omega]
+    omega = [[_packed(p, bits) for p in row] for row in om.rows]
     # Row i of P- and column j of M as offsets and integers: at step k a P-
     # row holds its entries g < k, an M column its rows g < k (column k also
     # g = k, which the shorter P- row leaves out of a sum).
@@ -183,7 +182,7 @@ def _eliminate(order, omega, bits: int) -> tuple:
     zero = LaurentPoly.zero()
 
     def lower(rows):
-        return PolyMatrix(order, (
+        return PolyMatrix(om.index, (
             (*itertools.starmap(decoded, row), LaurentPoly.t_power(a[i]),
              *[zero] * (k_total - 1 - i)) for i, row in enumerate(rows)))
 
@@ -191,13 +190,14 @@ def _eliminate(order, omega, bits: int) -> tuple:
             tuple(itertools.starmap(decoded, xi)), lower(pp))
 
 
-def _verify_reconstruction(order, pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
+def _verify_reconstruction(pm: PolyMatrix, xi: tuple, pp: PolyMatrix,
                            om: PolyMatrix):
     """Raise FactorizationError at the first cell, row by row, where
     sum_l P-_il xi_l P+_jl differs from Omega_ij."""
+    items = om.index.items
     for i, j in reconstruction_mismatches(pm.rows, xi, pp.rows, om.rows):
         raise FactorizationError(
-            f"reconstruction failed at ({order.items[i]}, {order.items[j]})")
+            f"reconstruction failed at ({items[i]}, {items[j]})")
 
 
 def reconstruction_mismatches(p_minus, xi, p_plus, omega):
@@ -270,14 +270,15 @@ def modified_pplus(p_plus: PolyMatrix, theta: tuple) -> PolyMatrix:
         tuple(map(LaurentPoly.shift, row, shifts)) for row in p_plus.rows))
 
 
-def _ic_matrix(rows, row_shift, col_shift, r: int,
+def _ic_matrix(p: PolyMatrix, row_shift, col_shift,
                column_asserted=None) -> IcMatrix:
-    """Entries t^(row_shift[i] + col_shift[j]) * rows[i][j]; flagged where
-    they land in Z>=0[t^r]."""
+    """Entries t^(row_shift[i] + col_shift[j]) * p_ij; flagged where they
+    land in Z>=0[t^r], r that of p's index."""
     raw = tuple(tuple(map(LaurentPoly.shift, row,
                           [shift + c for c in col_shift]))
-                for row, shift in zip(rows, row_shift))
-    in_s = tuple(tuple(map(_in_s, row, itertools.repeat(r))) for row in raw)
+                for row, shift in zip(p.rows, row_shift))
+    r = p.index.r
+    in_s = tuple(tuple(_in_s(e, r) for e in row) for row in raw)
     return IcMatrix(raw, in_s, column_asserted)
 
 
@@ -290,38 +291,38 @@ def _in_s(e: LaurentPoly, r: int):
     return None
 
 
-def ic_minus_matrix(order: OrderedIndex, p_minus: PolyMatrix, r: int) -> IcMatrix:
+def ic_minus_matrix(p_minus: PolyMatrix) -> IcMatrix:
     """Entries t^(-a(lam)) K~-(lam,mu); flagged where they land in Z>=0[t^r]."""
-    a = [lam.a_value() for lam in order.items]
-    return _ic_matrix(p_minus.rows, [-x for x in a], [0] * len(a), r)
+    a = [lam.a_value() for lam in p_minus.index.items]
+    return _ic_matrix(p_minus, [-x for x in a], [0] * len(a))
 
 
-def ic_plus_candidate(order: OrderedIndex, p_plus: PolyMatrix, r: int) -> IcMatrix:
+def ic_plus_candidate(p_plus: PolyMatrix) -> IcMatrix:
     """Entries t^(-a(tau(mu)) - a(nu) + a(tau(nu))) K~+(mu,nu).
 
     The intersection-cohomology reading is only proved for columns nu whose
     weight vanishes in slots 1..r-2; column_asserted records that hypothesis,
     everywhere else the entry is a candidate only.
     """
-    a = [nu.a_value() for nu in order.items]
-    a_tau = [nu.tau().a_value() for nu in order.items]
-    col_ok = []
-    for nu in order.items:
-        w = nu.weight().parts
-        col_ok.append(all(x == 0 for x in w[:max(0, len(w) - 2)]))
-    return _ic_matrix(p_plus.rows, [-x for x in a_tau],
-                      list(map(sub, a_tau, a)), r, tuple(col_ok))
+    items = p_plus.index.items
+    a = [nu.a_value() for nu in items]
+    a_tau = [nu.tau().a_value() for nu in items]
+    col_ok = tuple(not any(nu.weight().parts[:-2]) for nu in items)
+    return _ic_matrix(p_plus, [-x for x in a_tau], list(map(sub, a_tau, a)),
+                      col_ok)
 
 
 # -- order sensitivity ---------------------------------------------------------
 
 
-def order_sensitivity(n: int, r: int, orders) -> tuple:
+def order_sensitivity(orders) -> tuple:
     """Solve the factorization under each order and compare Kostka entries:
     (comparable, incomparable), the entries whose value differs between
     orders at dominance-comparable and at incomparable pairs (whose
-    triangular zero pattern depends on the order)."""
+    triangular zero pattern depends on the order).  The first order gives
+    n and r, and omega_matrix refuses an order on another P_{n,r}."""
     orders = list(orders)
+    n, r = orders[0].n, orders[0].r
     results = [solve_factorization(omega_matrix(n, r, order))
                for order in orders]
 

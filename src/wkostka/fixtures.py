@@ -18,21 +18,21 @@ from .factor import (FactorizationResult, reconstruction_mismatches,
 from .greencheck import VerifyReport
 from .omega import omega_matrix
 from .record import Record
-from .rpart import OrderedIndex, RPartition
+from .rpart import OrderedIndex, RPartition, default_total_order
 
 FIXTURE_IDS = ("n1r3", "n1rk", "n2r3", "n3r3")
 
 
 class FixtureError(UsageError):
-    """An unknown fixture id, n1rk with r < 2, or a malformed table in a
-    fixture file; from `--order fixture:ID` it exits 2."""
+    """An unknown fixture id, n1rk with r < 2, or a fixture file whose
+    tables or "n" and "r" do not fit its order; it exits 2."""
 
 
 class Fixture(Record):
-    """One fixture: order is an OrderedIndex, the tables are lists of
-    LaurentPoly rows (None where the source prints none), errata a dict."""
+    """One fixture: order is an OrderedIndex, which holds n and r, the
+    tables lists of LaurentPoly rows (None where the source prints none)."""
 
-    __slots__ = ("id", "n", "r", "order", "a_values",
+    __slots__ = ("id", "order", "a_values",
                  "p_minus",           # lower-triangle rows of LaurentPoly
                  "p_plus",
                  "xi",                # diagonal of LaurentPoly
@@ -40,7 +40,7 @@ class Fixture(Record):
                  "theta", "lambda_prime", "p_plus_modified",
                  "p_minus_modified", "ic_minus_printed", "ic_plus_printed",
                  "ic_plus_candidate", "errata")
-    _defaults = {**dict.fromkeys(__slots__[5:-1]), "errata": {}}
+    _defaults = {**dict.fromkeys(__slots__[3:-1]), "errata": {}}
 
 
 def _parse_tri(rows, size) -> list:
@@ -67,8 +67,10 @@ def load_fixture(fixture_id: str, r: int | None = None) -> Fixture:
     raw = json.loads(resources.files("wkostka.data")
                      .joinpath(f"{fixture_id}.json").read_text())
     order = OrderedIndex(tuple(RPartition.parse(s) for s in raw["order"]))
+    if (raw["n"], raw["r"]) != (order.n, order.r):
+        raise FixtureError(f"fixture {fixture_id!r}: n, r are not its order's")
     size = len(order)
-    fx = Fixture(id=raw["id"], n=raw["n"], r=raw["r"], order=order,
+    fx = Fixture(id=raw["id"], order=order,
                  a_values=list(raw["a_values"]),
                  errata=raw.get("errata", {}))
     if "omega" in raw:
@@ -85,7 +87,6 @@ def load_fixture(fixture_id: str, r: int | None = None) -> Fixture:
 
 def _n1rk_fixture(r: int) -> Fixture:
     """The general-r closed forms for n = 1, materialized at a given r."""
-    from .rpart import default_total_order
     order = default_total_order(1, r)
     t = LaurentPoly.t_power
     p_minus = [[t(r - i)] * i for i in range(1, r + 1)]
@@ -107,17 +108,11 @@ def _n1rk_fixture(r: int) -> Fixture:
         row[0] = LaurentPoly.one()
         row[i - 1] = LaurentPoly.one()
         ic_plus.append(row)
-    return Fixture(id="n1rk", n=1, r=r, order=order,
+    return Fixture(id="n1rk", order=order,
                    a_values=[r - i for i in range(1, r + 1)],
                    p_minus=p_minus, p_plus=p_plus, xi=xi, theta=theta,
                    lambda_prime=lam_prime,
                    ic_minus_printed=ic_minus, ic_plus_printed=ic_plus)
-
-
-def _tri_iter(size):
-    for i in range(size):
-        for j in range(i + 1):
-            yield i, j
 
 
 def _cell(rows, at):
@@ -130,13 +125,14 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
     Verbatim mismatches outside the documented errata are violations;
     erratum cells must instead match their recorded forced values.
     """
-    report = VerifyReport("fixtures", {"id": fx.id, "n": fx.n, "r": fx.r})
+    n, r = fx.order.n, fx.order.r
+    report = VerifyReport("fixtures", {"id": fx.id, "n": n, "r": r})
     if result is None:
-        result = solve_factorization(omega_matrix(fx.n, fx.r, fx.order))
+        result = solve_factorization(omega_matrix(n, r, fx.order))
     size = len(fx.order)
     diag = range(size)
     square = [(i, j) for i in range(size) for j in range(size)]
-    tri = list(_tri_iter(size))
+    tri = [(i, j) for i in range(size) for j in range(i + 1)]
     # Table -> {cell: (printed value, value forced by uniqueness)}.
     errata = {
         "a_values": {int(k): (v["printed"], v["consistent"])
@@ -183,10 +179,8 @@ def check_fixture(fx: Fixture, result: FactorizationResult | None = None) -> Ver
     # The candidate must match the printed IC+ matrix exactly where the
     # source tables coincide (n = 1) and differ somewhere where they do not.
     if fx.ic_plus_printed is not None:
-        diffs = 0
-        for i, j in _tri_iter(size):
-            if result.ic_plus.raw[i][j] != fx.ic_plus_printed[i][j]:
-                diffs += 1
+        diffs = sum(result.ic_plus.raw[i][j] != fx.ic_plus_printed[i][j]
+                    for i, j in tri)
         report.checked += 1
         expect_diff = fx.id == "n2r3"
         if expect_diff and diffs == 0:

@@ -295,7 +295,7 @@ def omega_matrix(n: int, r: int, order: OrderedIndex,
     that name.)
     method "wreath" builds the oracle's matrix, for the tests, and checks
     K^3 r^2 n against wreath_bound once; no command runs it."""
-    if not order.items or (order.n, order.r) != (n, r):
+    if (order.n, order.r) != (n, r):
         raise OmegaError(f"the order does not list P_{{n,r}} "
                          f"for n={n}, r={r}")
     if method == "cosets":

@@ -320,13 +320,14 @@ class OrderedIndex(FrozenRecord):
 
     def __init__(self, items):
         items = tuple(items)
+        if not items:
+            raise RPartitionError("empty total order: no P_{n,r} is empty")
         object.__setattr__(self, "items", items)
         pos = {lam: i for i, lam in enumerate(items)}
         if len(pos) != len(items):
             raise RPartitionError("duplicate r-partitions in total order")
         object.__setattr__(self, "_pos", pos)
-        expect = set(enumerate_rpartitions(self.n, self.r)) if items else set()
-        if set(items) != expect:
+        if set(items) != set(enumerate_rpartitions(self.n, self.r)):
             raise RPartitionError("total order does not cover P_{n,r} exactly")
         keys = list(map(_dominance_key, items))
         for i, (lam, key) in enumerate(zip(items, keys)):

@@ -133,7 +133,7 @@ def _suite_orders(args):
     omega_mod._check_coset_bound(rpart.count_rpartitions(n, r), COSET_K_BOUND)
     orders = {tuple(o.items): o for o in
               rpart.sample_linear_extensions(n, r, samples, args.seed)}
-    comparable, incomparable = factor.order_sensitivity(n, r, orders.values())
+    comparable, incomparable = factor.order_sensitivity(orders.values())
     report = greencheck.VerifyReport(
         "orders", {"n": n, "r": r, "samples": samples,
                    "distinct_orders": len(orders), "seed": args.seed,

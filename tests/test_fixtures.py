@@ -1,6 +1,11 @@
 """Fixture loading, transcription guards, and the documented source errata."""
+import json
+from importlib import resources
+
 import pytest
 
+from wkostka import fixtures
+from wkostka.cli import main
 from wkostka.exact import LaurentPoly, RationalFunction
 from wkostka.factor import solve_factorization
 from wkostka.fixtures import (FixtureError, check_fixture, load_fixture,
@@ -27,6 +32,27 @@ class TestLoading:
         # OrderedIndex construction validates; loading is the assertion
         for fid in ("n1r3", "n2r3", "n3r3"):
             load_fixture(fid)
+
+    @pytest.mark.parametrize("key, value", [("n", 2), ("r", 4)])
+    def test_n_and_r_must_be_the_orders(self, tmp_path, monkeypatch, capsys,
+                                        key, value):
+        """A file's "n" and "r" are checked against its order, not stored:
+        a doctored n1r3.json fails to load, and `--order fixture:n1r3`
+        exits 2 with one error line."""
+        raw = json.loads(resources.files("wkostka.data")
+                         .joinpath("n1r3.json").read_text())
+        assert (raw["n"], raw["r"]) == (1, 3)
+        raw[key] = value
+        (tmp_path / "n1r3.json").write_text(json.dumps(raw))
+        monkeypatch.setattr(fixtures.resources, "files",
+                            lambda package: tmp_path)
+        with pytest.raises(FixtureError, match="n1r3"):
+            load_fixture("n1r3")
+        code = main(["solve", "--n", "1", "--r", "3",
+                     "--order", "fixture:n1r3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTranscriptionGuards:

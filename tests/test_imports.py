@@ -208,6 +208,25 @@ def _names_in(module: str, function: str = None) -> set:
                     if isinstance(node, ast.Attribute)}
 
 
+def test_a_solved_value_holds_one_copy_of_its_order():
+    """The order, and its n and r, are read from the index of the matrix a
+    solver helper is given, so none of them takes a second copy beside it,
+    and neither a solved factorization nor a fixture stores one."""
+    from wkostka.factor import FactorizationResult
+    from wkostka.fixtures import Fixture
+    tree = ast.parse((PACKAGE / "factor.py").read_text(encoding="utf-8"))
+    helpers = {"_eliminate", "_verify_reconstruction", "ic_minus_matrix",
+               "ic_plus_candidate", "order_sensitivity"}
+    copies = {"order", "n", "r"}
+    found = {node.name: {arg.arg for arg in node.args.args} & copies
+             for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in helpers}
+    assert found == dict.fromkeys(helpers, set())
+    assert "order" not in FactorizationResult.__slots__
+    assert "n" not in Fixture.__slots__
+    assert "r" not in Fixture.__slots__
+
+
 def test_the_reconstruction_check_shares_only_the_packing():
     """factor.reconstruction_mismatches may call _packed, but neither the
     elimination nor its least width."""

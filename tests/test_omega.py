@@ -17,8 +17,8 @@ from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
                            _omega_row, _orbit_twist, _twist, a_O, b_O,
                            bracket, coset_table, omega_entry_cosets,
                            omega_matrix, torus_quotient)
-from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
-                           RPartition, compositions, default_total_order,
+from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
+                           compositions, default_total_order,
                            enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
 from wkostka.wreath import (_classes, _zeta_mul, cyclotomic_polynomial,
@@ -563,12 +563,12 @@ class TestOmegaEntries:
         om = omega_matrix(2, 2, order)
         assert om.index is order and (om.index.n, om.index.r) == (2, 2)
 
-    # P_{1,3} under n = 2, P_{2,2} under r = 3, and an empty order.
+    # P_{1,3} under n = 2 and P_{2,2} under r = 3.  No empty order can be
+    # built (tests/test_rpart.py).
     @pytest.mark.parametrize("n, r, order", [
         (2, 3, default_total_order(1, 3)),
         (2, 3, default_total_order(2, 2)),
-        (0, 1, OrderedIndex(())),
-    ], ids=["n", "r", "empty"])
+    ], ids=["n", "r"])
     @pytest.mark.parametrize("method", ["cosets", "wreath"])
     def test_an_order_on_another_p_nr_is_refused(self, n, r, order, method):
         """Before any entry is computed."""

@@ -39,18 +39,18 @@ CASES = [
     (IcMatrix, ("raw", "in_s", "column_asserted"),
      ((1,), (1,), None), ((1,), (None,), None)),
     (FactorizationResult,
-     ("order", "omega", "p_minus", "p_plus", "lam", "a_values", "theta",
+     ("omega", "p_minus", "p_plus", "lam", "a_values", "theta",
       "lambda_prime", "p_plus_modified", "ic_minus", "ic_plus"),
-     tuple(range(11)), tuple(range(1, 12))),
+     tuple(range(10)), tuple(range(1, 11))),
     (VerifyReport, ("suite", "params", "violations", "checked"),
      ("lemma59", {"n": 2}, [], 3), ("lemma59", {"n": 2}, ["x"], 3)),
     (Fixture,
-     ("id", "n", "r", "order", "a_values", "p_minus", "p_plus", "xi",
+     ("id", "order", "a_values", "p_minus", "p_plus", "xi",
       "omega", "theta", "lambda_prime", "p_plus_modified",
       "p_minus_modified", "ic_minus_printed", "ic_plus_printed",
       "ic_plus_candidate", "errata"),
-     ("n1r2", 1, 2, ORDER, [0, 1]) + (None,) * 11 + ({},),
-     ("n1r2", 1, 2, ORDER, [0, 2]) + (None,) * 11 + ({},)),
+     ("n1r2", ORDER, [0, 1]) + (None,) * 11 + ({},),
+     ("n1r2", ORDER, [0, 2]) + (None,) * 11 + ({},)),
 ]
 MUTABLE = {VerifyReport, Fixture}
 
@@ -89,7 +89,7 @@ def test_defaults():
     assert (first.violations, first.checked) == ([], 0)
     first.violations.append("x")
     assert second.violations == []
-    fx, gx = Fixture("id", 1, 2, ORDER, [0]), Fixture("id", 1, 2, ORDER, [0])
+    fx, gx = Fixture("id", ORDER, [0]), Fixture("id", ORDER, [0])
     assert fx.p_minus is None and fx.ic_plus_candidate is None
     assert fx.errata == {} and fx.errata is not gx.errata
     with pytest.raises(TypeError):

@@ -209,6 +209,14 @@ class TestOrders:
         with pytest.raises(RPartitionError):
             OrderedIndex(tuple(items))
 
+    def test_an_empty_order_is_refused(self):
+        """No P_{n,r} is empty (P_{0,r} holds the empty r-partition), so an
+        order always has a first item to read n and r from."""
+        from wkostka.rpart import OrderedIndex
+        with pytest.raises(RPartitionError, match="empty total order"):
+            OrderedIndex(())
+        assert len(default_total_order(0, 3)) == 1
+
 
 class TestContingency:
     def test_small_example(self):
