@@ -17,9 +17,10 @@ from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
                            _omega_row, _orbit_twist, _twist, a_O, b_O,
                            bracket, coset_table, omega_entry_cosets,
                            omega_matrix, torus_quotient)
-from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
-                           compositions, default_total_order,
-                           enumerate_rpartitions, n_star)
+from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
+                           RPartition, RPartitionError, compositions,
+                           default_total_order, enumerate_rpartitions,
+                           n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
 from wkostka.wreath import (_classes, _zeta_mul, cyclotomic_polynomial,
                             detV_value, fake_degree, omega_entry_bruteforce,
@@ -563,20 +564,24 @@ class TestOmegaEntries:
         om = omega_matrix(2, 2, order)
         assert om.index is order and (om.index.n, om.index.r) == (2, 2)
 
-    # P_{1,3} under n = 2 and P_{2,2} under r = 3.  No empty order can be
-    # built (tests/test_rpart.py).
-    @pytest.mark.parametrize("n, r, order", [
-        (2, 3, default_total_order(1, 3)),
-        (2, 3, default_total_order(2, 2)),
-    ], ids=["n", "r"])
+    # P_{1,3} under n = 2, P_{2,2} under r = 3, and an empty order, which
+    # OrderedIndex refuses as it is built, so the case builds it in the test.
+    @pytest.mark.parametrize("n, r, items, error, message", [
+        (2, 3, default_total_order(1, 3).items, OmegaError,
+         "the order does not list P_{n,r} for n=2, r=3"),
+        (2, 3, default_total_order(2, 2).items, OmegaError,
+         "the order does not list P_{n,r} for n=2, r=3"),
+        (0, 1, (), RPartitionError,
+         "empty total order: no P_{n,r} is empty"),
+    ], ids=["n", "r", "empty"])
     @pytest.mark.parametrize("method", ["cosets", "wreath"])
-    def test_an_order_on_another_p_nr_is_refused(self, n, r, order, method):
+    def test_an_order_on_another_p_nr_is_refused(self, n, r, items, error,
+                                                 message, method):
         """Before any entry is computed."""
         _omega_entry_direct.cache_clear()
         omega_entry_bruteforce.cache_clear()
-        with pytest.raises(OmegaError, match=re.escape(
-                f"the order does not list P_{{n,r}} for n={n}, r={r}")):
-            omega_matrix(n, r, order, method)
+        with pytest.raises(error, match=re.escape(message)):
+            omega_matrix(n, r, OrderedIndex(items), method)
         assert _omega_entry_direct.cache_info().currsize == 0
         assert omega_entry_bruteforce.cache_info().currsize == 0
 
