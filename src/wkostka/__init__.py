@@ -22,9 +22,9 @@ _EXPORTS = {
     "factor": ("FactorizationError", "FactorizationResult", "IcMatrix",
                "order_sensitivity", "solve_factorization"),
     "charge": ("unmodify_kostka",),
-    "greencheck": ("VerifyReport", "a_exponent", "green_inner_product",
+    "greencheck": ("VerifyReport", "a_exponent", "b_O", "green_inner_product",
                    "identity_5113_check", "lemma59_check", "thm55_check"),
-    "omega": ("OmegaError", "a_O", "b_O", "bracket", "omega_entry_cosets",
+    "omega": ("OmegaError", "a_O", "bracket", "omega_entry_cosets",
               "omega_matrix"),
     "wreath": ("fake_degree", "omega_entry_bruteforce", "rho_character"),
     "rpart": ("Composition", "ContingencyMatrix", "OrderedIndex", "RPartition",

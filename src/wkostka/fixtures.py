@@ -24,8 +24,8 @@ FIXTURE_IDS = ("n1r3", "n1rk", "n2r3", "n3r3")
 
 
 class FixtureError(UsageError):
-    """An unknown fixture id, n1rk with r < 2, or a fixture file whose
-    tables or "n" and "r" do not fit its order; it exits 2."""
+    """An unknown fixture id, n1rk with r < 2, or a fixture file whose id,
+    n, r or tables do not fit its name and order; it exits 2."""
 
 
 class Fixture(Record):
@@ -67,10 +67,11 @@ def load_fixture(fixture_id: str, r: int | None = None) -> Fixture:
     raw = json.loads(resources.files("wkostka.data")
                      .joinpath(f"{fixture_id}.json").read_text())
     order = OrderedIndex(tuple(RPartition.parse(s) for s in raw["order"]))
-    if (raw["n"], raw["r"]) != (order.n, order.r):
-        raise FixtureError(f"fixture {fixture_id!r}: n, r are not its order's")
+    if (raw["id"], raw["n"], raw["r"]) != (fixture_id, order.n, order.r):
+        raise FixtureError(f"fixture {fixture_id!r}: its file's id, n, r are "
+                           f"{raw['id']!r}, {raw['n']}, {raw['r']}")
     size = len(order)
-    fx = Fixture(id=raw["id"], order=order,
+    fx = Fixture(id=fixture_id, order=order,
                  a_values=list(raw["a_values"]),
                  errata=raw.get("errata", {}))
     if "omega" in raw:

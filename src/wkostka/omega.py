@@ -13,6 +13,11 @@ Two independent routes compute each entry:
 
 Both must agree, entry by entry; the test suite enforces this.
 
+The coset route reads each entry as t^(N*) sum_h t^(A_O(h)) sum_(x,y) ...,
+one power per coset label h (a_O).  The paper writes that power as
+t^(a(lam) + a(tau mu) + r B_O(lam,mu,h)); Lemma 5.9, which `verify lemma59`
+checks, says the two are equal, so no entry adds a (lam, mu) shift.
+
 The coset route computes one entry per orbit of the linear characters.
 Omega_(lam,mu) = t^(N*) R(rho^lam x conj(rho^mu) x conj(det_V)) is unchanged
 when lam and mu are both tensored with one linear character epsilon, since
@@ -28,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from . import COSET_K_BOUND, WREATH_ORACLE_BOUND, Failure
 from .exact import LaurentPoly, PolyMatrix, _laurent, exact_div
 from .rpart import (Composition, ContingencyMatrix, OrderedIndex, RPartition,
                     conjugate_partition, count_rpartitions,
-                    enumerate_contingency, partitions)
+                    enumerate_contingency, n_star, partitions)
 from .symgrp import block_character, centralizer_order, char_perm_det_from_type
 # Not called here: bench/traced.py wraps these two names in this module.
 from .symgrp import double_cosets, intersection_elements  # noqa: F401
@@ -78,21 +83,11 @@ def bracket(j: int, i: int, r: int) -> int:
 
 
 def a_O(h: ContingencyMatrix, r: int) -> int:
-    """sum over all cells of bracket(j, i) * h_(i,j)."""
-    total = 0
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            total += bracket(j, i, r) * h.entry(i, j)
-    return total
-
-
-def b_O(lam: RPartition, mu: RPartition, h: ContingencyMatrix) -> int:
-    """C(n,2) - n(lam) - n(mu) + sum_(i<r) h_(i, <=i)."""
-    n = lam.n
-    if h.col_sums() != lam.weight().parts or h.row_sums() != mu.weight().parts:
-        raise OmegaError("contingency margins do not match the weights")
-    partial = sum(h.row_prefix(i, i) for i in range(1, h.r))
-    return comb(n, 2) - lam.n_value() - mu.n_value() + partial
+    """A_O(h), the sum of bracket(j, i) * h_(i,j) over the nonzero cells: a
+    row summing to 0 holds only zeros, so at most n rows are walked."""
+    return sum(bracket(j, i, r) * x
+               for i, row in enumerate(h.rows, 1) if sum(row)
+               for j, x in enumerate(row, 1) if x)
 
 
 # -- the double-coset route ----------------------------------------------------
@@ -156,12 +151,14 @@ def torus_quotient(rho: tuple, n: int, r: int) -> LaurentPoly:
 def _omega_block(m: Composition, m_prime: Composition, r: int) -> tuple:
     """(low, blocks) for the weight pair (m, m').  Each block is
     (column types, row types, coefficients): coset_table contracted with
-    t^(r sum_(i<r) h_(i,<=i)) * torus_quotient and summed over the labels h,
-    so n! times the block of 1/z weights.  Every block is a dense tuple of
-    ints of one length, its i-th entry the coefficient of t^(low + i)."""
+    t^(N* + A_O(h)) * torus_quotient (Lemma 5.9, module docstring) and
+    summed over the labels h, so n! times the block of 1/z weights.  Every
+    block is a dense tuple of ints of one length, its i-th entry the
+    coefficient of t^(low + i)."""
     terms = []
+    nstar = n_star(m.n, r)
     for h, h_terms in coset_table(m, m_prime):
-        tpow = r * sum(h.row_prefix(i, i) for i in range(1, r))
+        tpow = nstar + a_O(h, r)
         for cols, rows, rho, weight in h_terms:
             terms.append((cols, rows, weight,
                           torus_quotient(rho, m.n, r).shift(tpow)))
@@ -244,14 +241,15 @@ def _omega_entry_direct(lam: RPartition, mu: RPartition,
                         r: int) -> LaurentPoly:
     """omega_(lam,mu) through the double-coset expansion of the fake degree:
 
-        t^(a(lam) + a(tau mu)) sum_h t^(r b_O(lam,mu,h)) sum_(x,y)
+        t^(N*) sum_h t^(A_O(h)) sum_(x,y)
             chi^lam(y) chi^mu(x^-1 y x) prod_k (t^(kr) - 1)
             / (|S_m| |S_m'| det_V(t^r - y)),
 
     with the sum over each coset's members x and y in S_m meet x S_m' x^-1,
-    here read off coset_table.  The sum is n! times the entry, formed over
-    Z as the sum over the row types of chi^mu(rows) * R_lam(rows)
-    (_omega_row), and divided by n! exactly: a remainder raises OmegaError.
+    here read off coset_table; by Lemma 5.9 the powers are the paper's
+    (module docstring).  The sum is n! times the entry, formed over Z as
+    the sum over the row types of chi^mu(rows) * R_lam(rows) (_omega_row),
+    and divided by n! exactly: a remainder raises OmegaError.
     """
     if lam.n != mu.n or lam.r != r or mu.r != r:
         raise OmegaError("index mismatch")
@@ -270,9 +268,7 @@ def _omega_entry_direct(lam: RPartition, mu: RPartition,
                              f"a coefficient {x} of n! times it is not "
                              f"divisible by n! = {n_fact}")
         coeffs.append(q)
-    shift = r * (comb(lam.n, 2) - lam.n_value() - mu.n_value()) + \
-        lam.a_value() + mu.tau().a_value()
-    value = _laurent(low + shift, coeffs)
+    value = _laurent(low, coeffs)
     if not value.has_nonneg_int_coeffs():
         raise OmegaError(
             f"coset entry ({lam}, {mu}) is not in Z>=0[t]: {value}")

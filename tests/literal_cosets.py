@@ -11,8 +11,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from wkostka.exact import LaurentPoly, RationalFunction
-from wkostka.greencheck import MINUS, PLUS, a_exponent
-from wkostka.omega import b_O
+from wkostka.greencheck import MINUS, PLUS, a_exponent, b_O
 from wkostka.symgrp import (SymGrpError, block_of, char_perm_det_from_type,
                             compose, cycle_type, cycles, double_cosets,
                             in_young, intersection_elements, inverse,

@@ -5,6 +5,12 @@ omega_entry_cosets).
 Each block is a LaurentPoly with the 1/z weights, coset_table's n!/z over
 n!, as Fraction coefficients, and each entry sums chi^lam(cols)
 chi^mu(rows) times its blocks.
+
+The powers of t follow the paper's route: t^(r sum_(i<r) h_(i,<=i)) per
+coset label h, then one shift t^(r (C(n,2) - n(lam) - n(mu)) + a(lam) +
+a(tau mu)) per entry, together t^(a(lam) + a(tau mu) + r B_O(lam,mu,h)).
+The kernel powers each label by t^(N* + A_O(h)) instead (Lemma 5.9), so an
+agreement here also checks that lemma in the kernel.
 """
 from fractions import Fraction
 from functools import lru_cache

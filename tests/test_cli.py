@@ -246,6 +246,8 @@ GOLDEN = {
         "07daf934e8400320b237b605d3e6c35560ff800f6f6a793d98d2309b2ece703b",
     ("verify", "fixtures"):
         "a2fd8580ed086a5928dec680eea56656bbc045c03d200e3d5602b2183bb393a7",
+    ("verify", "lemma59"):
+        "896a53d8ee0b2032c92e524d9d17cffbfdff8ed953b1abfe8246cc51acf6fa7f",
 }
 
 

@@ -54,6 +54,26 @@ class TestLoading:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_the_id_must_be_the_files_name(self, tmp_path, monkeypatch,
+                                           capsys):
+        """A file's "id" is checked against the id it was loaded by, not
+        stored: a copy of n2r3.json whose id reads n1r3 fails to load, and
+        `--order fixture:n2r3` exits 2 with one error line."""
+        raw = json.loads(resources.files("wkostka.data")
+                         .joinpath("n2r3.json").read_text())
+        assert raw["id"] == "n2r3"
+        raw["id"] = "n1r3"
+        (tmp_path / "n2r3.json").write_text(json.dumps(raw))
+        monkeypatch.setattr(fixtures.resources, "files",
+                            lambda package: tmp_path)
+        with pytest.raises(FixtureError, match="'n2r3'.*'n1r3'"):
+            load_fixture("n2r3")
+        code = main(["solve", "--n", "2", "--r", "3",
+                     "--order", "fixture:n2r3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTranscriptionGuards:
     def test_n1r3_reconstructs_its_omega(self):

@@ -12,9 +12,9 @@ import wkostka.greencheck as greencheck
 import wkostka.omega as omega_mod
 from wkostka.exact import RationalFunction
 from wkostka.greencheck import (MINUS, PLUS, GreenCheckError, a_exponent,
-                                green_inner_product, identity_5113_check,
+                                b_O, green_inner_product, identity_5113_check,
                                 lemma59_check, thm55_check)
-from wkostka.omega import a_O, b_O
+from wkostka.omega import a_O, omega_entry_cosets
 from wkostka.rpart import (Composition, ContingencyMatrix, RPartition,
                            compositions, enumerate_contingency,
                            enumerate_rpartitions, n_star, partitions)
@@ -196,6 +196,31 @@ class TestLemma59:
         rep = check(2, 3)
         assert rep.checked > 0 and len(rep.violations) == rep.checked
         assert all(v["lhs"] == v["rhs"] + 1 for v in rep.violations)
+
+    def test_the_lemma_guards_the_kernels_exponent(self, monkeypatch):
+        """The kernel powers each coset label by t^(N* + A_O(h)) through
+        the a_O that the lemma suite checks: a_O off by one, in omega and in
+        greencheck's binding of it, trips the suite and moves every Omega
+        entry one power of t off the wreath oracle's."""
+        from wkostka.wreath import omega_entry_bruteforce
+        real = omega_mod.a_O
+
+        def seeded(h, r):
+            return real(h, r) + 1
+
+        wkostka.clear_caches()
+        monkeypatch.setattr(omega_mod, "a_O", seeded)
+        monkeypatch.setattr(greencheck, "a_O", seeded)
+        try:
+            rep = lemma59_check(2, 3)
+            assert rep.checked > 0 and len(rep.violations) == rep.checked
+            items = enumerate_rpartitions(2, 3)
+            for lam, mu in itertools.product(items, repeat=2):
+                assert omega_entry_cosets(lam, mu, 3) == \
+                    omega_entry_bruteforce(lam, mu, 3).shift(1)
+        finally:
+            monkeypatch.undo()
+            wkostka.clear_caches()
 
 
 class TestThm55:

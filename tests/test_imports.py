@@ -44,9 +44,9 @@ EXPORTS = (
     "ExactError", "LaurentPoly", "PolyMatrix", "RationalFunction",
     "FactorizationError", "FactorizationResult", "IcMatrix",
     "order_sensitivity", "solve_factorization", "unmodify_kostka",
-    "VerifyReport", "a_exponent", "green_inner_product",
+    "VerifyReport", "a_exponent", "b_O", "green_inner_product",
     "identity_5113_check", "lemma59_check", "thm55_check",
-    "OmegaError", "a_O", "b_O", "bracket",
+    "OmegaError", "a_O", "bracket",
     "fake_degree", "omega_entry_bruteforce", "omega_entry_cosets",
     "omega_matrix", "rho_character",
     "Composition", "ContingencyMatrix", "OrderedIndex", "RPartition",
@@ -270,10 +270,32 @@ def test_the_symmetry_suite_checks_the_direct_entries():
 
 def test_the_wreath_oracle_shares_no_omega_kernel():
     """verify oracle compares the oracle with the coset route; a coset-route
-    helper on both sides would make the comparison check nothing."""
+    helper on both sides would make the comparison check nothing.  n_star
+    is no coset helper: the oracle's t^(N*) reads it too."""
     assert _names_in("wreath.py") & {
         "coset_table", "torus_quotient", "_omega_block", "_omega_row",
-        "_omega_entry_direct", "omega_entry_cosets", "_axpy"} == set()
+        "_omega_entry_direct", "omega_entry_cosets", "_axpy", "a_O",
+        "bracket"} == set()
+
+
+def test_each_coset_label_carries_the_whole_exponent():
+    """By Lemma 5.9 each label h is powered by t^(N* + A_O(h)) in the
+    blocks, so an entry adds no (lam, mu) shift of its own."""
+    assert "a_O" in _names_in("omega.py", "_omega_block")
+    assert _names_in("omega.py", "_omega_entry_direct") & {
+        "comb", "a_value", "n_value", "tau"} == set()
+
+
+def test_one_implementation_of_the_row_prefix_sum():
+    """sum_(i<r) h_(i,<=i) is written once, in greencheck.a_exponent: it is
+    the one function of the package that reads h.row_prefix."""
+    found = {(path.name, function.name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(function, ast.FunctionDef)
+             and "row_prefix" in {node.attr for node in ast.walk(function)
+                                  if isinstance(node, ast.Attribute)}}
+    assert found == {("greencheck.py", "a_exponent")}
 
 
 def test_the_wreath_oracle_never_twists():

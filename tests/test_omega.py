@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 
 import wkostka.omega as omega_mod
 from wkostka.exact import ExactError, LaurentPoly
-from wkostka.greencheck import thm55_check
+from wkostka.greencheck import GreenCheckError, b_O, thm55_check
 import wkostka
 from wkostka.omega import (OmegaError, _omega_block, _omega_entry_direct,
-                           _omega_row, _orbit_twist, _twist, a_O, b_O,
-                           bracket, coset_table, omega_entry_cosets,
-                           omega_matrix, torus_quotient)
+                           _omega_row, _orbit_twist, _twist, a_O, bracket,
+                           coset_table, omega_entry_cosets, omega_matrix,
+                           torus_quotient)
 from wkostka.rpart import (Composition, ContingencyMatrix, OrderedIndex,
                            RPartition, RPartitionError, compositions,
-                           default_total_order, enumerate_rpartitions,
-                           n_star)
+                           default_total_order, enumerate_contingency,
+                           enumerate_rpartitions, n_star)
 from wkostka.symgrp import char_perm_det_from_type, double_cosets, sign
 from wkostka.wreath import (_classes, _zeta_mul, cyclotomic_polynomial,
                             detV_value, fake_degree, omega_entry_bruteforce,
@@ -333,6 +333,25 @@ class TestBracketExponents:
         zero = ContingencyMatrix(((0, 0), (0, 0)))
         assert a_O(zero, 2) == 0
 
+    def test_a_O_walks_the_nonzero_cells_to_the_all_cells_sum(self):
+        """a_O skips zero rows and zero cells; on every contingency table
+        with n <= 4 and r <= 5, and on the 1000 x 1000 zero table of
+        (0, 1000), it equals the sum over all r^2 cells."""
+        def all_cells(h, r):
+            return sum(bracket(j, i, r) * h.entry(i, j)
+                       for i in range(1, r + 1) for j in range(1, r + 1))
+
+        for n in range(5):
+            for r in range(1, 6):
+                weights = [Composition(c) for c in compositions(n, r)]
+                for m in weights:
+                    for mp in weights:
+                        for h in enumerate_contingency(m, mp):
+                            assert a_O(h, r) == all_cells(h, r)
+        empty = Composition((0,) * 1000)
+        (zero,) = enumerate_contingency(empty, empty)
+        assert a_O(zero, 1000) == all_cells(zero, 1000) == 0
+
     def test_b_O_single_box(self):
         lam, mu = RP("(-;1;-)"), RP("(-;-;1)")
         h = [[0] * 3 for _ in range(3)]
@@ -344,7 +363,7 @@ class TestBracketExponents:
         lam, mu = RP("(1;-;-)"), RP("(1;-;-)")
         h = [[0] * 3 for _ in range(3)]
         h[2][2] = 1
-        with pytest.raises(OmegaError):
+        with pytest.raises(GreenCheckError):
             b_O(lam, mu, ContingencyMatrix(tuple(map(tuple, h))))
 
     def test_b_O_concentrated(self):
